@@ -53,6 +53,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -80,7 +81,7 @@ func writeExport(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// parseQPS parses the -qps flag: a comma-separated list of positive
+// parseQPS parses the -qps flag: a comma-separated list of positive, finite
 // offered-load points (requests per second).
 func parseQPS(s string) ([]float64, error) {
 	var out []float64
@@ -88,6 +89,9 @@ func parseQPS(s string) ([]float64, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
 			return nil, err
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("QPS %g: must be finite", v)
 		}
 		if v <= 0 {
 			return nil, fmt.Errorf("QPS %g: must be positive", v)
@@ -134,9 +138,9 @@ func main() {
 		"max concurrent simulations; 1 = fully serial; output is identical at any -j")
 	par := flag.Int("par", 0,
 		"worker goroutines per explicit multi-device simulation (conservative parallel DES); "+
-			"0 = sequential single-engine path; output is byte-identical at any -par")
+			"0 or 1 = the cluster runs serially on the simulation's own goroutine; output is byte-identical at any -par")
 	syncMode := flag.String("sync", "auto",
-		"cluster synchronization for -par runs (auto|windowed|appointment); "+
+		"cluster synchronization for explicit multi-device runs (auto|windowed|appointment); "+
 			"auto picks from topology edge density; output is byte-identical in every mode")
 	checkRuns := flag.Bool("check", false,
 		"attach the simulation invariant checker to every run; violations fail the process")

@@ -59,6 +59,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -101,9 +102,9 @@ func run() (code int) {
 			"max concurrent simulations; output order is identical at any -j")
 		par = flag.Int("par", 0,
 			"worker goroutines per explicit multi-device simulation (-collective multi); "+
-				"0 = sequential single-engine path; output is byte-identical at any -par")
+				"0 or 1 = the cluster runs serially on the simulation's own goroutine; output is byte-identical at any -par")
 		syncFlag = flag.String("sync", "auto",
-			"cluster synchronization for -par runs (auto|windowed|appointment); "+
+			"cluster synchronization for explicit multi-device runs (auto|windowed|appointment); "+
 				"auto picks from topology edge density; rows are byte-identical in every mode")
 		checkRuns = flag.Bool("check", false,
 			"attach the simulation invariant checker to every configuration; violations fail the process")
@@ -171,9 +172,9 @@ func run() (code int) {
 	if err != nil {
 		return fail(fmt.Errorf("bad -devices: %w", err))
 	}
-	linkList, err := parseFloats(*links)
+	linkList, err := parseFloats("links", *links)
 	if err != nil {
-		return fail(fmt.Errorf("bad -links: %w", err))
+		return usageFail(err)
 	}
 	cuList, err := parseInts(*cus)
 	if err != nil {
@@ -343,9 +344,9 @@ func runServe(qpsFlag string, slo time.Duration, jobs int, hdr bool,
 	setup := t3sim.DefaultExperimentSetup()
 	setup.Memo = memo
 	if qpsFlag != "" {
-		ladder, err := parseFloats(qpsFlag)
+		ladder, err := parseFloats("qps", qpsFlag)
 		if err != nil {
-			return fail(fmt.Errorf("bad -qps: %w", err))
+			return usageFail(err)
 		}
 		for _, v := range ladder {
 			if v <= 0 {
@@ -524,12 +525,11 @@ func runOne(grid t3sim.GEMMGrid, devices int, linkGBps float64, cus int,
 	)
 	switch {
 	case collName == "multi":
-		// Explicit N-device simulation (no mirroring); -par picks the
-		// conservative-parallel execution strategy and -sync the cluster
-		// coordinator, output is identical either way. The cluster stats
-		// out-parameter only matters for -par runs, and requesting it makes
+		// Explicit N-device simulation (no mirroring) on the cluster; -par
+		// picks how many goroutines drive it and -sync its coordinator,
+		// output is identical either way. Requesting the cluster stats makes
 		// the run uncacheable (a hit couldn't report this run's windowing),
-		// so sequential rows skip it and stay memoizable.
+		// so only -par runs report them and -par 0 rows stay memoizable.
 		var st t3sim.ClusterStats
 		if par > 0 {
 			opts.ClusterStats = &st
@@ -644,12 +644,17 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-func parseFloats(s string) ([]float64, error) {
+// parseFloats parses a comma-separated list of finite numbers given to the
+// named flag; the error names the flag.
+func parseFloats(flagName, s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("bad -%s: %w", flagName, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("bad -%s: %g: must be finite", flagName, v)
 		}
 		out = append(out, v)
 	}
@@ -660,4 +665,10 @@ func parseFloats(s string) ([]float64, error) {
 func fail(err error) int {
 	fmt.Fprintf(os.Stderr, "t3sweep: %v\n", err)
 	return 1
+}
+
+// usageFail reports a malformed flag value and returns the usage exit code.
+func usageFail(err error) int {
+	fail(err)
+	return 2
 }

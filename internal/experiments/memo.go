@@ -99,9 +99,9 @@ var hashPolicies = map[reflect.Type]map[string]fieldPolicy{
 		"GEMMCUs":            policyHash,
 		"DMATilesPerBlock":   policyHash,
 		"DoubleBufferedGEMM": policyHash,
-		// ParWorkers only picks the multi-device execution strategy
-		// (shared engine vs conservative cluster); results are
-		// byte-identical at every value, so it must not split the key.
+		// ParWorkers only sets how many goroutines drive the
+		// multi-device cluster; results are byte-identical at every
+		// value, so it must not split the key.
 		"ParWorkers": policySkip,
 		// SyncMode picks the cluster coordinator (windowed vs appointment);
 		// both compute the same fixpoint, so like ParWorkers it is

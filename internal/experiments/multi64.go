@@ -74,6 +74,9 @@ func Multi64(setup Setup) (*Multi64Result, error) {
 	}
 	opts.ParWorkers = setup.MultiDeviceWorkers
 	opts.SyncMode = setup.SyncMode
+	if setup.Metrics != nil {
+		opts.Metrics = setup.Metrics.Scope("multi64")
+	}
 	multi, err := memoFusedMulti(setup.Memo, opts)
 	if err != nil {
 		return nil, err

@@ -47,17 +47,17 @@ type Setup struct {
 	// invariant violations across the whole sweep; a single checker is safe
 	// to share at any -j. Nil costs nothing.
 	Check *check.Checker
-	// MultiDeviceWorkers selects the execution strategy for explicit
-	// multi-device simulations (the mirror validation's N-device runs):
-	// 0 simulates all devices on one shared engine; any positive value
-	// runs each device on its own conservative-parallel cluster engine
-	// with up to that many goroutines. Output is byte-identical at every
-	// value — the knob trades wall-clock time only — so it is excluded
-	// from the memo key and safe to flip per invocation (-par on the
-	// CLIs).
+	// MultiDeviceWorkers is the goroutine budget of explicit multi-device
+	// simulations. The fused multi-device runs (mirror, multi64, multi256,
+	// topo-sweep's fused rows) always simulate each device on its own
+	// cluster engine, and 0 or 1 drives that cluster serially on the
+	// calling goroutine; topo-sweep's timed collectives run on one shared
+	// engine at 0. Output is byte-identical at every value — the knob
+	// trades wall-clock time only — so it is excluded from the memo key and
+	// safe to flip per invocation (-par on the CLIs).
 	MultiDeviceWorkers int
 	// SyncMode selects the cluster coordinator's synchronization strategy
-	// for parallel multi-device simulations (MultiDeviceWorkers > 0):
+	// for explicit multi-device simulations:
 	// windowed rounds, appointment (null-message) rounds, or automatic
 	// selection from topology edge density (the zero default). Output is
 	// byte-identical in every mode — like MultiDeviceWorkers it trades

@@ -41,8 +41,13 @@ func hierWindowProbe(t *testing.T, spec TopoSpec, mode sim.ClusterSyncMode, work
 			}
 			topo.Send(d, dst, units.Bytes(8+d)*units.KiB, func() {
 				out[d*rounds+r] = cl.Engine(dst).Now()
-				if round < rounds {
-					cl.Engine(d).After(spec.Link.LinkLatency, kick)
+				if r+1 < rounds {
+					// This handler runs on dst's engine, which must never
+					// schedule on d's: the next round starts when a small
+					// acknowledgement travels back to d.
+					topo.Send(dst, d, 64, func() {
+						cl.Engine(d).After(spec.Link.LinkLatency, kick)
+					})
 				}
 			})
 		}

@@ -16,6 +16,9 @@ type ChannelView struct {
 // Arbiter selects which stream a channel issues from next. Returning ok=false
 // stalls issue until the channel state changes (new arrival or a completion).
 //
+// The channel calls Next only while at least one stream has a pending
+// request (ComputePending+CommPending > 0) and the DRAM queue has room, so a
+// policy never sees — and cannot change state on — an empty channel.
 // Implementations must only select a stream with pending requests.
 type Arbiter interface {
 	Next(v ChannelView) (s Stream, ok bool)

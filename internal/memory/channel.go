@@ -48,9 +48,11 @@ func (ch *channel) enqueue(r *Request) {
 }
 
 // arbitrate moves requests from stream queues into the DRAM queue while the
-// policy allows, then kicks the service stage.
+// policy allows, then kicks the service stage. The policy is consulted only
+// while some stream has a request waiting (see Arbiter).
 func (ch *channel) arbitrate() {
-	for ch.dramq.len() < ch.ctrl.cfg.QueueDepth {
+	for ch.dramq.len() < ch.ctrl.cfg.QueueDepth &&
+		ch.streams[StreamCompute].len()+ch.streams[StreamComm].len() > 0 {
 		s, ok := ch.ctrl.arbiter.Next(ch.view())
 		if !ok {
 			break
@@ -122,11 +124,19 @@ func (ch *channel) serviceDone() {
 // (created by Transfer/TransferTo) are recycled here, before their fence
 // completion is delivered or scheduled — any observer holding the pointer
 // past OnIssue is in violation of the retention contract.
+//
+// A pooled read counts down its transfer's fence as soon as its service
+// ends; only the request that drains the fence schedules the ReadLatency
+// event. ReadLatency is constant, so per-request latency events would fire
+// in service-completion order and the last one — the only one that does more
+// than decrement — sits exactly where the single event is scheduled: same
+// time, same place in the insertion order. A transfer of n read requests
+// therefore costs n+1 events instead of 2n.
 func (ch *channel) complete(r *Request) {
 	if x := r.xf; x != nil {
 		isRead := r.Kind == Read
 		ch.ctrl.putReq(r)
-		if isRead && ch.ctrl.cfg.ReadLatency > 0 {
+		if isRead && ch.ctrl.cfg.ReadLatency > 0 && x.fence.Remaining() == 1 {
 			ch.ctrl.eng.AfterFence(ch.ctrl.cfg.ReadLatency, x.fence)
 		} else {
 			x.fence.Done()

@@ -294,7 +294,8 @@ func (c *Cluster) EdgeStalls() []EdgeStall {
 
 // NewCluster returns a coordinator owning n fresh engines. The lookahead
 // must be positive — a zero-latency link admits no conservative window, so
-// callers with LinkLatency == 0 must fall back to a single shared engine.
+// callers with LinkLatency == 0 must run on a single engine or reject the
+// configuration.
 func NewCluster(n int, lookahead units.Time) *Cluster {
 	if n < 1 {
 		panic(fmt.Sprintf("sim: cluster of %d engines", n))

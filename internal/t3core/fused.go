@@ -96,36 +96,32 @@ type FusedOptions struct {
 	// event. A nil sink records nothing and costs nothing. If
 	// Memory.Metrics is already set it wins for the controller.
 	Metrics metrics.Sink
-	// ParWorkers selects the execution strategy for the explicit
+	// ParWorkers is the worker-goroutine budget of the explicit
 	// multi-device run (RunFusedGEMMRSMultiDevice only; single-GPU mirror
-	// runs ignore it). 0 — the default — simulates all devices on one
-	// shared engine, the legacy sequential path. Any positive value runs
-	// each device on its own sim.Cluster engine, advanced in conservative
-	// windows of one link latency, using up to ParWorkers goroutines per
-	// window. Results are byte-identical at every value — the knob trades
-	// wall-clock time only — so it is excluded from the experiment memo key
-	// (policySkip). Falls back to the sequential path when LinkLatency is
-	// zero, since a zero lookahead admits no conservative window.
+	// runs ignore it). Every device runs on its own sim.Cluster engine,
+	// advanced in conservative windows bounded by the minimum link latency;
+	// 0 and 1 both run every window inline on the calling goroutine, and a
+	// larger value uses up to ParWorkers goroutines per window. Results are
+	// byte-identical at every value — the knob trades wall-clock time only —
+	// so it is excluded from the experiment memo key (policySkip).
 	ParWorkers int
 	// SyncMode selects the cluster coordinator's synchronization strategy
-	// for the parallel multi-device path (ParWorkers > 0): windowed
-	// full-recompute rounds, appointment-based (null-message) incremental
-	// rounds, or — the zero default — automatic selection from the
-	// topology's edge density. Both modes compute the identical per-round
-	// horizon fixpoint, so results are byte-identical across every mode and
-	// worker count; like ParWorkers it trades wall-clock time only and is
-	// excluded from the experiment memo key (policySkip). The sequential
-	// path (ParWorkers = 0) ignores it.
+	// for the explicit multi-device run: windowed full-recompute rounds,
+	// appointment-based (null-message) incremental rounds, or — the zero
+	// default — automatic selection from the topology's edge density. Both
+	// modes compute the identical per-round horizon fixpoint, so results are
+	// byte-identical across every mode and worker count; like ParWorkers it
+	// trades wall-clock time only and is excluded from the experiment memo
+	// key (policySkip).
 	SyncMode sim.ClusterSyncMode
 	// ClusterStats, if non-nil, receives the scheduler's windowing summary
-	// after an explicit multi-device run on the cluster path (ParWorkers > 0
-	// with a positive link latency): round count, engine-window executions,
-	// and total simulated time advanced, from which the benchmark harness
-	// derives the average window width — the lookahead-quality metric tracked
-	// across PRs. The sequential path zeroes it. The stats describe the
-	// coordination layer, not the model, and are deliberately not part of
-	// MultiDeviceResult: results stay byte-identical at every worker count,
-	// while window shapes are an implementation detail of the scheduler.
+	// after an explicit multi-device run, at every ParWorkers value: round
+	// count, engine-window executions, and total simulated time advanced,
+	// from which the benchmark harness derives the average window width —
+	// the lookahead-quality metric tracked across PRs. The stats describe
+	// the coordination layer, not the model, and are deliberately not part
+	// of MultiDeviceResult: they are identical at every worker count, but
+	// Mode and NullMessages depend on the sync mode.
 	ClusterStats *sim.ClusterStats
 	// Check, if non-nil, is threaded through every model the same way
 	// Metrics is: the engine witnesses event-time monotonicity, the memory

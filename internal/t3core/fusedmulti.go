@@ -77,8 +77,7 @@ type multiDevice struct {
 // after setup, so the cluster's worker goroutines share it freely.
 type multiRun struct {
 	o    FusedOptions
-	eng  *sim.Engine            // sequential mode: the one shared engine (nil in cluster mode)
-	cl   *sim.Cluster           // cluster mode: one engine per device (nil in sequential mode)
+	cl   *sim.Cluster           // one engine per device
 	ring *interconnect.Ring     // legacy interconnect (zero o.Topo)
 	topo *interconnect.Topology // graph interconnect (non-zero o.Topo)
 	devs []*multiDevice
@@ -88,14 +87,6 @@ type multiRun struct {
 	chunkStart []int // address-space tile index where each chunk begins
 
 	result MultiDeviceResult
-}
-
-// engOf returns the engine device d's handlers run on.
-func (r *multiRun) engOf(d int) *sim.Engine {
-	if r.cl != nil {
-		return r.cl.Engine(d)
-	}
-	return r.eng
 }
 
 // send moves n bytes from src to dst over the run's interconnect: the
@@ -120,10 +111,11 @@ func (r *multiRun) send(src, dst int, n units.Bytes, onDelivered sim.Handler) {
 // the topology sweep asks whether tracker-triggered overlap still wins on a
 // torus, a switch, or a two-level hierarchy.
 //
-// With o.ParWorkers > 0 (and a positive minimum link latency) each device is
-// simulated on its own engine inside a sim.Cluster, advanced in conservative
-// windows one lookahead wide; the result is byte-identical to the
-// sequential run at every worker count.
+// Each device is simulated on its own engine inside a sim.Cluster, advanced
+// in conservative windows bounded by the minimum link latency, using up to
+// o.ParWorkers goroutines (0 and 1 both run every window inline on the
+// calling goroutine). The result is byte-identical at every worker count.
+// The minimum link latency is the cluster's lookahead and must be positive.
 func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 	if o.Collective != RingReduceScatter {
 		return MultiDeviceResult{}, fmt.Errorf("t3core: multi-device run supports ring reduce-scatter, got %v", o.Collective)
@@ -136,36 +128,24 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 	}
 	r := &multiRun{o: o}
 	n := o.Devices
-	// A zero-latency link admits no conservative window (the lookahead must
-	// be positive), so such configurations fall back to the shared engine.
-	// With a topology the lookahead is the slowest-case-safe minimum link
-	// latency over the whole graph.
+	// The cluster's lookahead is the minimum link latency — over the whole
+	// graph with a topology — and a conservative window needs it positive.
 	minLat := o.Link.LinkLatency
 	if !o.Topo.IsZero() {
 		minLat = o.Topo.MinLinkLatency()
 	}
-	parallel := o.ParWorkers > 0 && minLat > 0
-	var ring *interconnect.Ring
+	if minLat <= 0 {
+		return MultiDeviceResult{}, fmt.Errorf(
+			"t3core: multi-device run needs a positive minimum link latency as the cluster lookahead, got %v", minLat)
+	}
+	r.cl = sim.NewCluster(n, minLat)
+	r.cl.SetSyncMode(o.SyncMode)
+	r.cl.AttachChecker(o.Check)
 	var err error
-	switch {
-	case !o.Topo.IsZero() && parallel:
-		r.cl = sim.NewCluster(n, minLat)
-		r.cl.SetSyncMode(o.SyncMode)
-		r.cl.AttachChecker(o.Check)
+	if o.Topo.IsZero() {
+		r.ring, err = interconnect.NewClusterRing(r.cl, o.Link)
+	} else {
 		r.topo, err = o.Topo.BuildCluster(r.cl)
-	case !o.Topo.IsZero():
-		r.eng = sim.NewEngine()
-		r.eng.AttachChecker(o.Check)
-		r.topo, err = o.Topo.Build(r.eng)
-	case parallel:
-		r.cl = sim.NewCluster(n, minLat)
-		r.cl.SetSyncMode(o.SyncMode)
-		r.cl.AttachChecker(o.Check)
-		ring, err = interconnect.NewClusterRing(r.cl, o.Link)
-	default:
-		r.eng = sim.NewEngine()
-		r.eng.AttachChecker(o.Check)
-		ring, err = interconnect.NewRing(r.eng, n, o.Link)
 	}
 	if err != nil {
 		return MultiDeviceResult{}, err
@@ -186,10 +166,9 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 		if r.topo != nil {
 			r.topo.AttachMetrics(o.Metrics)
 		} else {
-			ring.AttachMetrics(o.Metrics)
+			r.ring.AttachMetrics(o.Metrics)
 		}
 	}
-	r.ring = ring
 
 	r.devs = make([]*multiDevice, n)
 	for d := 0; d < n; d++ {
@@ -219,31 +198,24 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 			return MultiDeviceResult{}, err
 		}
 	}
-	if parallel {
-		r.cl.Run(o.ParWorkers)
-		if o.ClusterStats != nil {
-			*o.ClusterStats = r.cl.Stats()
-		}
-		if o.Metrics != nil {
-			// Coordination-layer summary for the -metrics JSON: how the
-			// cluster synchronized, not what the model computed. Values are
-			// identical at every worker count; NullMessages is zero in
-			// windowed mode by definition.
-			st := r.cl.Stats()
-			cs := o.Metrics.Scope("cluster")
-			cs.Counter("windows").Add(int64(st.Windows))
-			cs.Counter("engine_windows").Add(int64(st.EngineWindows))
-			cs.Counter("advance_ps").Add(int64(st.Advance))
-			cs.Counter("null_messages").Add(int64(st.NullMessages))
-			cs.Counter("stalled_engine_windows").Add(int64(st.StalledEngineWindows))
-			cs.Counter("stall_ps").Add(int64(st.StallTime))
-			cs.Counter("sync_mode").Add(int64(st.Mode))
-		}
-	} else {
-		r.eng.Run()
-		if o.ClusterStats != nil {
-			*o.ClusterStats = sim.ClusterStats{}
-		}
+	r.cl.Run(o.ParWorkers)
+	st := r.cl.Stats()
+	if o.ClusterStats != nil {
+		*o.ClusterStats = st
+	}
+	if o.Metrics != nil {
+		// Coordination-layer summary for the -metrics JSON: how the cluster
+		// synchronized, not what the model computed. Values are identical at
+		// every worker count; NullMessages is zero in windowed mode by
+		// definition.
+		cs := o.Metrics.Scope("cluster")
+		cs.Counter("windows").Add(int64(st.Windows))
+		cs.Counter("engine_windows").Add(int64(st.EngineWindows))
+		cs.Counter("advance_ps").Add(int64(st.Advance))
+		cs.Counter("null_messages").Add(int64(st.NullMessages))
+		cs.Counter("stalled_engine_windows").Add(int64(st.StalledEngineWindows))
+		cs.Counter("stall_ps").Add(int64(st.StallTime))
+		cs.Counter("sync_mode").Add(int64(st.Mode))
 	}
 	stalled := 0
 	for _, md := range r.devs {
@@ -271,7 +243,7 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 			}
 		}
 		if r.topo == nil {
-			res.LinkBytes += ring.ForwardLink(d).SentBytes()
+			res.LinkBytes += r.ring.ForwardLink(d).SentBytes()
 		}
 		if ml := md.trk.MaxLive(); ml > res.TrackerMaxLive {
 			res.TrackerMaxLive = ml
@@ -304,7 +276,7 @@ func (r *multiRun) newDevice(d int) (*multiDevice, error) {
 	if o.Check != nil && o.Memory.Check == nil {
 		o.Memory.Check = o.Check
 	}
-	eng := r.engOf(d)
+	eng := r.cl.Engine(d)
 	mc, err := memory.NewController(eng, o.Memory, arb)
 	if err != nil {
 		return nil, err

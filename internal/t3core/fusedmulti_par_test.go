@@ -3,6 +3,7 @@ package t3core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -35,9 +36,10 @@ func parOptions(t *testing.T, m, n, k, devices int) FusedOptions {
 }
 
 // TestMultiDeviceParallelMatchesSequential is the load-bearing equivalence
-// test of the conservative parallel layer: the cluster path must reproduce
-// the legacy shared-engine result exactly — every per-device completion
-// time, every DRAM counter, every link byte — at every worker count.
+// test of the conservative parallel layer: driving the cluster with 1, 2 or
+// N workers must reproduce the sequential (ParWorkers 0, inline) result
+// exactly — every per-device completion time, every DRAM counter, every
+// link byte. The golden snapshots pin the sequential result itself.
 func TestMultiDeviceParallelMatchesSequential(t *testing.T) {
 	for _, devices := range []int{2, 3, 4, 8} {
 		o := parOptions(t, 512, 512, 256, devices)
@@ -108,8 +110,8 @@ func TestPropertyParallelWorkersInvariant(t *testing.T) {
 // TestMultiDevice64ParallelMatchesSequential extends the byte-identity proof
 // to the Fig-20 scale regime: 64 explicit devices, per-device horizons doing
 // real work (devices run far past the global window between ring phases),
-// and still every field of the result must DeepEqual the shared-engine
-// reference at every worker count. Skipped under -short: it simulates 64
+// and still every field of the result must DeepEqual the sequential
+// (ParWorkers 0) reference at every worker count. Skipped under -short: it simulates 64
 // devices five times over.
 func TestMultiDevice64ParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
@@ -147,23 +149,37 @@ func TestMultiDevice64ParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMultiDeviceZeroLatencyFallsBack pins the documented fallback: with a
-// zero link latency there is no lookahead, so ParWorkers must silently use
-// the sequential path and still succeed.
-func TestMultiDeviceZeroLatencyFallsBack(t *testing.T) {
-	o := parOptions(t, 256, 256, 128, 2)
-	o.Link.LinkLatency = 0
-	want, err := RunFusedGEMMRSMultiDevice(o)
-	if err != nil {
-		t.Fatal(err)
+// TestMultiDeviceZeroLatencyRejected pins the fail-fast rule: the minimum
+// link latency is the cluster's lookahead, and a zero lookahead admits no
+// conservative window, so a zero-latency ring — or any topology with one
+// zero-latency link — is rejected up front with an error naming the
+// lookahead, at every worker count.
+func TestMultiDeviceZeroLatencyRejected(t *testing.T) {
+	zero := interconnect.DefaultConfig()
+	zero.LinkLatency = 0
+	cases := []struct {
+		name string
+		set  func(o *FusedOptions)
+	}{
+		{"ring", func(o *FusedOptions) { o.Link = zero }},
+		{"torus", func(o *FusedOptions) { o.Topo = interconnect.TorusTopo(2, 2, zero) }},
+		{"hier-inter", func(o *FusedOptions) {
+			o.Topo = interconnect.HierarchicalTopo(2, 2, interconnect.DefaultConfig(), zero)
+		}},
 	}
-	o.ParWorkers = 2
-	got, err := RunFusedGEMMRSMultiDevice(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("zero-latency fallback diverged:\n got: %+v\nwant: %+v", got, want)
+	for _, tc := range cases {
+		for _, workers := range []int{0, 2} {
+			o := parOptions(t, 256, 256, 128, 4)
+			tc.set(&o)
+			o.ParWorkers = workers
+			if !o.Topo.IsZero() && o.Topo.MinLinkLatency() != 0 {
+				t.Fatalf("%s: test topology has a positive minimum link latency", tc.name)
+			}
+			_, err := RunFusedGEMMRSMultiDevice(o)
+			if err == nil || !strings.Contains(err.Error(), "lookahead") {
+				t.Errorf("%s workers=%d: got error %v, want a rejection naming the lookahead", tc.name, workers, err)
+			}
+		}
 	}
 }
 
@@ -221,7 +237,7 @@ func TestMultiDeviceResultIndependentOfSink(t *testing.T) {
 
 // TestMultiDeviceTimelineMergeDeterministic is the timeline-merge satellite:
 // the merged Perfetto trace — one track per device, stable ordering — must
-// be byte-identical between the sequential path and the cluster path at any
+// be byte-identical between the sequential (ParWorkers 0) run and any
 // worker count.
 func TestMultiDeviceTimelineMergeDeterministic(t *testing.T) {
 	export := func(workers int) []byte {

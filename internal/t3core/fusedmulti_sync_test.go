@@ -12,8 +12,8 @@ import (
 // TestMultiDeviceSyncModesMatch is the t3core-level cross-mode oracle the
 // ISSUE names: on ring, torus and hierarchy graphs, forcing the cluster into
 // windowed or appointment synchronization must reproduce the sequential
-// shared-engine result exactly — every field, every device — at workers
-// 1/2/4/8, with the invariant checker clean throughout.
+// (ParWorkers 0, auto mode) result exactly — every field, every device —
+// at workers 1/2/4/8, with the invariant checker clean throughout.
 func TestMultiDeviceSyncModesMatch(t *testing.T) {
 	link := interconnect.DefaultConfig()
 	inter := link

@@ -54,9 +54,8 @@ func TestMultiDeviceTopoRingMatchesLegacy(t *testing.T) {
 }
 
 func TestMultiDeviceTopoParallelMatchesSequential(t *testing.T) {
-	// On every graph, the conservative-parallel cluster run must be
-	// byte-identical to the sequential shared-engine run at every worker
-	// count.
+	// On every graph, the cluster driven by several workers must be
+	// byte-identical to the sequential (ParWorkers 0) run.
 	for _, spec := range topoTestSpecs(t) {
 		o := topoFusedOpts(t, spec)
 		seq, err := RunFusedGEMMRSMultiDevice(o)

@@ -301,11 +301,12 @@ func RunFusedGEMMAllToAll(o FusedOptions) (FusedResult, error) {
 // MultiDeviceResult reports an explicit N-device fused run.
 type MultiDeviceResult = t3core.MultiDeviceResult
 
-// ClusterStats summarizes the parallel scheduler's windowing behaviour for
+// ClusterStats summarizes the cluster scheduler's windowing behaviour for
 // one explicit multi-device run: coordinator rounds, per-engine window
 // executions, and total simulated time advanced (AvgWindowWidth derives the
 // mean advance per window). Request it by pointing FusedOptions.ClusterStats
-// at a value before RunFusedGEMMRSMultiDevice with ParWorkers > 0.
+// at a value before RunFusedGEMMRSMultiDevice; it is filled at every
+// ParWorkers value, and is identical across them.
 type ClusterStats = sim.ClusterStats
 
 // ClusterSyncMode selects the parallel scheduler's synchronization strategy
