@@ -386,7 +386,8 @@ func multiDevice64Opts(b *testing.B, workers int) t3sim.FusedOptions {
 // iteration and reports the scheduler's windowing statistics as custom
 // metrics: windows/op (coordinator rounds) and window-ps/op (average
 // simulated picoseconds one engine advances per window) — the
-// lookahead-quality numbers scripts/bench.sh records in BENCH_6.json.
+// lookahead-quality numbers bench/run.sh records, at 256 devices, as its
+// cluster.*.windows and cluster.*.avg_window_ps counters.
 // Skipped under -short so `go test -short ./...` stays fast.
 func runMultiDevice64Bench(b *testing.B, workers int) {
 	if testing.Short() {
@@ -412,14 +413,12 @@ func BenchmarkMultiDevice64Workers2(b *testing.B)   { runMultiDevice64Bench(b, 2
 func BenchmarkMultiDevice64Workers4(b *testing.B)   { runMultiDevice64Bench(b, 4) }
 func BenchmarkMultiDevice64Workers8(b *testing.B)   { runMultiDevice64Bench(b, 8) }
 
-// runMultiDeviceTopoBench is the sync-mode × topology scaling family: one
-// explicit run per iteration, routed over the named graph at the given
-// device count, with the cluster coordinator forced into a specific
-// synchronization mode. Reports windows/op, window-ps/op and nullmsgs/op
-// (promise refreshes — the appointment coordinator's traffic), the numbers
-// scripts/bench.sh records in BENCH_8.json. Results are byte-identical to
-// the sequential path in every mode; only coordination cost differs.
-func runMultiDeviceTopoBench(b *testing.B, topo string, devices, workers int, mode t3sim.ClusterSyncMode) {
+// runMultiDeviceTopoBench is the topology scaling family: one explicit run
+// per iteration, routed over the named graph at the given device count.
+// Reports windows/op and window-ps/op, the numbers bench/run.sh records for
+// the 256-device topologies of its cluster-256 workload. Results are
+// byte-identical to the sequential path at every worker count.
+func runMultiDeviceTopoBench(b *testing.B, topo string, devices, workers int) {
 	if testing.Short() {
 		b.Skip("topology scaling benchmarks are long; run without -short")
 	}
@@ -444,7 +443,6 @@ func runMultiDeviceTopoBench(b *testing.B, topo string, devices, workers int, mo
 		Collective:  t3sim.RingReduceScatterCollective,
 		Arbitration: t3sim.ArbRoundRobin,
 		ParWorkers:  workers,
-		SyncMode:    mode,
 	}
 	var st t3sim.ClusterStats
 	opts.ClusterStats = &st
@@ -457,43 +455,16 @@ func runMultiDeviceTopoBench(b *testing.B, topo string, devices, workers int, mo
 	if workers > 0 && st.Windows > 0 {
 		b.ReportMetric(float64(st.Windows), "windows/op")
 		b.ReportMetric(float64(st.AvgWindowWidth()), "window-ps/op")
-		b.ReportMetric(float64(st.NullMessages), "nullmsgs/op")
 	}
 }
 
-func BenchmarkMultiDevice64TorusWindowed4(b *testing.B) {
-	runMultiDeviceTopoBench(b, "torus", 64, 4, t3sim.SyncWindowed)
-}
-func BenchmarkMultiDevice64TorusAppointment4(b *testing.B) {
-	runMultiDeviceTopoBench(b, "torus", 64, 4, t3sim.SyncAppointment)
-}
-func BenchmarkMultiDevice64HierWindowed4(b *testing.B) {
-	runMultiDeviceTopoBench(b, "hier", 64, 4, t3sim.SyncWindowed)
-}
-func BenchmarkMultiDevice64HierAppointment4(b *testing.B) {
-	runMultiDeviceTopoBench(b, "hier", 64, 4, t3sim.SyncAppointment)
-}
-
-func BenchmarkMultiDevice256RingWindowed4(b *testing.B) {
-	runMultiDeviceTopoBench(b, "ring", 256, 4, t3sim.SyncWindowed)
-}
-func BenchmarkMultiDevice256RingAppointment4(b *testing.B) {
-	runMultiDeviceTopoBench(b, "ring", 256, 4, t3sim.SyncAppointment)
-}
-func BenchmarkMultiDevice256TorusWindowed4(b *testing.B) {
-	runMultiDeviceTopoBench(b, "torus", 256, 4, t3sim.SyncWindowed)
-}
-func BenchmarkMultiDevice256TorusAppointment4(b *testing.B) {
-	runMultiDeviceTopoBench(b, "torus", 256, 4, t3sim.SyncAppointment)
-}
-func BenchmarkMultiDevice256HierWindowed4(b *testing.B) {
-	runMultiDeviceTopoBench(b, "hier", 256, 4, t3sim.SyncWindowed)
-}
-func BenchmarkMultiDevice256HierAppointment4(b *testing.B) {
-	runMultiDeviceTopoBench(b, "hier", 256, 4, t3sim.SyncAppointment)
-}
+func BenchmarkMultiDevice64Torus4(b *testing.B)  { runMultiDeviceTopoBench(b, "torus", 64, 4) }
+func BenchmarkMultiDevice64Hier4(b *testing.B)   { runMultiDeviceTopoBench(b, "hier", 64, 4) }
+func BenchmarkMultiDevice256Ring4(b *testing.B)  { runMultiDeviceTopoBench(b, "ring", 256, 4) }
+func BenchmarkMultiDevice256Torus4(b *testing.B) { runMultiDeviceTopoBench(b, "torus", 256, 4) }
+func BenchmarkMultiDevice256Hier4(b *testing.B)  { runMultiDeviceTopoBench(b, "hier", 256, 4) }
 func BenchmarkMultiDevice256Sequential(b *testing.B) {
-	runMultiDeviceTopoBench(b, "ring", 256, 0, t3sim.SyncAuto)
+	runMultiDeviceTopoBench(b, "ring", 256, 0)
 }
 
 func BenchmarkFunctionalFusedRS(b *testing.B) {

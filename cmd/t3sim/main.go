@@ -139,9 +139,6 @@ func main() {
 	par := flag.Int("par", 0,
 		"worker goroutines per explicit multi-device simulation (conservative parallel DES); "+
 			"0 or 1 = the cluster runs serially on the simulation's own goroutine; output is byte-identical at any -par")
-	syncMode := flag.String("sync", "auto",
-		"cluster synchronization for explicit multi-device runs (auto|windowed|appointment); "+
-			"auto picks from topology edge density; output is byte-identical in every mode")
 	checkRuns := flag.Bool("check", false,
 		"attach the simulation invariant checker to every run; violations fail the process")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -284,13 +281,6 @@ func main() {
 	}
 	setup.Check = checker
 	setup.MultiDeviceWorkers = *par
-	mode, err := t3sim.ParseSyncMode(*syncMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "t3sim: -sync: %v\n", err)
-		exitCode = 2
-		return
-	}
-	setup.SyncMode = mode
 	// The persistent result store: a content-addressed second cache tier on
 	// disk. A warm -cache-dir serves every identical simulation without
 	// running it, with byte-identical output; -check runs bypass the disk

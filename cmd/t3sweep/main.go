@@ -14,11 +14,9 @@
 //
 // Parallel multi-device rows (-collective multi -par N) are each followed by
 // a `#`-prefixed comment line reporting the cluster scheduler's coordination
-// stats (sync mode, rounds, average window width, null messages, stall
-// time), so scaling regressions are visible without a profiler. The data
-// rows themselves are byte-identical at any -par/-sync; only the comment
-// reflects the coordinator. -sync picks the synchronization strategy
-// (auto|windowed|appointment).
+// stats (rounds, average window width, stall time), so scaling regressions
+// are visible without a profiler. The data rows themselves are
+// byte-identical at any -par; only the comment reflects the coordinator.
 //
 // -serve switches to the serving capacity sweep (internal/serving): one CSV
 // row per (scheme, offered QPS) operating point with TTFT/TPOT percentiles,
@@ -103,9 +101,6 @@ func run() (code int) {
 		par = flag.Int("par", 0,
 			"worker goroutines per explicit multi-device simulation (-collective multi); "+
 				"0 or 1 = the cluster runs serially on the simulation's own goroutine; output is byte-identical at any -par")
-		syncFlag = flag.String("sync", "auto",
-			"cluster synchronization for explicit multi-device runs (auto|windowed|appointment); "+
-				"auto picks from topology edge density; rows are byte-identical in every mode")
 		checkRuns = flag.Bool("check", false,
 			"attach the simulation invariant checker to every configuration; violations fail the process")
 		timeline = flag.String("timeline", "",
@@ -154,10 +149,6 @@ func run() (code int) {
 	}
 
 	arbitration, err := parseArb(*arb)
-	if err != nil {
-		return fail(err)
-	}
-	syncMode, err := t3sim.ParseSyncMode(*syncFlag)
 	if err != nil {
 		return fail(err)
 	}
@@ -289,7 +280,7 @@ func run() (code int) {
 					sink = reg.Scope(fmt.Sprintf("cfg%03d-dev%d-link%g-cu%d",
 						i, c.devices, c.link, c.cus))
 				}
-				row, err := runOne(grid, c.devices, c.link, c.cus, arbitration, collective, *arb, *coll, *topo, *par, syncMode, sink, checker, memo)
+				row, err := runOne(grid, c.devices, c.link, c.cus, arbitration, collective, *arb, *coll, *topo, *par, sink, checker, memo)
 				slots[i] <- rowResult{row: row, err: err}
 			}
 		}()
@@ -487,7 +478,7 @@ func writeExport(path string, write func(io.Writer) error) error {
 // the simulation directly.
 func runOne(grid t3sim.GEMMGrid, devices int, linkGBps float64, cus int,
 	arb t3sim.Arbitration, coll t3sim.FusedCollective, arbName, collName, topoName string,
-	par int, syncMode t3sim.ClusterSyncMode, sink t3sim.MetricsSink, checker *t3sim.Checker,
+	par int, sink t3sim.MetricsSink, checker *t3sim.Checker,
 	memo *t3sim.ExperimentMemoCache) (string, error) {
 	gpu := t3sim.DefaultGPUConfig()
 	gpu.CUs = cus
@@ -516,7 +507,6 @@ func runOne(grid t3sim.GEMMGrid, devices int, linkGBps float64, cus int,
 		Metrics:     sink,
 		Check:       checker,
 		ParWorkers:  par,
-		SyncMode:    syncMode,
 	}
 	var (
 		res     t3sim.FusedResult
@@ -526,10 +516,10 @@ func runOne(grid t3sim.GEMMGrid, devices int, linkGBps float64, cus int,
 	switch {
 	case collName == "multi":
 		// Explicit N-device simulation (no mirroring) on the cluster; -par
-		// picks how many goroutines drive it and -sync its coordinator,
-		// output is identical either way. Requesting the cluster stats makes
-		// the run uncacheable (a hit couldn't report this run's windowing),
-		// so only -par runs report them and -par 0 rows stay memoizable.
+		// picks how many goroutines drive it, and the output is identical
+		// at every value. Requesting the cluster stats makes the run
+		// uncacheable (a hit couldn't report this run's windowing), so only
+		// -par runs report them and -par 0 rows stay memoizable.
 		var st t3sim.ClusterStats
 		if par > 0 {
 			opts.ClusterStats = &st
@@ -548,9 +538,9 @@ func runOne(grid t3sim.GEMMGrid, devices int, linkGBps float64, cus int,
 			if st.Windows > 0 {
 				// The comment row surfaces the coordination-layer stats
 				// without touching the CSV data contract.
-				cluster = fmt.Sprintf("# cluster devices=%d sync=%s windows=%d engine_windows=%d avg_window_ps=%d null_msgs=%d stall_windows=%d stall_ps=%d\n",
-					devices, st.Mode, st.Windows, st.EngineWindows, int64(st.AvgWindowWidth()),
-					st.NullMessages, st.StalledEngineWindows, int64(st.StallTime))
+				cluster = fmt.Sprintf("# cluster devices=%d windows=%d engine_windows=%d avg_window_ps=%d stall_windows=%d stall_ps=%d\n",
+					devices, st.Windows, st.EngineWindows, int64(st.AvgWindowWidth()),
+					st.StalledEngineWindows, int64(st.StallTime))
 			}
 		}
 	case coll == t3sim.RingAllGatherCollective:

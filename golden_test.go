@@ -34,9 +34,6 @@ var (
 	goldenPar = flag.Int("golden-par", 0,
 		"worker goroutines per explicit multi-device simulation in TestGolden "+
 			"(conservative parallel DES); snapshots must be byte-identical at any value")
-	goldenSync = flag.String("golden-sync", "auto",
-		"cluster synchronization mode for -golden-par runs (auto|windowed|appointment); "+
-			"snapshots must be byte-identical in every mode")
 )
 
 const goldenDir = "testdata/golden"
@@ -58,11 +55,6 @@ func runCatalogue(t *testing.T, jobs int) [][]byte {
 	checker := t3sim.NewChecker()
 	setup.Check = checker
 	setup.MultiDeviceWorkers = *goldenPar
-	mode, err := t3sim.ParseSyncMode(*goldenSync)
-	if err != nil {
-		t.Fatalf("-golden-sync: %v", err)
-	}
-	setup.SyncMode = mode
 	runner := t3sim.NewExperimentRunner(setup, jobs)
 	catalogue := t3sim.ExperimentCatalogue()
 

@@ -272,12 +272,11 @@ func (la *Lookahead) Observe(barrier, deliverAt units.Time) {
 // ObserveLink checks one drained message against its link's law — the
 // per-link refinement of the window guarantee that dynamic per-device
 // lookahead rests on. The message was posted no earlier than windowStart (the
-// sending engine's clock when its current posting window opened, i.e. at the
-// previous drain) and must travel at least minLatency (the latency the link
-// registered with the cluster), so a delivery timestamped before
-// windowStart+minLatency proves the model lied about the link's latency: the
-// per-device horizons derived from that latency could have let the receiver
-// run past the delivery.
+// sending engine's clock when the round it posted in began) and must travel
+// at least minLatency (the latency the link registered with the cluster), so
+// a delivery timestamped before windowStart+minLatency proves the model lied
+// about the link's latency: the per-device horizons derived from that
+// latency could have let the receiver run past the delivery.
 func (la *Lookahead) ObserveLink(windowStart, minLatency, deliverAt units.Time) {
 	if la == nil {
 		return
@@ -286,22 +285,6 @@ func (la *Lookahead) ObserveLink(windowStart, minLatency, deliverAt units.Time) 
 		la.c.Violationf(deliverAt, la.path, RuleOrdering+"/link-lookahead",
 			"message delivered at %v but the link admits nothing before %v (window start %v + link latency %v)",
 			deliverAt, windowStart+minLatency, windowStart, minLatency)
-	}
-}
-
-// ObservePromise checks one drained message against its edge's appointment:
-// the per-edge promise (bound of the sending engine plus the link latency)
-// the scheduler published before the receiver's last window. The receiver's
-// horizon was derived from exactly this value, so a delivery timestamped
-// before it proves the sender broke its appointment — the receiver may
-// already have executed events the message should have interleaved with.
-func (la *Lookahead) ObservePromise(promised, deliverAt units.Time) {
-	if la == nil {
-		return
-	}
-	if deliverAt < promised {
-		la.c.Violationf(deliverAt, la.path, RuleOrdering+"/appointment",
-			"message delivered at %v but the link promised nothing before %v", deliverAt, promised)
 	}
 }
 

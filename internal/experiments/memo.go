@@ -102,11 +102,7 @@ var hashPolicies = map[reflect.Type]map[string]fieldPolicy{
 		// ParWorkers only sets how many goroutines drive the
 		// multi-device cluster; results are byte-identical at every
 		// value, so it must not split the key.
-		"ParWorkers": policySkip,
-		// SyncMode picks the cluster coordinator (windowed vs appointment);
-		// both compute the same fixpoint, so like ParWorkers it is
-		// byte-identity-preserving and must not split the key.
-		"SyncMode":      policySkip,
+		"ParWorkers":    policySkip,
 		"Observer":      policyBarrier,
 		"CustomArbiter": policyBarrier,
 		"Events":        policyBarrier,
@@ -144,10 +140,9 @@ var hashPolicies = map[reflect.Type]map[string]fieldPolicy{
 		"ServeSLO":          policyHash,
 		"Metrics":           policyBarrier,
 		"Check":             policyDiskBarrier,
-		// Worker counts and the cluster sync protocol are byte-identity-
-		// preserving execution strategies, like FusedOptions.ParWorkers.
+		// The worker count is a byte-identity-preserving execution
+		// strategy, like FusedOptions.ParWorkers.
 		"MultiDeviceWorkers": policySkip,
-		"SyncMode":           policySkip,
 		// The cache handle itself obviously cannot key the cache.
 		"Memo": policySkip,
 	},

@@ -261,10 +261,9 @@ func TestSetupKey(t *testing.T) {
 
 	same := base
 	same.MultiDeviceWorkers = 7
-	same.SyncMode = 2
 	same.Memo = NewMemoCache()
 	if k, ok, _ := setupKey(same); !ok || k != k0 {
-		t.Error("execution-strategy knobs (workers, sync mode, memo handle) must not split the key")
+		t.Error("execution-strategy knobs (workers, memo handle) must not split the key")
 	}
 
 	for name, mutate := range map[string]func(*Setup){

@@ -58,7 +58,6 @@ func MirrorValidation(setup Setup) (*MirrorResult, error) {
 			return nil, err
 		}
 		opts.ParWorkers = setup.MultiDeviceWorkers
-		opts.SyncMode = setup.SyncMode
 		multi, err := memoFusedMulti(setup.Memo, opts)
 		if err != nil {
 			return nil, err

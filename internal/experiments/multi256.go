@@ -9,16 +9,16 @@ import (
 	"t3sim/internal/units"
 )
 
-// multi256Devices is the device count of the 256-device scale experiment —
-// the ROADMAP item 3 target regime the appointment synchronization is built
-// for: device counts where a global round barrier spends more time
-// coordinating than simulating.
+// multi256Devices is the device count of the 256-device scale experiment:
+// the regime where a global round barrier would spend more time
+// coordinating than simulating, so per-device horizons have to carry the
+// run.
 const multi256Devices = 256
 
 // multi256Grid returns the producer GEMM of the 256-device run: the same
 // 1024-tile grid as multi64, now four tiles per device chunk — per-device
 // work shrinks while the coordination graph grows 4–250× (ring vs
-// hierarchy), which is exactly the stress the sync-mode comparison needs.
+// hierarchy), which is exactly the stress the cluster coordinator needs.
 func multi256Grid() (gemm.Grid, error) {
 	return gemm.NewGrid(gemm.Shape{M: 2048, N: 2048, K: 512, ElemBytes: 2}, gemm.DefaultTiling())
 }
@@ -36,9 +36,9 @@ func Multi256Specs(link interconnect.Config) []interconnect.TopoSpec {
 
 // Multi256Row is one topology variant of the 256-device explicit run. Like
 // Multi64Result, every field is a pure function of the model — identical at
-// every worker count and in both sync modes — so the golden snapshot pins
-// byte-identity of the appointment coordinator at scale. There is no mirror
-// cross-check: the single-GPU mirror methodology is ring-only.
+// every worker count — so the golden snapshot pins byte-identity of the
+// cluster coordinator at scale. There is no mirror cross-check: the
+// single-GPU mirror methodology is ring-only.
 type Multi256Row struct {
 	Topo string
 
@@ -61,7 +61,7 @@ type Multi256Result struct {
 }
 
 // Multi256 runs the 256-device explicit simulation over every topology
-// variant, honouring the setup's MultiDeviceWorkers and SyncMode.
+// variant, honouring the setup's MultiDeviceWorkers.
 func Multi256(setup Setup) (*Multi256Result, error) {
 	if err := setup.Validate(); err != nil {
 		return nil, err
@@ -84,7 +84,6 @@ func Multi256(setup Setup) (*Multi256Result, error) {
 			Arbitration: t3core.ArbRoundRobin,
 			Check:       setup.Check,
 			ParWorkers:  setup.MultiDeviceWorkers,
-			SyncMode:    setup.SyncMode,
 		}
 		if setup.Metrics != nil {
 			opts.Metrics = setup.Metrics.Scope("multi256/" + topoName(spec))
@@ -125,6 +124,6 @@ func (r *Multi256Result) Render() string {
 			row.DRAMBytes.String(),
 			fmt.Sprintf("%d", row.TrackerMaxLive))
 	}
-	t.AddFooter("explicit 256-device runs; results are byte-identical at every -par worker count and in both -sync modes")
+	t.AddFooter("explicit 256-device runs; results are byte-identical at every -par worker count")
 	return t.String()
 }

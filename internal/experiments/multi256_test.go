@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"t3sim/internal/check"
-	"t3sim/internal/sim"
 )
 
 // TestMulti256RendersAllTopologies is the cheap smoke: one sequential run
@@ -44,11 +43,10 @@ func TestMulti256RendersAllTopologies(t *testing.T) {
 	}
 }
 
-// TestMulti256ByteIdentity is the ISSUE's acceptance sweep: the 256-device
-// result — all three topology variants — must DeepEqual the sequential
-// reference at workers 1/2/4/8 in both sync modes. This is the scale oracle
-// for the appointment coordinator; skipped under -short (it simulates 256
-// devices nine times over).
+// TestMulti256ByteIdentity is the scale oracle for the cluster coordinator:
+// the 256-device result — all three topology variants — must DeepEqual the
+// sequential reference at workers 1/2/4/8, with the invariant checker clean.
+// Skipped under -short (it simulates 256 devices five times over).
 func TestMulti256ByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-device equivalence sweep is long; run without -short")
@@ -58,24 +56,21 @@ func TestMulti256ByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []sim.ClusterSyncMode{sim.SyncWindowed, sim.SyncAppointment} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			s := DefaultSetup()
-			s.MultiDeviceWorkers = workers
-			s.SyncMode = mode
-			chk := check.New()
-			s.Check = chk
-			got, err := Multi256(s)
-			if err != nil {
-				t.Fatalf("mode=%v workers=%d: %v", mode, workers, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("mode=%v workers=%d: 256-device result diverged from sequential\n got: %+v\nwant: %+v",
-					mode, workers, got, want)
-			}
-			if !chk.Ok() {
-				t.Errorf("mode=%v workers=%d: violations: %v", mode, workers, chk.Violations())
-			}
+	for _, workers := range []int{1, 2, 4, 8} {
+		s := DefaultSetup()
+		s.MultiDeviceWorkers = workers
+		chk := check.New()
+		s.Check = chk
+		got, err := Multi256(s)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: 256-device result diverged from sequential\n got: %+v\nwant: %+v",
+				workers, got, want)
+		}
+		if !chk.Ok() {
+			t.Errorf("workers=%d: violations: %v", workers, chk.Violations())
 		}
 	}
 }

@@ -73,7 +73,6 @@ func Multi64(setup Setup) (*Multi64Result, error) {
 		return nil, err
 	}
 	opts.ParWorkers = setup.MultiDeviceWorkers
-	opts.SyncMode = setup.SyncMode
 	if setup.Metrics != nil {
 		opts.Metrics = setup.Metrics.Scope("multi64")
 	}

@@ -12,7 +12,6 @@ import (
 	"t3sim/internal/interconnect"
 	"t3sim/internal/memory"
 	"t3sim/internal/metrics"
-	"t3sim/internal/sim"
 	"t3sim/internal/t3core"
 	"t3sim/internal/transformer"
 	"t3sim/internal/units"
@@ -56,14 +55,6 @@ type Setup struct {
 	// trades wall-clock time only — so it is excluded from the memo key and
 	// safe to flip per invocation (-par on the CLIs).
 	MultiDeviceWorkers int
-	// SyncMode selects the cluster coordinator's synchronization strategy
-	// for explicit multi-device simulations:
-	// windowed rounds, appointment (null-message) rounds, or automatic
-	// selection from topology edge density (the zero default). Output is
-	// byte-identical in every mode — like MultiDeviceWorkers it trades
-	// wall-clock time only, is excluded from the memo key, and is safe to
-	// flip per invocation (-sync on the CLIs).
-	SyncMode sim.ClusterSyncMode
 	// ServeQPS, when non-empty, overrides the serving sweep's offered-load
 	// ladder (requests/s); empty uses the built-in default. CLI flag -qps.
 	ServeQPS []float64

@@ -217,7 +217,6 @@ func timedTopoCollective(setup Setup, spec interconnect.TopoSpec, algo collectiv
 		return done, nil
 	}
 	cl := sim.NewCluster(spec.Devices, spec.MinLinkLatency())
-	cl.SetSyncMode(setup.SyncMode)
 	for _, e := range cl.Engines() {
 		e.AttachChecker(setup.Check)
 	}
@@ -329,7 +328,6 @@ func topoSweep(setup Setup) (*TopoSweepResult, error) {
 			Arbitration: t3core.ArbMCA,
 			Check:       setup.Check,
 			ParWorkers:  setup.MultiDeviceWorkers,
-			SyncMode:    setup.SyncMode,
 		}
 		if setup.Metrics != nil {
 			opts.Metrics = setup.Metrics.Scope("topo-sweep/fused-" + topoName(spec))

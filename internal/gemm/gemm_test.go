@@ -1,6 +1,7 @@
 package gemm
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -100,6 +101,50 @@ func TestGridGeometry(t *testing.T) {
 	}
 	if g.UpdatesPerElement() != 1 {
 		t.Errorf("UpdatesPerElement = %d", g.UpdatesPerElement())
+	}
+}
+
+// TestGridRejectsOverflowingShapes: a shape whose size arithmetic would wrap
+// int64 fails in NewGrid with an error naming the shape and the product,
+// instead of reaching the tracker with a zero or negative WF tile.
+func TestGridRejectsOverflowingShapes(t *testing.T) {
+	const big = 1 << 32
+	cases := []struct {
+		name  string
+		shape Shape
+		til   Tiling
+		want  string // product named in the error; "" = accepted
+	}{
+		// M·N = 2^64 wraps to 0: WFTileBytes used to come out as 0B.
+		{"MN wraps to zero", shape(big, big, 8), DefaultTiling(), "M·N·ElemBytes"},
+		// M·N·2 = 3.2e19: WFTileBytes used to come out negative.
+		{"MN wraps negative", shape(4000000000, 4000000000, 4000000000), DefaultTiling(), "M·N·ElemBytes"},
+		{"A bytes", shape(big, 1, big), DefaultTiling(), "M·K·ElemBytes"},
+		{"B bytes", shape(1, big, big), DefaultTiling(), "K·N·ElemBytes"},
+		{"FLOPs", shape(1<<21, 1<<21, 1<<21), DefaultTiling(), "2·M·N·K"},
+		{"WF count", Shape{M: 1 << 40, N: 1 << 20, K: 1, ElemBytes: 1},
+			Tiling{TileM: 1, TileN: 1, WFPerWG: 8, SplitK: 1}, "WGsM·WGsN·SplitK·WFPerWG"},
+		{"large but fits", shape(1<<20, 1<<20, 1<<20), DefaultTiling(), ""},
+	}
+	for _, c := range cases {
+		g, err := NewGrid(c.shape, c.til)
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			} else if g.WFTileBytes() <= 0 {
+				t.Errorf("%s: WFTileBytes = %v", c.name, g.WFTileBytes())
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: %v accepted (WFTileBytes %v), want an overflow error", c.name, c.shape, g.WFTileBytes())
+			continue
+		}
+		for _, sub := range []string{c.shape.String(), c.want, "overflows"} {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("%s: error %q does not mention %q", c.name, err, sub)
+			}
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package gemm
 
 import (
 	"fmt"
+	"math"
 
 	"t3sim/internal/units"
 )
@@ -35,6 +36,41 @@ func (s Shape) Validate() error {
 		return fmt.Errorf("gemm: non-positive element size in %v", s)
 	}
 	return nil
+}
+
+// checkSizes reports the first size product of s that does not fit in an
+// int64: the C, A and B footprints in bytes and the FLOP count. The
+// accessors below multiply without checks, so a shape that passes here
+// cannot wrap in any of them.
+func (s Shape) checkSizes() error {
+	m, n, k, e := int64(s.M), int64(s.N), int64(s.K), int64(s.ElemBytes)
+	for _, p := range []struct {
+		name    string
+		factors []int64
+	}{
+		{"output bytes M·N·ElemBytes", []int64{m, n, e}},
+		{"operand A bytes M·K·ElemBytes", []int64{m, k, e}},
+		{"operand B bytes K·N·ElemBytes", []int64{k, n, e}},
+		{"FLOPs 2·M·N·K", []int64{2, m, n, k}},
+	} {
+		if _, ok := checkedProduct(p.factors...); !ok {
+			return fmt.Errorf("gemm: %v: %s overflows int64", s, p.name)
+		}
+	}
+	return nil
+}
+
+// checkedProduct multiplies non-negative factors, reporting false when the
+// product does not fit in an int64.
+func checkedProduct(factors ...int64) (int64, bool) {
+	p := int64(1)
+	for _, f := range factors {
+		if f != 0 && p > math.MaxInt64/f {
+			return 0, false
+		}
+		p *= f
+	}
+	return p, true
 }
 
 // String renders the shape compactly.

@@ -55,7 +55,8 @@ type Grid struct {
 // NewGrid derives the launch geometry. The WF sub-tile split is along M
 // (each WF owns TileM/WFPerWG rows of the WG tile), the common layout for
 // the modeled kernels; when TileM is not divisible the last WF's tile is
-// smaller, which the byte accounting below rounds against the caller.
+// smaller, which the byte accounting below rounds against the caller. A
+// shape whose byte, FLOP or wavefront counts overflow int64 is rejected.
 func NewGrid(s Shape, t Tiling) (Grid, error) {
 	if err := s.Validate(); err != nil {
 		return Grid{}, err
@@ -63,9 +64,15 @@ func NewGrid(s Shape, t Tiling) (Grid, error) {
 	if err := t.Validate(); err != nil {
 		return Grid{}, err
 	}
+	if err := s.checkSizes(); err != nil {
+		return Grid{}, err
+	}
 	g := Grid{Shape: s, Tiling: t}
 	g.WGsM = int(units.CeilDiv(int64(s.M), int64(t.TileM)))
 	g.WGsN = int(units.CeilDiv(int64(s.N), int64(t.TileN)))
+	if _, ok := checkedProduct(int64(g.WGsM), int64(g.WGsN), int64(t.SplitK), int64(t.WFPerWG)); !ok {
+		return Grid{}, fmt.Errorf("gemm: %v: wavefront count WGsM·WGsN·SplitK·WFPerWG overflows int64 under %+v", s, t)
+	}
 	g.NumWGs = g.WGsM * g.WGsN * t.SplitK
 	g.WFTileM = int(units.CeilDiv(int64(t.TileM), int64(t.WFPerWG)))
 	g.WFTileN = t.TileN

@@ -12,11 +12,10 @@ import (
 // hierarchy on a cluster and returns the delivery times plus the run stats.
 // The spec's per-edge latencies are taken as given; the cluster lookahead is
 // always the spec's MinLinkLatency (the unattributed-mailbox floor).
-func hierWindowProbe(t *testing.T, spec TopoSpec, mode sim.ClusterSyncMode, workers int) ([]units.Time, sim.ClusterStats) {
+func hierWindowProbe(t *testing.T, spec TopoSpec, workers int) ([]units.Time, sim.ClusterStats) {
 	t.Helper()
 	n := spec.Devices
 	cl := sim.NewCluster(n, spec.MinLinkLatency())
-	cl.SetSyncMode(mode)
 	topo, err := spec.BuildCluster(cl)
 	if err != nil {
 		t.Fatal(err)
@@ -60,10 +59,9 @@ func hierWindowProbe(t *testing.T, spec TopoSpec, mode sim.ClusterSyncMode, work
 // TestHierarchyPerEdgeWindows is the regression test for the global-floor
 // bug: cluster lookahead used to be the single MinLinkLatency over the whole
 // graph, so a 3x-slower inter-node link dragged every intra-node window down
-// to the same floor. With per-edge latencies flowing into per-edge bounds
-// (and, in appointment mode, per-edge promises), the same workload on the
-// asymmetric hierarchy must synchronize in strictly wider windows than the
-// all-links-at-the-floor variant — in both sync modes — while staying
+// to the same floor. With per-edge latencies flowing into per-edge bounds,
+// the same workload on the asymmetric hierarchy must synchronize in strictly
+// wider windows than the all-links-at-the-floor variant, while staying
 // byte-identical at every worker count.
 func TestHierarchyPerEdgeWindows(t *testing.T) {
 	intra := topoCfg()
@@ -78,26 +76,20 @@ func TestHierarchyPerEdgeWindows(t *testing.T) {
 	floorInter.LinkLatency = intra.LinkLatency
 	floored := HierarchicalTopo(2, 4, intra, floorInter)
 
-	for _, mode := range []sim.ClusterSyncMode{sim.SyncWindowed, sim.SyncAppointment} {
-		_, asymStats := hierWindowProbe(t, asym, mode, 1)
-		_, floorStats := hierWindowProbe(t, floored, mode, 1)
-		if asymStats.EngineWindows == 0 || floorStats.EngineWindows == 0 {
-			t.Fatalf("mode=%v: probe ran no windows (asym %+v, floor %+v)", mode, asymStats, floorStats)
-		}
-		if aw, fw := asymStats.AvgWindowWidth(), floorStats.AvgWindowWidth(); aw <= fw {
-			t.Errorf("mode=%v: asymmetric hierarchy windows (%v) not wider than global-floor windows (%v)",
-				mode, aw, fw)
-		}
+	want, asymStats := hierWindowProbe(t, asym, 1)
+	_, floorStats := hierWindowProbe(t, floored, 1)
+	if asymStats.EngineWindows == 0 || floorStats.EngineWindows == 0 {
+		t.Fatalf("probe ran no windows (asym %+v, floor %+v)", asymStats, floorStats)
+	}
+	if aw, fw := asymStats.AvgWindowWidth(), floorStats.AvgWindowWidth(); aw <= fw {
+		t.Errorf("asymmetric hierarchy windows (%v) not wider than global-floor windows (%v)", aw, fw)
 	}
 
 	// Identity rides along: the asymmetric spec must deliver at the same
-	// times in both modes at every worker count.
-	want, _ := hierWindowProbe(t, asym, sim.SyncWindowed, 1)
-	for _, mode := range []sim.ClusterSyncMode{sim.SyncWindowed, sim.SyncAppointment} {
-		for _, workers := range []int{1, 2, 4} {
-			if got, _ := hierWindowProbe(t, asym, mode, workers); !reflect.DeepEqual(got, want) {
-				t.Errorf("mode=%v workers=%d: deliveries diverged on asymmetric hierarchy", mode, workers)
-			}
+	// times at every worker count.
+	for _, workers := range []int{2, 4} {
+		if got, _ := hierWindowProbe(t, asym, workers); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: deliveries diverged on asymmetric hierarchy", workers)
 		}
 	}
 }

@@ -16,64 +16,6 @@ import (
 // calendar, and the horizon of an engine no pending event can ever reach.
 const never = units.Time(math.MaxInt64)
 
-// ClusterSyncMode selects how the cluster coordinator synchronizes the
-// per-device engines between rounds. Both modes compute the exact same
-// per-round bounds, horizons and runnable sets — results are byte-identical
-// across modes at every worker count; the knob trades coordinator overhead
-// only.
-type ClusterSyncMode uint8
-
-const (
-	// SyncAuto (the zero value) picks the mode from the registered link
-	// graph's edge density when Run starts: appointment for sparse graphs
-	// of at least 8 engines (directed edges <= engines*(engines-1)/3),
-	// windowed otherwise. Dense graphs — a fully connected switch — touch
-	// nearly every edge every round anyway, so the windowed recompute is
-	// already proportional to the affected region and the appointment
-	// bookkeeping would only add constants.
-	SyncAuto ClusterSyncMode = iota
-	// SyncWindowed recomputes every per-engine bound and horizon from
-	// scratch each round with a full multi-source Dijkstra over the link
-	// graph, and drains every registered mailbox at every round boundary.
-	SyncWindowed
-	// SyncAppointment maintains the same fixpoint incrementally via
-	// per-edge appointments (null messages): each engine publishes, per
-	// outbound link, a promise — the earliest time it can still deliver
-	// into that link — refreshed only when its bound moves; a receiver's
-	// horizon is the minimum promise over its inbound edges only. Rounds
-	// drain only mailboxes that were actually posted to and relax only the
-	// engines whose inputs changed, so coordinator cost tracks neighbour
-	// activity instead of graph size.
-	SyncAppointment
-)
-
-// String renders the mode as its CLI spelling.
-func (m ClusterSyncMode) String() string {
-	switch m {
-	case SyncAuto:
-		return "auto"
-	case SyncWindowed:
-		return "windowed"
-	case SyncAppointment:
-		return "appointment"
-	}
-	return fmt.Sprintf("ClusterSyncMode(%d)", int(m))
-}
-
-// ParseSyncMode parses the CLI spelling of a sync mode: auto | windowed |
-// appointment.
-func ParseSyncMode(s string) (ClusterSyncMode, error) {
-	switch s {
-	case "auto", "":
-		return SyncAuto, nil
-	case "windowed":
-		return SyncWindowed, nil
-	case "appointment":
-		return SyncAppointment, nil
-	}
-	return SyncAuto, fmt.Errorf("sim: unknown sync mode %q (auto|windowed|appointment)", s)
-}
-
 // Cluster coordinates one private Engine per device and advances them in
 // bounded rounds — conservative (Chandy–Misra-style) parallel DES.
 //
@@ -99,15 +41,8 @@ func ParseSyncMode(s string) (ClusterSyncMode, error) {
 // LinkMailbox) admit posts from anywhere with only the cluster-wide lookahead
 // guarantee, so they floor their destination's bound and horizon at
 // min-over-all-engines(base) + lookahead — exactly the legacy global window.
-//
-// Two synchronization modes compute that fixpoint (ClusterSyncMode):
-// SyncWindowed re-derives every bound and horizon from scratch each round;
-// SyncAppointment maintains them incrementally through per-edge promises
-// B_s + latency (null messages), re-relaxing only the support-closure of the
-// engines whose base moved and draining only the mailboxes actually posted
-// to. Because both modes converge on the identical least fixpoint, the
-// rounds, horizons, runnable sets and therefore the simulation results are
-// byte-identical between modes.
+// Every bound and horizon is re-derived from scratch each round by one
+// multi-source Dijkstra over the link graph (computeWindows).
 //
 // Progress: an engine holding the globally earliest event m is always
 // runnable, because every B is at least m and every link latency is positive,
@@ -119,11 +54,11 @@ func ParseSyncMode(s string) (ClusterSyncMode, error) {
 // the coordinator drains mailboxes at each round boundary — single-threaded,
 // in mailbox registration order, (time, senderSeq)-sorted within a mailbox —
 // so delivery order is a pure function of the model, never of goroutine
-// scheduling or worker count. (Appointment mode skips empty mailboxes, which
-// cannot change what is delivered; the drained subset is itself ordered by
-// registration index.) Engines remain strictly single-goroutine: within a
-// round each runnable engine is driven by exactly one worker, and between
-// rounds only the coordinator touches them.
+// scheduling or worker count. Only mailboxes posted to since the last drain
+// are visited: empty ones cannot change what is delivered, and the drained
+// subset is itself ordered by registration index. Engines remain strictly
+// single-goroutine: within a round each runnable engine is driven by exactly
+// one worker, and between rounds only the coordinator touches them.
 type Cluster struct {
 	lookahead units.Time
 	engines   []*Engine
@@ -131,10 +66,6 @@ type Cluster struct {
 	barrier   units.Time     // unattributed-mail floor of the last round (legacy global window)
 	chk       *check.Checker // retained so late-registered mailboxes get link handles
 	la        *check.Lookahead
-
-	mode       ClusterSyncMode // requested via SetSyncMode (zero = auto)
-	resolved   ClusterSyncMode // windowed or appointment, fixed by prepare
-	trackPosts bool            // appointment mode: mailboxes note first post per round
 
 	// Link topology, rebuilt lazily from boxes when Run starts. Each
 	// attributed mailbox is one directed edge, identified by a dense edge id
@@ -144,7 +75,6 @@ type Cluster struct {
 	in         [][]edge // per-engine inbound attributed links (peer = source)
 	out        [][]edge // per-engine outbound attributed links (peer = destination)
 	openInbox  []bool   // engine is the destination of an unattributed Mailbox
-	openNodes  []int32  // the engines with openInbox set
 	edgeSrc    []int32  // per-eid endpoints, for diagnostics
 	edgeDst    []int32
 
@@ -159,40 +89,22 @@ type Cluster struct {
 	hsup     []int32      // inbound eid defining H_i; -2 open floor, -1 none
 	heap     djHeap       // Dijkstra worklist
 	runnable []int32      // engines with base < horizon this round
-	prevNow  []units.Time // clock at round start, for window-width accounting
+	// prevNow is each engine's clock at the start of the last round it ran:
+	// the window-width baseline, and the earliest send time of anything it
+	// posted in that round (the per-link law's window start).
+	prevNow []units.Time
 
-	// Appointment-mode state: per-edge promises and the support bookkeeping
-	// that keeps the incremental fixpoint equal to the windowed one. All
-	// preallocated (no per-round maps).
-	prom     []units.Time // per-eid promise: bound[src] + lat (never if idle)
-	lastPub  []units.Time // bound value last published to out promises (-1 = never published)
-	sup      []int32      // eid supporting bound[i]; -1 own base, -2 open floor
-	linkH    []units.Time // min over inbound promises (no open floor)
-	linkHSup []int32      // inbound eid at that minimum; -1 none
-	lastOpen units.Time   // open floor of the previous round (-1 = none yet)
-	changed  []int32      // engines whose base value moved this round
-	aMark    []bool       // affected set: bound must be re-derived
-	aList    []int32
-	candMark []bool // runnable-status re-evaluation candidates
-	candList []int32
-	// Receivers whose inbound-promise minimum weakened mid-pass: their
-	// horizon is recomputed exactly once after the Dijkstra settle, so a
-	// dense node pays O(indegree) per round instead of O(indegree) per
-	// republish.
-	hDirty     []bool
-	hDirtyList []int32
-
-	// Posted-mailbox tracking (appointment mode): per source engine, the
-	// boxes it posted to since the last drain — single-writer per slice,
-	// read by the coordinator after the round barrier.
+	// Posted-mailbox tracking: per source engine, the boxes it posted to
+	// since the last drain — single-writer per slice, read by the
+	// coordinator after the round barrier.
 	postedBy   [][]int32
 	openMu     sync.Mutex
 	openPosted []int32 // unattributed boxes posted to (any goroutine)
 	drainList  []int32
 	firstDrain bool
 
-	// Stall accounting (both modes): engines pending but not runnable, and
-	// the inbound edge whose promise pins them.
+	// Stall accounting: engines pending but not runnable, and the inbound
+	// edge whose bound pins them.
 	blockedMark     []bool
 	blockedPos      []int32
 	blockedList     []int32
@@ -222,7 +134,7 @@ type Cluster struct {
 // edge is one attributed link endpoint adjacency entry.
 type edge struct {
 	peer int32
-	eid  int32 // dense edge id, indexing prom / edgeStall*
+	eid  int32 // dense edge id, indexing edgeStall*
 	lat  units.Time
 }
 
@@ -231,19 +143,11 @@ type edge struct {
 // (skipped engines don't count), and the total simulated time those
 // executions covered. AvgWindowWidth is the lookahead-quality metric tracked
 // across PRs: wider windows mean less synchronization per simulated second.
-//
-// Every field except Mode and NullMessages is identical across sync modes
-// (the two modes run the same rounds); every field is identical across
-// worker counts.
+// Every field is identical across worker counts.
 type ClusterStats struct {
-	Mode          ClusterSyncMode // mode the last Run resolved to
-	Windows       uint64          // coordinator rounds
-	EngineWindows uint64          // per-engine window executions across all rounds
-	Advance       units.Time      // total simulated time advanced, summed over engines
-	// NullMessages counts per-edge promise refreshes — the appointment
-	// protocol's null-message traffic. Zero in windowed mode, which keeps
-	// no promises.
-	NullMessages uint64
+	Windows       uint64     // coordinator rounds
+	EngineWindows uint64     // per-engine window executions across all rounds
+	Advance       units.Time // total simulated time advanced, summed over engines
 	// StalledEngineWindows counts engine-rounds spent blocked: an engine
 	// with pending events whose horizon had not yet passed its next event.
 	StalledEngineWindows uint64
@@ -265,8 +169,8 @@ func (s ClusterStats) AvgWindowWidth() units.Time {
 
 // EdgeStall reports one directed link's stall account: how many blocked
 // engine-rounds it was the limiting inbound edge for, and the summed
-// base-minus-horizon gap over those rounds. Which edge gets the blame on an
-// exact promise tie is mode-dependent (the aggregate ClusterStats are not).
+// base-minus-horizon gap over those rounds. On an exact tie the blame goes
+// to the first inbound edge in registration order.
 type EdgeStall struct {
 	Src, Dst     int
 	StallWindows uint64
@@ -323,13 +227,6 @@ func (c *Cluster) Lookahead() units.Time { return c.lookahead }
 // Stats returns the windowing statistics accumulated by Run so far.
 func (c *Cluster) Stats() ClusterStats { return c.stats }
 
-// SetSyncMode selects the coordinator's synchronization strategy for the
-// next Run. The zero value (SyncAuto) resolves from the registered link
-// graph's edge density when Run starts; the resolved mode is reported in
-// Stats().Mode. Call before Run, not during it. Results are byte-identical
-// in every mode.
-func (c *Cluster) SetSyncMode(m ClusterSyncMode) { c.mode = m }
-
 // AttachChecker arms every engine's monotonicity witness plus the cluster's
 // lookahead laws: the global-window law for unattributed mailboxes and the
 // per-link law for attributed ones. A nil checker detaches.
@@ -366,17 +263,14 @@ type Mailbox struct {
 	cl     *Cluster
 	dst    *Engine
 	dstIdx int32
-	bidx   int32 // index in cl.boxes: the canonical drain order
-	src    int32 // source engine index, or -1 for an unattributed mailbox
-	srcEng *Engine
-	eid    int32      // edge id (attributed only; -1 before prepare)
+	bidx   int32      // index in cl.boxes: the canonical drain order
+	src    int32      // source engine index, or -1 for an unattributed mailbox
 	lat    units.Time // registered minimum link latency (attributed only)
 
-	winStart units.Time       // source clock at the previous drain
-	la       *check.Lookahead // per-link law handle (attributed only)
+	la *check.Lookahead // per-link law handle (attributed only)
 
 	mu     sync.Mutex
-	posted bool // has undrained mail (tracked in appointment mode)
+	posted bool // has undrained mail
 	seq    uint64
 	in     []mail
 }
@@ -391,7 +285,7 @@ type Mailbox struct {
 // each round, so callers must register mailboxes in a deterministic order at
 // setup time.
 func (c *Cluster) Mailbox(dst int) *Mailbox {
-	b := &Mailbox{cl: c, dst: c.engines[dst], dstIdx: int32(dst), bidx: int32(len(c.boxes)), src: -1, eid: -1}
+	b := &Mailbox{cl: c, dst: c.engines[dst], dstIdx: int32(dst), bidx: int32(len(c.boxes)), src: -1}
 	c.boxes = append(c.boxes, b)
 	return b
 }
@@ -421,8 +315,6 @@ func (c *Cluster) LinkMailbox(src, dst int, minLatency units.Time) *Mailbox {
 		dstIdx: int32(dst),
 		bidx:   int32(len(c.boxes)),
 		src:    int32(src),
-		srcEng: c.engines[src],
-		eid:    -1,
 		lat:    minLatency,
 	}
 	if c.chk != nil {
@@ -445,7 +337,7 @@ func (b *Mailbox) Post(at units.Time, fn Handler) {
 	first := !b.posted
 	b.posted = true
 	b.mu.Unlock()
-	if first && b.cl.trackPosts {
+	if first {
 		b.cl.notePosted(b)
 	}
 }
@@ -482,48 +374,40 @@ func sortMail(ms []mail) {
 }
 
 // drain moves held messages into their destination engines' calendars at a
-// round boundary. Windowed mode sweeps every registered mailbox; appointment
-// mode visits only the boxes posted to since the last drain (collected from
-// the engines that ran — the only possible posters — plus the unattributed
-// list), sorted back into registration order so the delivery order stays the
-// deterministic subset of the windowed sweep. The first drain of a Run
-// always sweeps everything: setup code may have posted before tracking was
-// armed.
+// round boundary. It visits only the boxes posted to since the last drain
+// (collected from the engines that ran — the only possible posters — plus
+// the unattributed list), sorted back into registration order so the
+// delivery order is the deterministic subset of a full sweep. The first
+// drain of a Run sweeps every box: setup code may have posted before the
+// per-source lists existed.
 func (c *Cluster) drain() {
-	if c.trackPosts && !c.firstDrain {
-		c.drainList = c.drainList[:0]
-		for _, i := range c.runnable { // last round's runnable: the only engines that ran
-			pb := c.postedBy[i]
-			if len(pb) == 0 {
-				continue
-			}
-			c.drainList = append(c.drainList, pb...)
-			c.postedBy[i] = pb[:0]
-		}
-		c.openMu.Lock()
-		c.drainList = append(c.drainList, c.openPosted...)
-		c.openPosted = c.openPosted[:0]
-		c.openMu.Unlock()
-		if len(c.drainList) == 0 {
-			return
-		}
-		slices.Sort(c.drainList)
-		for _, bi := range c.drainList {
-			c.drainBox(c.boxes[bi])
-		}
-		return
-	}
-	for _, b := range c.boxes {
-		c.drainBox(b)
-	}
-	if c.trackPosts {
+	if c.firstDrain {
 		c.firstDrain = false
+		for _, b := range c.boxes {
+			c.drainBox(b)
+		}
 		for i := range c.postedBy {
 			c.postedBy[i] = c.postedBy[i][:0]
 		}
 		c.openMu.Lock()
 		c.openPosted = c.openPosted[:0]
 		c.openMu.Unlock()
+		return
+	}
+	c.drainList = c.drainList[:0]
+	for _, i := range c.runnable { // last round's runnable: the only engines that ran
+		if pb := c.postedBy[i]; len(pb) > 0 {
+			c.drainList = append(c.drainList, pb...)
+			c.postedBy[i] = pb[:0]
+		}
+	}
+	c.openMu.Lock()
+	c.drainList = append(c.drainList, c.openPosted...)
+	c.openPosted = c.openPosted[:0]
+	c.openMu.Unlock()
+	slices.Sort(c.drainList)
+	for _, bi := range c.drainList {
+		c.drainBox(c.boxes[bi])
 	}
 }
 
@@ -536,33 +420,21 @@ func (c *Cluster) drainBox(b *Mailbox) {
 	b.in = b.in[:0]
 	b.posted = false
 	b.mu.Unlock()
-	attributed := b.src >= 0
-	var start units.Time
-	if attributed {
-		// Everything in ms was posted while src ran from winStart; the
-		// next batch is posted from src's current clock onward.
-		start = b.winStart
-		b.winStart = b.srcEng.Now()
-	}
 	if len(ms) == 0 {
 		return
 	}
 	sortMail(ms)
-	// In appointment mode the receiver's last horizon was derived from this
-	// edge's promise as of the previous relax — exactly c.prom[b.eid] right
-	// now, since relaxation runs after the drain. A delivery before it means
-	// the sender broke its appointment.
-	appt := attributed && c.trackPosts && !c.firstDrain
-	var promised units.Time
-	if appt {
-		promised = c.prom[b.eid]
+	// Everything in an attributed box was posted while its source ran the
+	// last round, which started at prevNow[src] (prepare seeds it with the
+	// clock setup code posts from).
+	attributed := b.src >= 0
+	var start units.Time
+	if attributed {
+		start = c.prevNow[b.src]
 	}
 	for _, m := range ms {
 		if attributed {
 			b.la.ObserveLink(start, b.lat, m.at)
-			if appt {
-				b.la.ObservePromise(promised, m.at)
-			}
 		} else {
 			c.la.Observe(c.barrier, m.at)
 		}
@@ -583,8 +455,7 @@ func (c *Cluster) drainBox(b *Mailbox) {
 }
 
 // prepare sizes the per-round scratch state, rebuilds the link topology if
-// mailboxes were registered since the last Run, resolves the sync mode, and
-// marks every base stale.
+// mailboxes were registered since the last Run, and marks every base stale.
 func (c *Cluster) prepare() {
 	n := len(c.engines)
 	if c.base == nil {
@@ -600,17 +471,6 @@ func (c *Cluster) prepare() {
 		c.in = make([][]edge, n)
 		c.out = make([][]edge, n)
 		c.openInbox = make([]bool, n)
-		c.sup = make([]int32, n)
-		c.linkH = make([]units.Time, n)
-		c.linkHSup = make([]int32, n)
-		c.lastPub = make([]units.Time, n)
-		c.changed = make([]int32, 0, n)
-		c.aMark = make([]bool, n)
-		c.aList = make([]int32, 0, n)
-		c.candMark = make([]bool, n)
-		c.candList = make([]int32, 0, n)
-		c.hDirty = make([]bool, n)
-		c.hDirtyList = make([]int32, 0, n)
 		c.blockedMark = make([]bool, n)
 		c.blockedPos = make([]int32, n)
 		c.blockedList = make([]int32, 0, n)
@@ -622,19 +482,14 @@ func (c *Cluster) prepare() {
 			c.out[i] = c.out[i][:0]
 			c.openInbox[i] = false
 		}
-		c.openNodes = c.openNodes[:0]
 		c.edgeSrc = c.edgeSrc[:0]
 		c.edgeDst = c.edgeDst[:0]
 		eid := int32(0)
 		for _, b := range c.boxes {
 			if b.src < 0 {
-				if !c.openInbox[b.dstIdx] {
-					c.openInbox[b.dstIdx] = true
-					c.openNodes = append(c.openNodes, b.dstIdx)
-				}
+				c.openInbox[b.dstIdx] = true
 				continue
 			}
-			b.eid = eid
 			c.in[b.dstIdx] = append(c.in[b.dstIdx], edge{peer: b.src, eid: eid, lat: b.lat})
 			c.out[b.src] = append(c.out[b.src], edge{peer: b.dstIdx, eid: eid, lat: b.lat})
 			c.edgeSrc = append(c.edgeSrc, b.src)
@@ -642,7 +497,6 @@ func (c *Cluster) prepare() {
 			eid++
 		}
 		c.nEdges = int(eid)
-		c.prom = make([]units.Time, c.nEdges)
 		c.edgeStallRounds = make([]uint64, c.nEdges)
 		c.edgeStallTime = make([]units.Time, c.nEdges)
 		c.drainList = make([]int32, 0, len(c.boxes))
@@ -653,49 +507,19 @@ func (c *Cluster) prepare() {
 		}
 		c.builtBoxes = len(c.boxes)
 	}
-	c.resolved = c.mode
-	if c.resolved == SyncAuto {
-		if n >= 8 && 3*c.nEdges <= n*(n-1) {
-			c.resolved = SyncAppointment
-		} else {
-			c.resolved = SyncWindowed
-		}
-	}
-	c.trackPosts = c.resolved == SyncAppointment
-	c.stats.Mode = c.resolved
-	// Reset the incremental state: every engine re-seeds on the first round
-	// (base forced to an impossible value so refreshBase flags it changed),
-	// every promise is vacuous until first published, and the posted/blocked
-	// tracking starts empty.
+	// Every engine re-seeds its base on the first round (forced to an
+	// impossible value so refreshBase pushes it into the tree), the first
+	// drain sweeps every box and empties the posted lists, and the blocked
+	// set starts empty.
 	c.firstDrain = true
-	c.lastOpen = -1
-	c.changed = c.changed[:0]
-	for _, i := range c.aList {
-		c.aMark[i] = false
-	}
-	c.aList = c.aList[:0]
-	for _, i := range c.candList {
-		c.candMark[i] = false
-	}
-	c.candList = c.candList[:0]
-	for _, i := range c.hDirtyList {
-		c.hDirty[i] = false
-	}
-	c.hDirtyList = c.hDirtyList[:0]
 	for _, i := range c.blockedList {
 		c.blockedMark[i] = false
 	}
 	c.blockedList = c.blockedList[:0]
-	for i := range c.prom {
-		c.prom[i] = 0
-	}
 	for i := 0; i < n; i++ {
 		c.base[i] = -1
-		c.lastPub[i] = -1
-		c.sup[i] = -1
-		c.linkH[i] = never
-		c.linkHSup[i] = -1
 		c.hsup[i] = -1
+		c.prevNow[i] = c.engines[i].Now()
 		c.markDirty(int32(i))
 	}
 }
@@ -711,8 +535,6 @@ func (c *Cluster) markDirty(i int32) {
 // refreshBase re-reads NextAt for every engine that ran or received mail
 // since the last round and pushes the new values through the min tree — the
 // batched earliest-event reduction: engines that didn't move cost nothing.
-// Engines whose base actually moved are recorded for the appointment mode's
-// incremental relaxation.
 func (c *Cluster) refreshBase() {
 	for _, i := range c.dirtyIdx {
 		c.dirty[i] = false
@@ -723,17 +545,14 @@ func (c *Cluster) refreshBase() {
 		if at != c.base[i] {
 			c.base[i] = at
 			c.baseTree.update(int(i), at)
-			if c.trackPosts {
-				c.changed = append(c.changed, i)
-			}
 		}
 	}
 	c.dirtyIdx = c.dirtyIdx[:0]
 }
 
 // computeWindows derives this round's per-engine bounds B, horizons H, and
-// the runnable set from scratch (SyncWindowed), given the globally earliest
-// pending event baseMin.
+// the runnable set from scratch, given the globally earliest pending event
+// baseMin.
 //
 // The bound pass is a multi-source Dijkstra: seed every engine with
 // min(base, open-inbox floor) and relax through outbound links, so B_j ends
@@ -791,222 +610,6 @@ func (c *Cluster) computeWindows(baseMin units.Time) {
 		}
 	}
 	c.barrier = open
-}
-
-// addAffected puts engine i into the affected set: its bound must be
-// re-derived this round. Affected engines are runnable-candidates too.
-func (c *Cluster) addAffected(i int32) {
-	if !c.aMark[i] {
-		c.aMark[i] = true
-		c.aList = append(c.aList, i)
-		c.addCand(i)
-	}
-}
-
-// addCand queues engine i for runnable-status re-evaluation this round.
-func (c *Cluster) addCand(i int32) {
-	if !c.candMark[i] {
-		c.candMark[i] = true
-		c.candList = append(c.candList, i)
-	}
-}
-
-// markHorizonDirty schedules engine j's inbound-promise minimum for one
-// exact recompute after the settle pass. While dirty, linkH[j] is stale and
-// no O(1) patches are applied; the deferred recompute reads the final
-// promises, so the end-of-round horizon is identical to eager maintenance
-// but a dense node pays O(indegree) once instead of per republish.
-func (c *Cluster) markHorizonDirty(j int32) {
-	if !c.hDirty[j] {
-		c.hDirty[j] = true
-		c.hDirtyList = append(c.hDirtyList, j)
-	}
-}
-
-// recomputeLinkHorizon re-derives engine j's inbound-promise minimum after
-// its supporting promise weakened — the one O(indegree) fallback of the
-// otherwise O(1) horizon maintenance.
-func (c *Cluster) recomputeLinkHorizon(j int32) {
-	h, hs := never, int32(-1)
-	for _, e := range c.in[j] {
-		if p := c.prom[e.eid]; p < h {
-			h, hs = p, e.eid
-		}
-	}
-	c.linkH[j] = h
-	c.linkHSup[j] = hs
-	c.addCand(j)
-}
-
-// settle finalizes engine i's bound during the incremental relaxation: if
-// the bound moved since last published, refresh the promise on every
-// outbound edge (one null message each) and maintain the receivers'
-// horizons; always attempt to relax the receivers' bounds, because an
-// affected receiver may have been seeded without this (unchanged) edge.
-func (c *Cluster) settle(i int32) {
-	nb := c.bound[i]
-	pub := nb != c.lastPub[i]
-	if pub {
-		c.lastPub[i] = nb
-	}
-	for _, e := range c.out[i] {
-		p := nb + e.lat
-		if pub && c.prom[e.eid] != p {
-			c.prom[e.eid] = p
-			c.stats.NullMessages++
-			j := e.peer
-			if c.hDirty[j] {
-				// already scheduled for an exact end-of-pass recompute
-			} else if p < c.linkH[j] {
-				c.linkH[j] = p
-				c.linkHSup[j] = e.eid
-				c.addCand(j)
-			} else if c.linkHSup[j] == e.eid && p > c.linkH[j] {
-				c.markHorizonDirty(j)
-			}
-		}
-		if p < c.bound[e.peer] {
-			c.bound[e.peer] = p
-			c.sup[e.peer] = e.eid
-			c.heap.push(djItem{t: p, eng: e.peer})
-		}
-	}
-}
-
-// settleNever publishes the idle promise (never) on every outbound edge of
-// an engine whose bound rose to never — it was seeded unreachable and
-// nothing relaxed it back down.
-func (c *Cluster) settleNever(i int32) {
-	if c.lastPub[i] == never {
-		return
-	}
-	c.lastPub[i] = never
-	for _, e := range c.out[i] {
-		if c.prom[e.eid] == never {
-			continue
-		}
-		c.prom[e.eid] = never
-		c.stats.NullMessages++
-		j := e.peer
-		if !c.hDirty[j] && c.linkHSup[j] == e.eid {
-			c.markHorizonDirty(j)
-		}
-	}
-}
-
-// computeWindowsAppointment maintains the same bounds, horizons and runnable
-// set as computeWindows, incrementally (SyncAppointment).
-//
-// The affected set A is the support closure of the engines whose base moved
-// (plus every open-inbox engine when the global floor moved): any engine
-// whose stored bound is supported — directly or transitively — by a member
-// of A may need a new value; everyone else's bound can only decrease, which
-// plain relaxation handles. A is re-seeded from its own bases and the
-// promises of unaffected neighbours, then a Dijkstra pass settles the
-// region: each settled engine whose bound moved republishes its outbound
-// promises (the null messages) and patches the receivers' horizons in O(1)
-// per edge; a horizon whose supporting promise weakened is marked dirty and
-// recomputed exactly once after the pass, so the per-round horizon cost is
-// bounded by O(total indegree). Runnable status is then re-evaluated only for
-// engines whose base or horizon changed — which provably covers every
-// engine whose status could have flipped, because runnable engines always
-// run and so always land in the next round's affected set.
-func (c *Cluster) computeWindowsAppointment(baseMin units.Time) {
-	open := baseMin + c.lookahead
-	for _, i := range c.changed {
-		c.addAffected(i)
-	}
-	if len(c.openNodes) > 0 && open != c.lastOpen {
-		for _, i := range c.openNodes {
-			c.addAffected(i)
-		}
-	}
-	c.lastOpen = open
-	c.changed = c.changed[:0]
-	// Support closure: pull in every engine whose bound rests on an
-	// affected engine's (possibly raised) bound. Once the whole cluster is
-	// affected the closure can add nothing — stop scanning.
-	n := len(c.engines)
-	for k := 0; k < len(c.aList) && len(c.aList) < n; k++ {
-		i := c.aList[k]
-		for _, e := range c.out[i] {
-			if !c.aMark[e.peer] && c.sup[e.peer] == e.eid {
-				c.addAffected(e.peer)
-			}
-		}
-	}
-	// Re-seed the affected region from first principles: own base, the open
-	// floor, and promises from *unaffected* sources (whose bounds are
-	// final). Affected sources re-relax their edges when they settle; when
-	// everything is affected there are no unaffected sources, so the inbound
-	// promise scan is skipped wholesale.
-	allAffected := len(c.aList) == n
-	c.heap.reset()
-	for _, i := range c.aList {
-		s, sp := c.base[i], int32(-1)
-		if c.openInbox[i] && open < s {
-			s, sp = open, -2
-		}
-		if !allAffected {
-			for _, e := range c.in[i] {
-				if !c.aMark[e.peer] {
-					if p := c.prom[e.eid]; p < s {
-						s, sp = p, e.eid
-					}
-				}
-			}
-		}
-		c.bound[i] = s
-		c.sup[i] = sp
-		if s != never {
-			c.heap.push(djItem{t: s, eng: i})
-		}
-	}
-	for c.heap.len() > 0 {
-		it := c.heap.pop()
-		if it.t > c.bound[it.eng] {
-			continue // stale entry superseded by a tighter bound
-		}
-		c.settle(it.eng)
-	}
-	// Affected engines that stayed unreachable never entered the heap, but
-	// their outbound promises may still say otherwise from an earlier round.
-	for _, i := range c.aList {
-		if c.bound[i] == never {
-			c.settleNever(i)
-		}
-	}
-	for _, j := range c.hDirtyList {
-		c.hDirty[j] = false
-		c.recomputeLinkHorizon(j)
-	}
-	c.hDirtyList = c.hDirtyList[:0]
-	c.barrier = open
-	// Re-evaluate exactly the engines whose base or horizon moved, in index
-	// order (matching the windowed full scan).
-	slices.Sort(c.candList)
-	c.runnable = c.runnable[:0]
-	for _, i := range c.candList {
-		c.candMark[i] = false
-		h, hs := c.linkH[i], c.linkHSup[i]
-		if c.openInbox[i] && open < h {
-			h, hs = open, -2
-		}
-		c.horizons[i] = h
-		c.hsup[i] = hs
-		if c.base[i] < h {
-			c.runnable = append(c.runnable, i)
-			c.prevNow[i] = c.engines[i].Now()
-			c.setBlocked(i, false)
-		} else {
-			c.setBlocked(i, c.base[i] != never && h != never)
-		}
-	}
-	c.candList = c.candList[:0]
-	for _, i := range c.aList {
-		c.aMark[i] = false
-	}
-	c.aList = c.aList[:0]
 }
 
 // setBlocked maintains the blocked-engine set: engines with pending events
@@ -1091,7 +694,6 @@ func (c *Cluster) Run(workers int) units.Time {
 		c.startWorkers(workers)
 		defer c.stopWorkers()
 	}
-	appointment := c.resolved == SyncAppointment
 	for {
 		c.drain()
 		c.refreshBase()
@@ -1099,11 +701,7 @@ func (c *Cluster) Run(workers int) units.Time {
 		if baseMin == never {
 			return c.horizon()
 		}
-		if appointment {
-			c.computeWindowsAppointment(baseMin)
-		} else {
-			c.computeWindows(baseMin)
-		}
+		c.computeWindows(baseMin)
 		if len(c.runnable) == 0 {
 			// Unreachable: the engine holding baseMin always has a horizon
 			// strictly beyond it (positive link latencies). Guard anyway so a

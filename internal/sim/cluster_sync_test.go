@@ -9,44 +9,20 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Appointment (null-message) synchronization
+// Per-edge horizons and the posted-only drain on multi-link graphs
 // ---------------------------------------------------------------------------
-
-func TestParseSyncMode(t *testing.T) {
-	cases := map[string]ClusterSyncMode{
-		"auto": SyncAuto, "": SyncAuto,
-		"windowed":    SyncWindowed,
-		"appointment": SyncAppointment,
-	}
-	for s, want := range cases {
-		got, err := ParseSyncMode(s)
-		if err != nil || got != want {
-			t.Errorf("ParseSyncMode(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseSyncMode("bogus"); err == nil {
-		t.Error("ParseSyncMode(bogus) did not fail")
-	}
-	for _, m := range []ClusterSyncMode{SyncAuto, SyncWindowed, SyncAppointment} {
-		if m.String() == "" {
-			t.Errorf("mode %d has empty String()", m)
-		}
-	}
-}
 
 // torusTraffic drives a seeded pseudo-random workload over a rows×cols torus
 // of attributed links (4 outbound links per device, heterogeneous latencies)
-// under the given sync mode and worker count, returning the merged log and
-// the run's stats. The log and every stat except Mode/NullMessages must be
-// identical across modes and worker counts.
-func torusTraffic(t *testing.T, mode ClusterSyncMode, workers int, seed int64) (string, ClusterStats) {
+// at the given worker count, returning the merged log and the run's stats.
+// The log and every stat must be identical across worker counts.
+func torusTraffic(t *testing.T, workers int, seed int64) (string, ClusterStats) {
 	t.Helper()
 	const rows, cols = 4, 4
 	const devs = rows * cols
 	chk := check.New()
 	cl := NewCluster(devs, 10)
 	cl.AttachChecker(chk)
-	cl.SetSyncMode(mode)
 	log := &ringLog{perDev: make([][]string, devs)}
 	id := func(r, c int) int { return ((r+rows)%rows)*cols + (c+cols)%cols }
 	// Four outbound links per device in E/W/S/N order, latency varying by
@@ -84,28 +60,27 @@ func torusTraffic(t *testing.T, mode ClusterSyncMode, workers int, seed int64) (
 				burst(peers[dev][k], depth-1, dir))
 		}
 	}
-	// A minority of devices start active so runnable sets stay sparse —
-	// the regime the appointment mode is built for.
+	// A minority of devices start active so runnable sets stay sparse and
+	// most mailboxes sit empty in any one round.
 	for d := 0; d < devs; d += 3 {
 		cl.Engine(d).At(units.Time(rng.Intn(25)), burst(d, 28, d%4))
 	}
 	cl.Run(workers)
 	if !chk.Ok() {
-		t.Fatalf("mode=%v workers=%d: honest torus model flagged: %v", mode, workers, chk.Violations())
+		t.Fatalf("workers=%d: honest torus model flagged: %v", workers, chk.Violations())
 	}
 	return log.merged(), cl.Stats()
 }
 
 // starTraffic is the same probe over a hub-and-spoke graph with a 6× slower
 // hub uplink on half the leaves — strongly asymmetric per-edge latencies.
-func starTraffic(t *testing.T, mode ClusterSyncMode, workers int, seed int64) (string, ClusterStats) {
+func starTraffic(t *testing.T, workers int, seed int64) (string, ClusterStats) {
 	t.Helper()
 	const leaves = 9
 	const devs = leaves + 1 // device 0 is the hub
 	chk := check.New()
 	cl := NewCluster(devs, 15)
 	cl.AttachChecker(chk)
-	cl.SetSyncMode(mode)
 	log := &ringLog{perDev: make([][]string, devs)}
 	down := make([]*Mailbox, devs) // hub -> leaf
 	up := make([]*Mailbox, devs)   // leaf -> hub
@@ -140,197 +115,85 @@ func starTraffic(t *testing.T, mode ClusterSyncMode, workers int, seed int64) (s
 	cl.Engine(0).At(units.Time(rng.Intn(10)), bounce(0, 40))
 	cl.Run(workers)
 	if !chk.Ok() {
-		t.Fatalf("mode=%v workers=%d: honest star model flagged: %v", mode, workers, chk.Violations())
+		t.Fatalf("workers=%d: honest star model flagged: %v", workers, chk.Violations())
 	}
 	return log.merged(), cl.Stats()
 }
 
-// TestClusterAppointmentMatchesWindowed is the cross-mode oracle: on every
-// probe topology, forcing SyncAppointment must reproduce SyncWindowed's log
-// byte-for-byte at workers 1/2/4, and every aggregate stat except Mode and
-// NullMessages (which are mode-defined) must coincide — the two coordinators
-// compute the same per-round least fixpoint.
+// TestClusterAppointmentMatchesWindowed runs the torus and star probes —
+// attributed links with per-edge latencies — under the cluster's one sync
+// protocol (per-round bounds plus the posted-only drain) at workers 1/2/4.
+// Once a cross-protocol oracle, it now pins that the merged log and every
+// ClusterStats field on these multi-link graphs are pure functions of the
+// model, whatever the worker count.
 func TestClusterAppointmentMatchesWindowed(t *testing.T) {
 	probes := []struct {
 		name string
-		run  func(t *testing.T, mode ClusterSyncMode, workers int, seed int64) (string, ClusterStats)
+		run  func(t *testing.T, workers int, seed int64) (string, ClusterStats)
 	}{
 		{"torus", torusTraffic},
 		{"star", starTraffic},
 	}
-	normalize := func(st ClusterStats) ClusterStats {
-		st.Mode = SyncAuto
-		st.NullMessages = 0
-		return st
-	}
 	for _, p := range probes {
 		for seed := int64(1); seed <= 3; seed++ {
-			wantLog, wantStats := p.run(t, SyncWindowed, 1, seed)
+			wantLog, wantStats := p.run(t, 1, seed)
 			if wantLog == "" {
 				t.Fatalf("%s seed=%d: empty reference log", p.name, seed)
 			}
-			for _, mode := range []ClusterSyncMode{SyncWindowed, SyncAppointment} {
-				for _, workers := range []int{1, 2, 4} {
-					gotLog, gotStats := p.run(t, mode, workers, seed)
-					if gotLog != wantLog {
-						t.Errorf("%s seed=%d mode=%v workers=%d: log diverged from windowed/1",
-							p.name, seed, mode, workers)
-					}
-					if gotStats.Mode != mode && mode != SyncAuto {
-						t.Errorf("%s seed=%d: Stats().Mode = %v, want %v", p.name, seed, gotStats.Mode, mode)
-					}
-					if got, want := normalize(gotStats), normalize(wantStats); got != want {
-						t.Errorf("%s seed=%d mode=%v workers=%d: stats diverged\n got: %+v\nwant: %+v",
-							p.name, seed, mode, workers, got, want)
-					}
+			if wantStats.Windows == 0 {
+				t.Fatalf("%s seed=%d: reference run recorded no windows: %+v", p.name, seed, wantStats)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				gotLog, gotStats := p.run(t, workers, seed)
+				if gotLog != wantLog {
+					t.Errorf("%s seed=%d workers=%d: log diverged from workers=1", p.name, seed, workers)
+				}
+				if gotStats != wantStats {
+					t.Errorf("%s seed=%d workers=%d: stats diverged\n got: %+v\nwant: %+v",
+						p.name, seed, workers, gotStats, wantStats)
 				}
 			}
 		}
 	}
 }
 
-// TestClusterSyncAutoSelection pins the density rule: sparse graphs (ring)
-// resolve to appointment, dense graphs (all-to-all) and small clusters stay
-// windowed.
-func TestClusterSyncAutoSelection(t *testing.T) {
-	run := func(devs int, wire func(cl *Cluster) []*Mailbox) ClusterSyncMode {
-		cl := NewCluster(devs, 10)
-		boxes := wire(cl)
-		for d := 0; d < devs; d++ {
-			d := d
-			eng := cl.Engine(d)
-			eng.At(units.Time(d), func() {
-				boxes[d].Post(eng.Now()+10, func() {})
-			})
-		}
-		cl.Run(1)
-		return cl.Stats().Mode
-	}
-	ring := func(cl *Cluster) []*Mailbox {
-		n := len(cl.Engines())
-		boxes := make([]*Mailbox, n)
-		for d := 0; d < n; d++ {
-			boxes[d] = cl.LinkMailbox(d, (d+1)%n, 10)
-		}
-		return boxes
-	}
-	dense := func(cl *Cluster) []*Mailbox {
-		n := len(cl.Engines())
-		boxes := make([]*Mailbox, n)
-		for d := 0; d < n; d++ {
-			for p := 0; p < n; p++ {
-				if p == d {
-					continue
-				}
-				b := cl.LinkMailbox(d, p, 10)
-				if boxes[d] == nil {
-					boxes[d] = b
-				}
-			}
-		}
-		return boxes
-	}
-	if got := run(8, ring); got != SyncAppointment {
-		t.Errorf("8-device ring resolved to %v, want appointment", got)
-	}
-	if got := run(8, dense); got != SyncWindowed {
-		t.Errorf("8-device all-to-all resolved to %v, want windowed (density rule)", got)
-	}
-	if got := run(4, ring); got != SyncWindowed {
-		t.Errorf("4-device ring resolved to %v, want windowed (size floor)", got)
-	}
-}
-
-// TestClusterAppointmentDrainAllocs pins the appointment coordinator's
-// steady-state allocation behaviour: promise slots, the affected set, the
-// candidate list, the posted-box tracking and the blocked list are all
-// preallocated, so rounds of drain + incremental relaxation + dispatch must
-// not allocate. Counterpart of TestClusterDrainAllocs (which now pins the
-// auto→appointment ring; here the mode is forced to make intent explicit).
-func TestClusterAppointmentDrainAllocs(t *testing.T) {
-	const devs = 8
-	const hopsPerDev = 64
-	cl := NewCluster(devs, 10)
-	cl.SetSyncMode(SyncAppointment)
-	boxes := make([]*Mailbox, devs)
-	for d := 0; d < devs; d++ {
-		boxes[d] = cl.LinkMailbox(d, (d+1)%devs, 10)
-	}
-	counts := make([]int, devs)
-	handlers := make([]Handler, devs)
-	for d := 0; d < devs; d++ {
-		d := d
-		eng := cl.Engine(d)
-		handlers[d] = func() {
-			if counts[d]--; counts[d] > 0 {
-				boxes[d].Post(eng.Now()+10, handlers[(d+1)%devs])
-			}
-		}
-	}
-	seed := func() {
-		var t0 units.Time
-		for d := 0; d < devs; d++ {
-			if now := cl.Engine(d).Now(); now > t0 {
-				t0 = now
-			}
-		}
-		for d := 0; d < devs; d++ {
-			counts[d] = hopsPerDev
-			cl.Engine(d).At(t0+units.Time(d+1), handlers[d])
-		}
-	}
-	seed()
-	cl.Run(1) // warm-up: grow every backing array once
-	if cl.Stats().Mode != SyncAppointment {
-		t.Fatalf("mode = %v, want appointment", cl.Stats().Mode)
-	}
-	if cl.Stats().NullMessages == 0 {
-		t.Fatal("appointment run published no promises")
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		seed()
-		cl.Run(1)
-	})
-	if allocs > 0.5 {
-		t.Errorf("steady-state appointment loop allocates %.2f allocs/run, want 0", allocs)
-	}
-}
-
-// TestClusterPromiseLawViolationDetected proves the per-edge promise law is
-// falsifiable: after the first round has published a promise on a link, a
-// model that posts a delivery earlier than that promise must be flagged on
-// the appointment rule — the receiver's horizon already trusted the promise.
+// TestClusterPromiseLawViolationDetected proves the per-link law stays
+// falsifiable, and as strict, under the posted-only drain. The receiver's
+// horizon trusted the link's bound B_0 + 100, so a post at 5 from the first
+// round (which starts at 0) must be flagged on the link rule. So must a post
+// at 305 from the round that runs engine 0's event at 300: the window start
+// is the sender's clock when that round began, not the start of the run.
 func TestClusterPromiseLawViolationDetected(t *testing.T) {
 	chk := check.New()
 	cl := NewCluster(2, 10)
 	cl.AttachChecker(chk)
-	cl.SetSyncMode(SyncAppointment)
 	box := cl.LinkMailbox(0, 1, 100)
-	// Keep engine 1 alive across rounds so the lying delivery is drained.
-	eng1 := cl.Engine(1)
-	n := 30
-	var tick Handler
-	tick = func() {
-		if n--; n > 0 {
-			eng1.After(4, tick)
+	cl.LinkMailbox(1, 0, 100) // bounds engine 0, so its clock advances round by round
+	// Both engines tick until 400, so both run in every round.
+	for d := 0; d < 2; d++ {
+		eng := cl.Engine(d)
+		var tick Handler
+		tick = func() {
+			if eng.Now() < 400 {
+				eng.After(4, tick)
+			}
 		}
+		eng.At(0, tick)
 	}
-	eng1.At(0, tick)
 	eng0 := cl.Engine(0)
-	eng0.At(0, func() {
-		// The promise on this edge is bound(0)+100 = 100; delivering at 5
-		// lies about the link latency.
-		box.Post(5, func() {})
-	})
+	eng0.At(0, func() { box.Post(5, func() {}) })
+	eng0.At(300, func() { box.Post(305, func() {}) })
 	cl.Run(1)
-	found := false
+	flagged := map[units.Time]bool{}
 	for _, v := range chk.Violations() {
-		if v.Rule == "ordering/appointment" {
-			found = true
+		if v.Rule == "ordering/link-lookahead" {
+			flagged[v.At] = true
 		}
 	}
-	if !found {
-		t.Fatalf("promise violation not detected; violations: %v", chk.Violations())
+	for _, at := range []units.Time{5, 305} {
+		if !flagged[at] {
+			t.Errorf("per-link violation of the delivery at %v not detected; violations: %v", at, chk.Violations())
+		}
 	}
 }
 
@@ -339,57 +202,54 @@ func TestClusterPromiseLawViolationDetected(t *testing.T) {
 // slow inbound link, all stall time lands on that edge, and the aggregate
 // matches ClusterStats.
 func TestClusterEdgeStalls(t *testing.T) {
-	for _, mode := range []ClusterSyncMode{SyncWindowed, SyncAppointment} {
-		cl := NewCluster(2, 10)
-		cl.SetSyncMode(mode)
-		box := cl.LinkMailbox(0, 1, 50)
-		eng0 := cl.Engine(0)
-		n := 20
-		var drive Handler
-		drive = func() {
-			box.Post(eng0.Now()+50, func() {})
-			if n--; n > 0 {
-				eng0.After(60, drive)
-			}
+	cl := NewCluster(2, 10)
+	box := cl.LinkMailbox(0, 1, 50)
+	eng0 := cl.Engine(0)
+	n := 20
+	var drive Handler
+	drive = func() {
+		box.Post(eng0.Now()+50, func() {})
+		if n--; n > 0 {
+			eng0.After(60, drive)
 		}
-		eng0.At(0, drive)
-		// Engine 1 has distant local work, so it repeatedly blocks on the
-		// 0->1 link's promise before its own next event.
-		cl.Engine(1).At(100000, func() {})
-		cl.Run(1)
-		st := cl.Stats()
-		if st.StalledEngineWindows == 0 || st.StallTime == 0 {
-			t.Fatalf("mode=%v: no stalls recorded: %+v", mode, st)
-		}
-		edges := cl.EdgeStalls()
-		if len(edges) != 1 {
-			t.Fatalf("mode=%v: EdgeStalls = %+v, want exactly the 0->1 edge", mode, edges)
-		}
-		e := edges[0]
-		if e.Src != 0 || e.Dst != 1 {
-			t.Errorf("mode=%v: stall attributed to edge %d->%d, want 0->1", mode, e.Src, e.Dst)
-		}
-		if e.StallWindows != st.StalledEngineWindows || e.StallTime != st.StallTime {
-			t.Errorf("mode=%v: per-edge stalls (%d, %v) disagree with aggregate (%d, %v)",
-				mode, e.StallWindows, e.StallTime, st.StalledEngineWindows, st.StallTime)
-		}
+	}
+	eng0.At(0, drive)
+	// Engine 1 has distant local work, so it repeatedly blocks on the
+	// 0->1 link's bound before its own next event.
+	cl.Engine(1).At(100000, func() {})
+	cl.Run(1)
+	st := cl.Stats()
+	if st.StalledEngineWindows == 0 || st.StallTime == 0 {
+		t.Fatalf("no stalls recorded: %+v", st)
+	}
+	edges := cl.EdgeStalls()
+	if len(edges) != 1 {
+		t.Fatalf("EdgeStalls = %+v, want exactly the 0->1 edge", edges)
+	}
+	e := edges[0]
+	if e.Src != 0 || e.Dst != 1 {
+		t.Errorf("stall attributed to edge %d->%d, want 0->1", e.Src, e.Dst)
+	}
+	if e.StallWindows != st.StalledEngineWindows || e.StallTime != st.StallTime {
+		t.Errorf("per-edge stalls (%d, %v) disagree with aggregate (%d, %v)",
+			e.StallWindows, e.StallTime, st.StalledEngineWindows, st.StallTime)
 	}
 }
 
-// TestClusterAppointmentStress hammers the promise-refresh path under
-// maximal worker counts: a torus where activity migrates between sparse
-// device subsets, so promises are refreshed, go quiescent (never), and are
-// re-established across many rounds. Under -race this is the stress test
-// the ISSUE names; determinism against the windowed reference rides along.
+// TestClusterAppointmentStress hammers the posted-only drain under maximal
+// worker counts: a torus where activity migrates between sparse device
+// subsets, so the set of posted-to mailboxes changes every round and most
+// boxes are skipped. Under -race this is the stress test for the per-source
+// posted lists; determinism against workers 1 rides along.
 func TestClusterAppointmentStress(t *testing.T) {
-	wantLog, _ := torusTraffic(t, SyncWindowed, 1, 99)
+	wantLog, wantStats := torusTraffic(t, 1, 99)
 	for _, workers := range []int{8, 16} {
-		gotLog, st := torusTraffic(t, SyncAppointment, workers, 99)
+		gotLog, gotStats := torusTraffic(t, workers, 99)
 		if gotLog != wantLog {
-			t.Errorf("workers=%d: appointment log diverged under stress", workers)
+			t.Errorf("workers=%d: log diverged under stress", workers)
 		}
-		if st.NullMessages == 0 {
-			t.Errorf("workers=%d: stress run refreshed no promises", workers)
+		if gotStats != wantStats {
+			t.Errorf("workers=%d: stats diverged under stress\n got: %+v\nwant: %+v", workers, gotStats, wantStats)
 		}
 	}
 }

@@ -481,8 +481,8 @@ func TestClusterLinkLawHonestModelClean(t *testing.T) {
 // TestClusterDrainAllocs pins the coordination layer's steady-state
 // allocation behaviour with live cross-engine mail: after warm-up, rounds of
 // drain + horizon computation + dispatch must not allocate — mailbox backing
-// arrays, the Dijkstra heap, the runnable set and the dirty list are all
-// reused.
+// arrays, the posted-box lists, the Dijkstra heap, the runnable set and the
+// dirty list are all reused.
 func TestClusterDrainAllocs(t *testing.T) {
 	const devs = 8
 	const hopsPerDev = 64

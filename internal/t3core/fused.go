@@ -105,23 +105,14 @@ type FusedOptions struct {
 	// byte-identical at every value — the knob trades wall-clock time only —
 	// so it is excluded from the experiment memo key (policySkip).
 	ParWorkers int
-	// SyncMode selects the cluster coordinator's synchronization strategy
-	// for the explicit multi-device run: windowed full-recompute rounds,
-	// appointment-based (null-message) incremental rounds, or — the zero
-	// default — automatic selection from the topology's edge density. Both
-	// modes compute the identical per-round horizon fixpoint, so results are
-	// byte-identical across every mode and worker count; like ParWorkers it
-	// trades wall-clock time only and is excluded from the experiment memo
-	// key (policySkip).
-	SyncMode sim.ClusterSyncMode
 	// ClusterStats, if non-nil, receives the scheduler's windowing summary
 	// after an explicit multi-device run, at every ParWorkers value: round
 	// count, engine-window executions, and total simulated time advanced,
 	// from which the benchmark harness derives the average window width —
 	// the lookahead-quality metric tracked across PRs. The stats describe
 	// the coordination layer, not the model, and are deliberately not part
-	// of MultiDeviceResult: they are identical at every worker count, but
-	// Mode and NullMessages depend on the sync mode.
+	// of MultiDeviceResult, even though they are identical at every worker
+	// count.
 	ClusterStats *sim.ClusterStats
 	// Check, if non-nil, is threaded through every model the same way
 	// Metrics is: the engine witnesses event-time monotonicity, the memory

@@ -139,7 +139,6 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 			"t3core: multi-device run needs a positive minimum link latency as the cluster lookahead, got %v", minLat)
 	}
 	r.cl = sim.NewCluster(n, minLat)
-	r.cl.SetSyncMode(o.SyncMode)
 	r.cl.AttachChecker(o.Check)
 	var err error
 	if o.Topo.IsZero() {
@@ -206,16 +205,13 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 	if o.Metrics != nil {
 		// Coordination-layer summary for the -metrics JSON: how the cluster
 		// synchronized, not what the model computed. Values are identical at
-		// every worker count; NullMessages is zero in windowed mode by
-		// definition.
+		// every worker count.
 		cs := o.Metrics.Scope("cluster")
 		cs.Counter("windows").Add(int64(st.Windows))
 		cs.Counter("engine_windows").Add(int64(st.EngineWindows))
 		cs.Counter("advance_ps").Add(int64(st.Advance))
-		cs.Counter("null_messages").Add(int64(st.NullMessages))
 		cs.Counter("stalled_engine_windows").Add(int64(st.StalledEngineWindows))
 		cs.Counter("stall_ps").Add(int64(st.StallTime))
-		cs.Counter("sync_mode").Add(int64(st.Mode))
 	}
 	stalled := 0
 	for _, md := range r.devs {

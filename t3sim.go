@@ -309,26 +309,8 @@ type MultiDeviceResult = t3core.MultiDeviceResult
 // ParWorkers value, and is identical across them.
 type ClusterStats = sim.ClusterStats
 
-// ClusterSyncMode selects the parallel scheduler's synchronization strategy
-// (FusedOptions.SyncMode / ExperimentSetup.SyncMode): windowed full-recompute
-// rounds, appointment (null-message) incremental rounds, or automatic
-// selection from topology edge density. Results are byte-identical in every
-// mode; only wall-clock time differs.
-type ClusterSyncMode = sim.ClusterSyncMode
-
-// Cluster synchronization modes.
-const (
-	SyncAuto        = sim.SyncAuto
-	SyncWindowed    = sim.SyncWindowed
-	SyncAppointment = sim.SyncAppointment
-)
-
-// ParseSyncMode parses the CLI spelling of a cluster synchronization mode:
-// auto | windowed | appointment.
-func ParseSyncMode(s string) (ClusterSyncMode, error) { return sim.ParseSyncMode(s) }
-
 // EdgeStall attributes blocked engine-rounds to the inbound link whose
-// promise bounded the stalled engine's horizon; sim.Cluster.EdgeStalls
+// bound limited the stalled engine's horizon; sim.Cluster.EdgeStalls
 // reports them in canonical edge order.
 type EdgeStall = sim.EdgeStall
 
