@@ -182,6 +182,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "t3sim: -j %d: need at least one job\n", *jobs)
 		os.Exit(2)
 	}
+	if *par < 0 {
+		fmt.Fprintf(os.Stderr, "t3sim: -par %d: worker count cannot be negative\n", *par)
+		os.Exit(2)
+	}
 
 	// One process-wide registry collects every experiment's instruments; each
 	// simulation registers under its own scope, so the exported files are

@@ -180,7 +180,10 @@ func run() (code int) {
 	}
 
 	if *jobs < 1 {
-		return fail(fmt.Errorf("-j %d: need at least one job", *jobs))
+		return usageFail(fmt.Errorf("-j %d: need at least one job", *jobs))
+	}
+	if *par < 0 {
+		return usageFail(fmt.Errorf("-par %d: worker count cannot be negative", *par))
 	}
 
 	// One registry collects the whole sweep; every configuration registers

@@ -426,3 +426,27 @@ func (s *schedule) expectedIncomingBytes(d int) int64 {
 	}
 	return total
 }
+
+// chunkSizes splits total into n chunks, mirroring ChunkBounds over bytes.
+func chunkSizes(total units.Bytes, n int) []units.Bytes {
+	bounds := ChunkBounds(int(total), n)
+	out := make([]units.Bytes, n)
+	for i, b := range bounds {
+		out[i] = units.Bytes(b[1] - b[0])
+	}
+	return out
+}
+
+// splitBlocks splits a chunk into pipeline blocks of at most blockBytes.
+func splitBlocks(c, blockBytes units.Bytes) []units.Bytes {
+	var out []units.Bytes
+	for c > 0 {
+		b := blockBytes
+		if c < b {
+			b = c
+		}
+		out = append(out, b)
+		c -= b
+	}
+	return out
+}

@@ -5,38 +5,17 @@ import (
 
 	"t3sim/internal/check"
 	"t3sim/internal/interconnect"
-	"t3sim/internal/memory"
 	"t3sim/internal/sim"
 	"t3sim/internal/units"
 )
 
-// clusterHarness builds a cluster, a cluster ring and per-device memory
-// controllers, mirroring harness() but with every device on its own engine.
-func clusterHarness(t *testing.T, devices int) (*sim.Cluster, Options) {
+// clusterHarness mirrors harness() with every device on its own cluster
+// engine.
+func clusterHarness(t *testing.T, devices int) (*sim.Cluster, TopoOptions) {
 	t.Helper()
-	cfg := interconnect.DefaultConfig()
-	cl := sim.NewCluster(devices, cfg.LinkLatency)
-	ring, err := interconnect.NewClusterRing(cl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	devs := make([]*Device, devices)
-	for i := range devs {
-		mc, err := memory.NewController(cl.Engine(i), memory.DefaultConfig(), memory.ComputeFirst{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		devs[i] = &Device{ID: i, Mem: mc}
-	}
-	return cl, Options{
-		Ring:              ring,
-		Devices:           devs,
-		TotalBytes:        16 * units.MiB,
-		BlockBytes:        32 * units.KiB,
-		CUs:               80,
-		PerCUMemBandwidth: 16 * units.GBps,
-		Stream:            memory.StreamComm,
-	}
+	cl, o := clusterTopoHarness(t, interconnect.RingTopo(devices, interconnect.DefaultConfig()))
+	o.TotalBytes = 16 * units.MiB
+	return cl, o
 }
 
 // TestClusterCollectiveMatchesSharedEngine requires the timed ring
@@ -64,13 +43,11 @@ func TestClusterCollectiveMatchesSharedEngine(t *testing.T) {
 					co.NMC = nmc
 					chk := check.New()
 					co.Check = chk
-					var cr *ClusterRun
-					var err error
-					if reduce {
-						cr, err = StartClusterRingReduceScatter(cl, co)
-					} else {
-						cr, err = StartClusterRingAllGather(cl, co)
+					op := ReduceScatterOp
+					if !reduce {
+						op = AllGatherOp
 					}
+					cr, err := StartClusterTopoCollective(cl, AlgoRing, op, co)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -81,8 +58,8 @@ func TestClusterCollectiveMatchesSharedEngine(t *testing.T) {
 							devices, nmc, reduce, workers, got, want)
 					}
 					for i := 0; i < devices; i++ {
-						gotB := co.Ring.ForwardLink(i).SentBytes()
-						wantB := so.Ring.ForwardLink(i).SentBytes()
+						gotB := co.Topo.Link(i, (i+1)%devices).SentBytes()
+						wantB := so.Topo.Link(i, (i+1)%devices).SentBytes()
 						if gotB != wantB {
 							t.Errorf("devices=%d nmc=%v reduce=%v workers=%d: link %d sent %v, want %v",
 								devices, nmc, reduce, workers, i, gotB, wantB)
@@ -104,7 +81,7 @@ func TestClusterCollectivePerDeviceTimesDeterministic(t *testing.T) {
 	const devices = 4
 	run := func(workers int) []units.Time {
 		cl, co := clusterHarness(t, devices)
-		cr, err := StartClusterRingReduceScatter(cl, co)
+		cr, err := StartClusterTopoCollective(cl, AlgoRing, ReduceScatterOp, co)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,36 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
-	"t3sim/internal/interconnect"
 	"t3sim/internal/memory"
-	"t3sim/internal/sim"
 	"t3sim/internal/units"
 )
-
-// timedHarness builds a ring + per-device controllers for property tests.
-func timedHarness(devices int) (*sim.Engine, Options, error) {
-	eng := sim.NewEngine()
-	ring, err := interconnect.NewRing(eng, devices, interconnect.DefaultConfig())
-	if err != nil {
-		return nil, Options{}, err
-	}
-	devs := make([]*Device, devices)
-	for i := range devs {
-		mc, err := memory.NewController(eng, memory.DefaultConfig(), memory.ComputeFirst{})
-		if err != nil {
-			return nil, Options{}, err
-		}
-		devs[i] = &Device{ID: i, Mem: mc}
-	}
-	return eng, Options{
-		Ring:              ring,
-		Devices:           devs,
-		BlockBytes:        32 * units.KiB,
-		CUs:               80,
-		PerCUMemBandwidth: 16 * units.GBps,
-		Stream:            memory.StreamComm,
-	}, nil
-}
 
 // TestPropertyTimedRSAlwaysCompletes: for random device counts and sizes,
 // the timed reduce-scatter always drains with exact traffic accounting on
@@ -43,14 +16,11 @@ func TestPropertyTimedRSAlwaysCompletes(t *testing.T) {
 	f := func(devRaw uint8, sizeRaw uint16, nmc bool) bool {
 		devices := int(devRaw)%7 + 2
 		size := units.Bytes(int(sizeRaw)%512+devices) * units.Bytes(devices) * units.KiB
-		eng, o, err := timedHarness(devices)
-		if err != nil {
-			return false
-		}
+		eng, o := harness(t, devices)
 		o.TotalBytes = size
 		o.NMC = nmc
 		done := false
-		if err := StartRingReduceScatter(eng, o, func() { done = true }); err != nil {
+		if err := StartTopoCollective(eng, AlgoRing, ReduceScatterOp, o, func() { done = true }); err != nil {
 			return false
 		}
 		eng.Run()
@@ -88,13 +58,10 @@ func TestPropertyTimedRSAlwaysCompletes(t *testing.T) {
 func TestPropertyTimedRSMonotoneInSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	run := func(size units.Bytes) units.Time {
-		eng, o, err := timedHarness(4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng, o := harness(t, 4)
 		o.TotalBytes = size
 		var done units.Time
-		if err := StartRingReduceScatter(eng, o, func() { done = eng.Now() }); err != nil {
+		if err := StartTopoCollective(eng, AlgoRing, ReduceScatterOp, o, func() { done = eng.Now() }); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
@@ -117,24 +84,18 @@ func TestPropertyTimedRSMonotoneInSize(t *testing.T) {
 func TestPropertyAGNeverSlowerThanRS(t *testing.T) {
 	for _, devices := range []int{2, 4, 8} {
 		for _, size := range []units.Bytes{8 * units.MiB, 24 * units.MiB} {
-			engRS, oRS, err := timedHarness(devices)
-			if err != nil {
-				t.Fatal(err)
-			}
+			engRS, oRS := harness(t, devices)
 			oRS.TotalBytes = size
 			var rsT units.Time
-			if err := StartRingReduceScatter(engRS, oRS, func() { rsT = engRS.Now() }); err != nil {
+			if err := StartTopoCollective(engRS, AlgoRing, ReduceScatterOp, oRS, func() { rsT = engRS.Now() }); err != nil {
 				t.Fatal(err)
 			}
 			engRS.Run()
 
-			engAG, oAG, err := timedHarness(devices)
-			if err != nil {
-				t.Fatal(err)
-			}
+			engAG, oAG := harness(t, devices)
 			oAG.TotalBytes = size
 			var agT units.Time
-			if err := StartRingAllGather(engAG, oAG, func() { agT = engAG.Now() }); err != nil {
+			if err := StartTopoCollective(engAG, AlgoRing, AllGatherOp, oAG, func() { agT = engAG.Now() }); err != nil {
 				t.Fatal(err)
 			}
 			engAG.Run()

@@ -9,66 +9,30 @@ import (
 	"t3sim/internal/units"
 )
 
-// harness builds an engine, ring and per-device memory controllers.
-func harness(t *testing.T, devices int) (*sim.Engine, Options) {
+// harness builds an engine, a Table 1 ring topology and per-device memory
+// controllers for a 16 MiB array.
+func harness(t *testing.T, devices int) (*sim.Engine, TopoOptions) {
 	t.Helper()
-	eng := sim.NewEngine()
-	ring, err := interconnect.NewRing(eng, devices, interconnect.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	devs := make([]*Device, devices)
-	for i := range devs {
-		mc, err := memory.NewController(eng, memory.DefaultConfig(), memory.ComputeFirst{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		devs[i] = &Device{ID: i, Mem: mc}
-	}
-	return eng, Options{
-		Ring:              ring,
-		Devices:           devs,
-		TotalBytes:        16 * units.MiB,
-		BlockBytes:        32 * units.KiB,
-		CUs:               80,
-		PerCUMemBandwidth: 16 * units.GBps,
-		Stream:            memory.StreamComm,
-	}
+	eng, o := topoHarness(t, interconnect.RingTopo(devices, interconnect.DefaultConfig()))
+	o.TotalBytes = 16 * units.MiB
+	return eng, o
 }
 
-func runRS(t *testing.T, eng *sim.Engine, o Options) units.Time {
+func runRS(t *testing.T, eng *sim.Engine, o TopoOptions) units.Time {
 	t.Helper()
-	var done units.Time
-	fired := false
-	if err := StartRingReduceScatter(eng, o, func() { done = eng.Now(); fired = true }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if !fired {
-		t.Fatal("reduce-scatter never completed")
-	}
-	return done
+	return runTopo(t, eng, AlgoRing, ReduceScatterOp, o)
 }
 
-func runAG(t *testing.T, eng *sim.Engine, o Options) units.Time {
+func runAG(t *testing.T, eng *sim.Engine, o TopoOptions) units.Time {
 	t.Helper()
-	var done units.Time
-	fired := false
-	if err := StartRingAllGather(eng, o, func() { done = eng.Now(); fired = true }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if !fired {
-		t.Fatal("all-gather never completed")
-	}
-	return done
+	return runTopo(t, eng, AlgoRing, AllGatherOp, o)
 }
 
-func analyticOpts(o Options) AnalyticOptions {
+func analyticOpts(o TopoOptions) AnalyticOptions {
 	return AnalyticOptions{
-		Devices:           o.Ring.Devices(),
+		Devices:           o.Topo.Devices(),
 		TotalBytes:        o.TotalBytes,
-		Link:              o.Ring.Config(),
+		Link:              o.Topo.Spec().Link,
 		MemBandwidth:      o.Devices[0].Mem.Config().TotalBandwidth,
 		CUs:               o.CUs,
 		PerCUMemBandwidth: o.PerCUMemBandwidth,
@@ -81,14 +45,14 @@ func TestOptionsValidate(t *testing.T) {
 	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []func(*Options){
-		func(o *Options) { o.Ring = nil },
-		func(o *Options) { o.Devices = o.Devices[:2] },
-		func(o *Options) { o.TotalBytes = 0 },
-		func(o *Options) { o.BlockBytes = 0 },
-		func(o *Options) { o.CUs = 0 },
-		func(o *Options) { o.PerCUMemBandwidth = 0 },
-		func(o *Options) { o.Devices[0] = nil },
+	bad := []func(*TopoOptions){
+		func(o *TopoOptions) { o.Topo = nil },
+		func(o *TopoOptions) { o.Devices = o.Devices[:2] },
+		func(o *TopoOptions) { o.TotalBytes = 0 },
+		func(o *TopoOptions) { o.BlockBytes = 0 },
+		func(o *TopoOptions) { o.CUs = 0 },
+		func(o *TopoOptions) { o.PerCUMemBandwidth = 0 },
+		func(o *TopoOptions) { o.Devices[0] = nil },
 	}
 	for i, mutate := range bad {
 		_, o := harness(t, 4)
@@ -244,7 +208,7 @@ func TestRSBandwidthAsymptote(t *testing.T) {
 	eng, o := harness(t, 8)
 	o.TotalBytes = 64 * units.MiB
 	got := runRS(t, eng, o)
-	ideal := o.Ring.Config().LinkBandwidth.TransferTime(o.TotalBytes * 7 / 8)
+	ideal := o.Topo.Spec().Link.LinkBandwidth.TransferTime(o.TotalBytes * 7 / 8)
 	rel := float64(got-ideal) / float64(ideal)
 	if rel < 0 || rel > 0.15 {
 		t.Errorf("RS %v vs wire lower bound %v (%.1f%% over)", got, ideal, rel*100)

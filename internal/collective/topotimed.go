@@ -11,27 +11,38 @@ import (
 	"t3sim/internal/units"
 )
 
-// TopoOptions parameterizes a timed collective over an arbitrary topology
-// graph. It mirrors Options with the ring replaced by an
-// interconnect.Topology; multi-hop sends store-and-forward block by block
-// through the graph's deterministic routes.
+// Device bundles the per-GPU resources a timed collective touches.
+type Device struct {
+	ID  int
+	Mem *memory.Controller
+}
+
+// TopoOptions parameterizes a timed collective over a topology graph — the
+// Table 1 ring is interconnect.RingTopo with AlgoRing. Multi-hop sends
+// store-and-forward block by block through the graph's deterministic routes.
 type TopoOptions struct {
 	Topo    *interconnect.Topology
 	Devices []*Device
 	// TotalBytes is the full array size being reduced/gathered.
 	TotalBytes units.Bytes
-	// BlockBytes is the software pipelining granularity (see Options).
+	// BlockBytes is the software pipelining granularity within one round:
+	// the unit at which data moves through read → reduce → send →
+	// receive-write.
 	BlockBytes units.Bytes
-	// CUs and PerCUMemBandwidth set the kernel's CU-side touch rate.
+	// CUs is how many compute units the collective kernel occupies; with
+	// fewer CUs the kernel sustains less memory throughput, which is the
+	// §3.2.1 contention effect. PerCUMemBandwidth is the memory throughput
+	// one CU sustains.
 	CUs               int
 	PerCUMemBandwidth units.Bandwidth
 	// NMC stages reduction arrivals as in-DRAM updates and eliminates fold
-	// and merge kernels (§4.3).
+	// and merge kernels (§4.3, Figure 10).
 	NMC bool
 	// Stream selects the memory-controller stream the kernel's accesses use.
 	Stream memory.Stream
-	// Metrics, if non-nil, receives the same "collective" track, staging
-	// instants, and block/byte counters the ring run emits. Nil costs
+	// Metrics, if non-nil, receives a "collective" timeline track (one per
+	// device on a cluster) with one span per pipelined block, a staging
+	// instant per round boundary, and block/byte counters. Nil costs
 	// nothing.
 	Metrics metrics.Sink
 	// Check, if non-nil, attaches the graph conservation witness: a wire
@@ -68,11 +79,12 @@ func (o TopoOptions) cuRate() units.Bandwidth {
 	return units.Bandwidth(float64(o.PerCUMemBandwidth) * float64(o.CUs))
 }
 
-// graphRun tracks one in-flight timed collective over a topology graph. Like
-// the ring run, blocks pipeline freely within a round but a device begins
-// round r+1 only after every round-r op destined to it has been staged (and,
-// for eager-fold algorithms, folded) — the kernel boundary. Unlike the ring,
-// a round may deliver nothing to a device (tree leaves, finished halving
+// graphRun tracks one in-flight timed collective over a topology graph. Each
+// round is its own kernel, exactly like the paper's simulated baseline
+// (§5.1.1, Figure 13): blocks pipeline freely within a round, but a device
+// begins round r+1 only after every round-r op destined to it has been
+// staged (and, for eager-fold algorithms, folded) — the kernel boundary. A
+// round may deliver nothing to a device (tree leaves, finished halving
 // partners); such devices advance immediately.
 type graphRun struct {
 	eng    *sim.Engine   // shared-engine mode; nil in cluster mode
@@ -257,7 +269,7 @@ func (r *graphRun) issueRound(d, rd int) {
 		}
 		for _, b := range splitBlocks(op.bytes, r.o.BlockBytes) {
 			if op.dst == d {
-				r.merge(d, rd, b)
+				r.fold(d, rd, b)
 			} else {
 				r.send(rd, op, b)
 			}
@@ -326,25 +338,12 @@ func (r *graphRun) stage(rd int, op sendOp, block units.Bytes) {
 	})
 }
 
-// fold combines a staged reduction block into device d's local accumulator:
-// 2 reads + 1 write on the CUs, the eager counterpart of the ring's final
-// read-modify-write.
+// fold runs one block of a read-modify-write kernel on device d — 2 reads +
+// 1 write on the CUs — and credits round rd's fence. It is both the eager
+// fold of a staged reduction block into the local accumulator and the
+// ring's final merge kernel (a local op, src == dst, crediting the round's
+// own fence).
 func (r *graphRun) fold(d, rd int, block units.Bytes) {
-	o := r.o
-	mem := o.Devices[d].Mem
-	reads := sim.NewFence(2, func() {
-		at := r.pace(d, 3, block)
-		r.engOf(d).At(at, func() {
-			mem.Transfer(memory.Write, o.Stream, block, memory.Tag{}, func() { r.credit(d, rd) })
-		})
-	})
-	mem.Transfer(memory.Read, o.Stream, block, memory.Tag{}, reads.Done)
-	mem.Transfer(memory.Read, o.Stream, block, memory.Tag{}, reads.Done)
-}
-
-// merge runs one block of a local merge kernel (the ring schedule's final
-// read-modify-write): 2 reads + 1 write, crediting the round's own fence.
-func (r *graphRun) merge(d, rd int, block units.Bytes) {
 	o := r.o
 	mem := o.Devices[d].Mem
 	reads := sim.NewFence(2, func() {

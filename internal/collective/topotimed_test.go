@@ -96,38 +96,33 @@ func runTopo(t *testing.T, eng *sim.Engine, algo Algorithm, op Op, o TopoOptions
 	return done
 }
 
-// TestTopoRingMatchesLegacyRing pins the generalized engine to its ancestor:
-// the ring algorithm on a ring topology reproduces the legacy timed ring
-// collective exactly — same rotation, same deferred-fold reads, same final
-// merge kernel.
+// TestTopoRingMatchesLegacyRing pins the timed engine to its ancestor: the
+// ring algorithm on a ring topology reproduces the completion times of the
+// deleted ring-only timed collective exactly — same rotation, same
+// deferred-fold reads, same final merge kernel. The literals were recorded
+// from that implementation on the same 16 MiB harness.
 func TestTopoRingMatchesLegacyRing(t *testing.T) {
-	cfg := interconnect.DefaultConfig()
-	for _, devices := range []int{2, 4, 8} {
-		for _, tc := range []struct {
-			name string
-			op   Op
-			nmc  bool
-		}{
-			{"rs", ReduceScatterOp, false},
-			{"rs-nmc", ReduceScatterOp, true},
-			{"ag", AllGatherOp, false},
-		} {
-			eng, lo := harness(t, devices)
-			lo.NMC = tc.nmc
-			var legacy units.Time
-			if tc.op == ReduceScatterOp {
-				legacy = runRS(t, eng, lo)
-			} else {
-				legacy = runAG(t, eng, lo)
-			}
-
-			teng, to := topoHarness(t, interconnect.RingTopo(devices, cfg))
-			to.TotalBytes = lo.TotalBytes
-			to.NMC = tc.nmc
-			got := runTopo(t, teng, AlgoRing, tc.op, to)
-			if got != legacy {
-				t.Errorf("n=%d %s: topo ring %v != legacy ring %v", devices, tc.name, got, legacy)
-			}
+	for _, tc := range []struct {
+		devices int
+		name    string
+		op      Op
+		nmc     bool
+		legacy  units.Time
+	}{
+		{2, "rs", ReduceScatterOp, false, 137757568},
+		{2, "rs-nmc", ReduceScatterOp, true, 112657280},
+		{2, "ag", AllGatherOp, false, 112591744},
+		{4, "rs", ReduceScatterOp, false, 182635136},
+		{4, "rs-nmc", ReduceScatterOp, true, 170197632},
+		{4, "ag", AllGatherOp, false, 170001024},
+		{8, "rs", ReduceScatterOp, false, 207377536},
+		{8, "rs-nmc", ReduceScatterOp, true, 201391232},
+		{8, "ag", AllGatherOp, false, 200932480},
+	} {
+		eng, o := harness(t, tc.devices)
+		o.NMC = tc.nmc
+		if got := runTopo(t, eng, AlgoRing, tc.op, o); got != tc.legacy {
+			t.Errorf("n=%d %s: topo ring %v != legacy ring %v", tc.devices, tc.name, got, tc.legacy)
 		}
 	}
 }

@@ -155,7 +155,7 @@ func coarseRunGEMMIsolated(setup Setup, grid gemm.Grid) (units.Time, error) {
 // coarseRunRSIsolated times the reduce-scatter alone on its CU share.
 func coarseRunRSIsolated(setup Setup, nmc bool) (units.Time, error) {
 	eng := sim.NewEngine()
-	ring, err := interconnect.NewRing(eng, coarseDevices, setup.Link)
+	topo, err := interconnect.RingTopo(coarseDevices, setup.Link).Build(eng)
 	if err != nil {
 		return 0, err
 	}
@@ -168,8 +168,8 @@ func coarseRunRSIsolated(setup Setup, nmc bool) (units.Time, error) {
 		devs[i] = &collective.Device{ID: i, Mem: mc}
 	}
 	var done units.Time
-	err = collective.StartRingReduceScatter(eng, collective.Options{
-		Ring:              ring,
+	err = collective.StartTopoCollective(eng, collective.AlgoRing, collective.ReduceScatterOp, collective.TopoOptions{
+		Topo:              topo,
 		Devices:           devs,
 		TotalBytes:        coarseRSBytes,
 		BlockBytes:        setup.BlockBytes,
@@ -192,7 +192,7 @@ func coarseRunRSIsolated(setup Setup, nmc bool) (units.Time, error) {
 // reduce-scatter on shared memory controllers.
 func coarseRunConcurrent(setup Setup, grid gemm.Grid, arbKind t3core.Arbitration, nmc bool) (gemmT, rsT units.Time, err error) {
 	eng := sim.NewEngine()
-	ring, err := interconnect.NewRing(eng, coarseDevices, setup.Link)
+	topo, err := interconnect.RingTopo(coarseDevices, setup.Link).Build(eng)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -225,8 +225,8 @@ func coarseRunConcurrent(setup Setup, grid gemm.Grid, arbKind t3core.Arbitration
 		}
 	}
 	var rsDone units.Time
-	err = collective.StartRingReduceScatter(eng, collective.Options{
-		Ring:              ring,
+	err = collective.StartTopoCollective(eng, collective.AlgoRing, collective.ReduceScatterOp, collective.TopoOptions{
+		Topo:              topo,
 		Devices:           devs,
 		TotalBytes:        coarseRSBytes,
 		BlockBytes:        setup.BlockBytes,

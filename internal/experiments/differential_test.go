@@ -14,11 +14,11 @@ import (
 )
 
 // Differential testing of the two independent collective implementations:
-// the timed discrete-event simulation (internal/collective/timed.go) versus
-// the closed-form analytic model (internal/collective/analytic.go). Neither
-// shares code with the other, so agreement over a seeded parameter grid is
-// strong evidence both are right; divergence localizes a bug to whichever
-// side the configuration stresses.
+// the timed discrete-event simulation (internal/collective/topotimed.go,
+// AlgoRing on a ring topology) versus the closed-form analytic model
+// (internal/collective/analytic.go). Neither shares code with the other, so
+// agreement over a seeded parameter grid is strong evidence both are right;
+// divergence localizes a bug to whichever side the configuration stresses.
 
 // differentialTolerance bounds the DES-vs-analytic relative error on general
 // configurations. The DES models effects the closed form ignores (block
@@ -46,7 +46,7 @@ func runTimedCollective(t *testing.T, setup Setup, devices int, size units.Bytes
 	eng := sim.NewEngine()
 	checker := check.New()
 	eng.AttachChecker(checker)
-	ring, err := interconnect.NewRing(eng, devices, setup.Link)
+	topo, err := interconnect.RingTopo(devices, setup.Link).Build(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +60,8 @@ func runTimedCollective(t *testing.T, setup Setup, devices int, size units.Bytes
 		}
 		devs[i] = &collective.Device{ID: i, Mem: mc}
 	}
-	opts := collective.Options{
-		Ring:              ring,
+	opts := collective.TopoOptions{
+		Topo:              topo,
 		Devices:           devs,
 		TotalBytes:        size,
 		BlockBytes:        setup.BlockBytes,
@@ -72,11 +72,11 @@ func runTimedCollective(t *testing.T, setup Setup, devices int, size units.Bytes
 		Check:             checker,
 	}
 	var done units.Time
-	start := collective.StartRingReduceScatter
+	op := collective.ReduceScatterOp
 	if allGather {
-		start = collective.StartRingAllGather
+		op = collective.AllGatherOp
 	}
-	if err := start(eng, opts, func() { done = eng.Now() }); err != nil {
+	if err := collective.StartTopoCollective(eng, collective.AlgoRing, op, opts, func() { done = eng.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()

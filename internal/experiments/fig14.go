@@ -94,12 +94,12 @@ func runTimedRS(setup Setup, devices int, size units.Bytes) (units.Time, error) 
 	if m := setup.Metrics; m != nil {
 		sink = m.Scope(fmt.Sprintf("fig14/rs-%s", size))
 	}
-	ring, err := interconnect.NewRing(eng, devices, setup.Link)
+	topo, err := interconnect.RingTopo(devices, setup.Link).Build(eng)
 	if err != nil {
 		return 0, err
 	}
 	if sink != nil {
-		ring.AttachMetrics(sink)
+		topo.AttachMetrics(sink)
 	}
 	devs := make([]*collective.Device, devices)
 	for i := range devs {
@@ -115,8 +115,8 @@ func runTimedRS(setup Setup, devices int, size units.Bytes) (units.Time, error) 
 		devs[i] = &collective.Device{ID: i, Mem: mc}
 	}
 	var done units.Time
-	err = collective.StartRingReduceScatter(eng, collective.Options{
-		Ring:              ring,
+	err = collective.StartTopoCollective(eng, collective.AlgoRing, collective.ReduceScatterOp, collective.TopoOptions{
+		Topo:              topo,
 		Devices:           devs,
 		TotalBytes:        size,
 		BlockBytes:        setup.BlockBytes,

@@ -193,9 +193,9 @@ func (l *layerSim) elementwise(bytes units.Bytes) func() (units.Time, error) {
 // allReduce returns a runner simulating the timed multi-GPU RS+AG.
 func (l *layerSim) allReduce(bytes units.Bytes, tp int) func() (units.Time, error) {
 	return func() (units.Time, error) {
-		run := func(start func(*sim.Engine, collective.Options, sim.Handler) error) (units.Time, error) {
+		run := func(op collective.Op) (units.Time, error) {
 			eng := sim.NewEngine()
-			ring, err := interconnect.NewRing(eng, tp, l.setup.Link)
+			topo, err := interconnect.RingTopo(tp, l.setup.Link).Build(eng)
 			if err != nil {
 				return 0, err
 			}
@@ -208,8 +208,8 @@ func (l *layerSim) allReduce(bytes units.Bytes, tp int) func() (units.Time, erro
 				devs[i] = &collective.Device{ID: i, Mem: mc}
 			}
 			var done units.Time
-			err = start(eng, collective.Options{
-				Ring:              ring,
+			err = collective.StartTopoCollective(eng, collective.AlgoRing, op, collective.TopoOptions{
+				Topo:              topo,
 				Devices:           devs,
 				TotalBytes:        bytes,
 				BlockBytes:        l.setup.BlockBytes,
@@ -226,11 +226,11 @@ func (l *layerSim) allReduce(bytes units.Bytes, tp int) func() (units.Time, erro
 			}
 			return done, nil
 		}
-		rs, err := run(collective.StartRingReduceScatter)
+		rs, err := run(collective.ReduceScatterOp)
 		if err != nil {
 			return 0, err
 		}
-		ag, err := run(collective.StartRingAllGather)
+		ag, err := run(collective.AllGatherOp)
 		if err != nil {
 			return 0, err
 		}

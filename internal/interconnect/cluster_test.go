@@ -85,7 +85,7 @@ func TestClusterLinkRejectsShortLatency(t *testing.T) {
 func TestClusterRingTopology(t *testing.T) {
 	const n = 4
 	cl := sim.NewCluster(n, clusterCfg().LinkLatency)
-	r, err := NewClusterRing(cl, clusterCfg())
+	r, err := RingTopo(n, clusterCfg()).BuildCluster(cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +93,11 @@ func TestClusterRingTopology(t *testing.T) {
 		t.Fatalf("Devices = %d, want %d", r.Devices(), n)
 	}
 	for i := 0; i < n; i++ {
-		if r.Next(i) != (i+1)%n || r.Prev(i) != (i-1+n)%n {
-			t.Errorf("neighbor relation broken at %d", i)
+		fwd, bwd := r.Link(i, (i+1)%n), r.Link(i, (i-1+n)%n)
+		if fwd == nil || bwd == nil {
+			t.Fatalf("device %d missing a ring neighbor link", i)
 		}
-		if r.ForwardLink(i).eng != cl.Engine(i) || r.BackwardLink(i).eng != cl.Engine(i) {
+		if fwd.eng != cl.Engine(i) || bwd.eng != cl.Engine(i) {
 			t.Errorf("device %d link serializes on a foreign engine", i)
 		}
 	}

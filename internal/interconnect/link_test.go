@@ -125,19 +125,21 @@ func TestNegativeSendPanics(t *testing.T) {
 
 func TestRingTopology(t *testing.T) {
 	eng := sim.NewEngine()
-	r, err := NewRing(eng, 4, testCfg())
+	r, err := RingTopo(4, testCfg()).Build(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Devices() != 4 {
 		t.Errorf("Devices = %d", r.Devices())
 	}
-	if r.Next(3) != 0 || r.Prev(0) != 3 || r.Next(1) != 2 || r.Prev(2) != 1 {
-		t.Error("neighbor arithmetic wrong")
+	for i := 0; i < 4; i++ {
+		if r.NextHop(i, (i+1)%4) != (i+1)%4 || r.NextHop(i, (i+3)%4) != (i+3)%4 {
+			t.Errorf("device %d is not adjacent to both ring neighbors", i)
+		}
 	}
 	seen := map[*Link]bool{}
 	for i := 0; i < 4; i++ {
-		for _, l := range []*Link{r.ForwardLink(i), r.BackwardLink(i)} {
+		for _, l := range []*Link{r.Link(i, (i+1)%4), r.Link(i, (i+3)%4)} {
 			if l == nil {
 				t.Fatalf("nil link at %d", i)
 			}
@@ -147,14 +149,17 @@ func TestRingTopology(t *testing.T) {
 			seen[l] = true
 		}
 	}
+	if r.NumLinks() != len(seen) {
+		t.Errorf("NumLinks = %d, want %d", r.NumLinks(), len(seen))
+	}
 }
 
 func TestRingErrors(t *testing.T) {
 	eng := sim.NewEngine()
-	if _, err := NewRing(eng, 1, testCfg()); err == nil {
+	if _, err := RingTopo(1, testCfg()).Build(eng); err == nil {
 		t.Error("1-device ring: expected error")
 	}
-	if _, err := NewRing(eng, 4, Config{}); err == nil {
+	if _, err := RingTopo(4, Config{}).Build(eng); err == nil {
 		t.Error("invalid config: expected error")
 	}
 }
@@ -163,10 +168,13 @@ func TestRingBandwidthIndependence(t *testing.T) {
 	// Traffic on different devices' links does not serialize against each
 	// other: all four forward links can deliver at the same time.
 	eng := sim.NewEngine()
-	r, _ := NewRing(eng, 4, testCfg())
+	r, err := RingTopo(4, testCfg()).Build(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var times []units.Time
 	for i := 0; i < 4; i++ {
-		r.ForwardLink(i).Send(1*units.KiB, func() { times = append(times, eng.Now()) })
+		r.Link(i, (i+1)%4).Send(1*units.KiB, func() { times = append(times, eng.Now()) })
 	}
 	eng.Run()
 	for _, tm := range times {

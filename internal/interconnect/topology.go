@@ -48,7 +48,8 @@ func (k TopoKind) String() string {
 // exist and which directed links join them, with per-link bandwidth and
 // latency. A spec carries no simulation state; Build / BuildCluster
 // instantiate live links on an engine or a cluster. The zero TopoSpec is
-// "unset" (IsZero), which every consumer treats as the legacy ring path.
+// "unset" (IsZero), which every consumer treats as the implicit
+// RingTopo(Devices, Link) of its own options.
 type TopoSpec struct {
 	Kind TopoKind
 	// Devices is the total device count (Rows*Cols for a torus,
@@ -87,7 +88,8 @@ func HierarchicalTopo(nodes, perNode int, intra, inter Config) TopoSpec {
 		Nodes: nodes, PerNode: perNode, Link: intra, InterLink: inter}
 }
 
-// IsZero reports whether the spec is unset (the legacy-ring sentinel).
+// IsZero reports whether the spec is unset: the caller's implicit
+// RingTopo(Devices, Link).
 func (s TopoSpec) IsZero() bool { return s == TopoSpec{} }
 
 // interConfig returns the inter-node link configuration with the Link
@@ -147,8 +149,7 @@ type edgeSpec struct {
 // contract — BuildCluster registers one mailbox per edge in exactly this
 // order, which fixes the cluster's barrier drain order (and therefore the
 // cross-engine delivery order) for every worker count. For TopoRing it is
-// forward-then-backward per device, byte-identical to the pre-topology
-// NewClusterRing registration order.
+// forward-then-backward per device.
 func (s TopoSpec) edges() []edgeSpec {
 	var out []edgeSpec
 	n := s.Devices
@@ -355,9 +356,6 @@ func (t *Topology) Devices() int { return t.spec.Devices }
 
 // NumLinks returns the number of directed links.
 func (t *Topology) NumLinks() int { return len(t.links) }
-
-// LinkAt returns the i-th link in canonical edge order.
-func (t *Topology) LinkAt(i int) *Link { return t.links[i] }
 
 // Link returns the (first) direct link src → dst, or nil when the devices
 // are not adjacent.

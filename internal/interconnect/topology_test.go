@@ -47,8 +47,7 @@ func TestTopoSpecValidate(t *testing.T) {
 
 // TestRingTopoEdgeOrder pins the canonical edge order of the ring: forward
 // then backward per device — the cluster mailbox registration order the
-// legacy NewClusterRing used, which the byte-identity of the golden suite
-// rests on.
+// byte-identity of the golden suite rests on.
 func TestRingTopoEdgeOrder(t *testing.T) {
 	s := RingTopo(4, topoCfg())
 	var got [][2]int
@@ -228,23 +227,5 @@ func TestClusterTopoRejectsShortLatency(t *testing.T) {
 	cl2 := sim.NewCluster(8, inter.LinkLatency)
 	if _, err := HierarchicalTopo(2, 4, cfg, inter).BuildCluster(cl2); err != nil {
 		t.Fatalf("lookahead = min link latency must build: %v", err)
-	}
-}
-
-// TestRingViewMatchesTopology checks the Ring facade exposes exactly the
-// topology's canonical edges.
-func TestRingViewMatchesTopology(t *testing.T) {
-	eng := sim.NewEngine()
-	r, err := NewRing(eng, 4, topoCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if r.ForwardLink(i) != r.Topo().Link(i, r.Next(i)) {
-			t.Errorf("forward link %d is not the topology's %d->%d edge", i, i, r.Next(i))
-		}
-		if r.BackwardLink(i) != r.Topo().Link(i, r.Prev(i)) {
-			t.Errorf("backward link %d is not the topology's %d->%d edge", i, i, r.Prev(i))
-		}
 	}
 }

@@ -55,9 +55,9 @@ type FusedOptions struct {
 	// neighbor send is routed over the graph's deterministic shortest
 	// paths, store-and-forwarding at intermediate hops, and the cluster
 	// path's conservative lookahead becomes the topology's minimum link
-	// latency. The zero spec is the legacy ring, byte-identical to the
-	// pre-topology simulator. Single-GPU mirror runs model the ring
-	// implicitly and reject a non-ring Topo.
+	// latency. The zero spec is the implicit RingTopo(Devices, Link).
+	// Single-GPU mirror runs model the ring implicitly and reject a
+	// non-ring Topo.
 	Topo interconnect.TopoSpec
 	// Devices is the tensor-parallel degree (ring size).
 	Devices int

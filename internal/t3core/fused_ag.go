@@ -91,7 +91,7 @@ func validateFusedCommon(o FusedOptions) error {
 }
 
 // validateTopo checks the optional topology spec against the run's shape.
-// The zero spec (the legacy-ring sentinel) is always valid.
+// The zero spec (the implicit RingTopo(Devices, Link)) is always valid.
 func (o FusedOptions) validateTopo() error {
 	if o.Topo.IsZero() {
 		return nil

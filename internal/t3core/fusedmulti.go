@@ -26,7 +26,8 @@ type MultiDeviceResult struct {
 	DRAM memory.Counters
 	// PerDeviceDRAM is each device's own traffic.
 	PerDeviceDRAM []memory.Counters
-	// LinkBytes sums all forward-ring traffic.
+	// LinkBytes sums the bytes every link accepted (transit hops count
+	// once per traversed link).
 	LinkBytes units.Bytes
 	// TrackerMaxLive is the largest per-device high-water mark.
 	TrackerMaxLive int
@@ -78,8 +79,7 @@ type multiDevice struct {
 type multiRun struct {
 	o    FusedOptions
 	cl   *sim.Cluster           // one engine per device
-	ring *interconnect.Ring     // legacy interconnect (zero o.Topo)
-	topo *interconnect.Topology // graph interconnect (non-zero o.Topo)
+	topo *interconnect.Topology // o.Topo, or RingTopo(Devices, Link) when zero
 	devs []*multiDevice
 
 	tileBytes  units.Bytes
@@ -89,16 +89,10 @@ type multiRun struct {
 	result MultiDeviceResult
 }
 
-// send moves n bytes from src to dst over the run's interconnect: the
-// topology routes over its deterministic shortest paths (store-and-forward
-// at intermediate hops); the legacy ring path is the src forward link, whose
-// only neighbor is dst by construction.
+// send moves n bytes from src to dst over the run's topology, along its
+// deterministic shortest path (store-and-forward at intermediate hops).
 func (r *multiRun) send(src, dst int, n units.Bytes, onDelivered sim.Handler) {
-	if r.topo != nil {
-		r.topo.Send(src, dst, n, onDelivered)
-		return
-	}
-	r.ring.ForwardLink(src).Send(n, onDelivered)
+	r.topo.Send(src, dst, n, onDelivered)
 }
 
 // RunFusedGEMMRSMultiDevice executes the fused GEMM→ring-reduce-scatter
@@ -128,12 +122,13 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 	}
 	r := &multiRun{o: o}
 	n := o.Devices
-	// The cluster's lookahead is the minimum link latency — over the whole
-	// graph with a topology — and a conservative window needs it positive.
-	minLat := o.Link.LinkLatency
-	if !o.Topo.IsZero() {
-		minLat = o.Topo.MinLinkLatency()
+	spec := o.Topo
+	if spec.IsZero() {
+		spec = interconnect.RingTopo(n, o.Link)
 	}
+	// The cluster's lookahead is the graph's minimum link latency, and a
+	// conservative window needs it positive.
+	minLat := spec.MinLinkLatency()
 	if minLat <= 0 {
 		return MultiDeviceResult{}, fmt.Errorf(
 			"t3core: multi-device run needs a positive minimum link latency as the cluster lookahead, got %v", minLat)
@@ -141,17 +136,11 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 	r.cl = sim.NewCluster(n, minLat)
 	r.cl.AttachChecker(o.Check)
 	var err error
-	if o.Topo.IsZero() {
-		r.ring, err = interconnect.NewClusterRing(r.cl, o.Link)
-	} else {
-		r.topo, err = o.Topo.BuildCluster(r.cl)
-	}
-	if err != nil {
+	if r.topo, err = spec.BuildCluster(r.cl); err != nil {
 		return MultiDeviceResult{}, err
 	}
-	if r.topo != nil {
-		r.topo.AttachChecker(o.Check)
-	}
+	r.topo.AttachChecker(o.Check)
+	r.topo.AttachMetrics(o.Metrics)
 	r.tileBytes = o.Grid.WFTileBytes()
 	r.totalTiles = o.Grid.NumWFs()
 	bounds := collective.ChunkBounds(r.totalTiles, n)
@@ -160,14 +149,6 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 		r.chunkStart[c] = bounds[c][0]
 	}
 	r.chunkStart[n] = r.totalTiles
-
-	if o.Metrics != nil {
-		if r.topo != nil {
-			r.topo.AttachMetrics(o.Metrics)
-		} else {
-			r.ring.AttachMetrics(o.Metrics)
-		}
-	}
 
 	r.devs = make([]*multiDevice, n)
 	for d := 0; d < n; d++ {
@@ -238,9 +219,6 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 				res.DRAM.Requests[k][s] += cnt.Requests[k][s]
 			}
 		}
-		if r.topo == nil {
-			res.LinkBytes += r.ring.ForwardLink(d).SentBytes()
-		}
 		if ml := md.trk.MaxLive(); ml > res.TrackerMaxLive {
 			res.TrackerMaxLive = ml
 		}
@@ -248,11 +226,7 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 			res.Done = md.collectiveDone
 		}
 	}
-	if r.topo != nil {
-		// Transit hops count once per traversed link, like the per-device
-		// forward-link counters would on the ring.
-		res.LinkBytes = r.topo.SentBytes()
-	}
+	res.LinkBytes = r.topo.SentBytes()
 	return *res, nil
 }
 

@@ -21,7 +21,7 @@ func TestMultiDeviceSyncModesMatch(t *testing.T) {
 	inter.LinkBandwidth = link.LinkBandwidth / 3
 	inter.LinkLatency = 4 * link.LinkLatency
 	specs := []interconnect.TopoSpec{
-		{}, // zero spec: the legacy implicit ring
+		{}, // zero spec: the implicit RingTopo(8, link)
 		interconnect.RingTopo(8, link),
 		interconnect.TorusTopo(2, 4, link),
 		interconnect.HierarchicalTopo(2, 4, link, inter),

@@ -31,9 +31,9 @@ func topoTestSpecs(t *testing.T) []interconnect.TopoSpec {
 }
 
 func TestMultiDeviceTopoRingMatchesLegacy(t *testing.T) {
-	// An explicit ring TopoSpec must reproduce the legacy implicit-ring run
-	// exactly: same routes, same link order, same arbitration — the
-	// byte-identity the zero-value Topo contract promises.
+	// An explicit ring TopoSpec must reproduce the zero-spec run exactly:
+	// the zero Topo is the implicit RingTopo(Devices, Link), with the same
+	// routes, link order and arbitration.
 	legacy, err := RunFusedGEMMRSMultiDevice(fusedOpts(t, 8))
 	if err != nil {
 		t.Fatal(err)

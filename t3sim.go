@@ -416,8 +416,8 @@ func DefaultHW() HWModel { return transformer.DefaultHW() }
 type (
 	// TopoSpec declares an interconnect graph — ring, 2D torus,
 	// fully-connected switch, or two-level hierarchy. Its zero value means
-	// the legacy implicit ring (byte-identical to pre-topology runs); set
-	// FusedOptions.Topo or ExperimentSetup.Topo to route over a graph.
+	// the implicit RingTopo(Devices, Link); set FusedOptions.Topo or
+	// ExperimentSetup.Topo to route over another graph.
 	TopoSpec = interconnect.TopoSpec
 	// TopoKind names a topology family.
 	TopoKind = interconnect.TopoKind
