@@ -34,7 +34,8 @@
 // degrade to a silent miss and recompute — caching never changes output.
 // Runs that record observations are never served from cache (-timeline and
 // -metrics make every simulation uncacheable; -check blocks the disk tier).
-// -time prints the hit/miss accounting to stderr.
+// -time prints the hit/miss accounting to stderr, plus how many simulation
+// engines the run built (0 on a fully warm replay).
 //
 // Every simulation is deterministic and owns a private engine, so -j only
 // changes scheduling, never results: `-exp all -j N` output is byte-identical
@@ -307,6 +308,7 @@ func main() {
 			memo = t3sim.NewExperimentMemoCache()
 			memo.AttachStore(st)
 			setup.Memo = memo
+			engines0 := t3sim.EnginesBuilt()
 			defer func() {
 				st.Flush()
 				if reg != nil {
@@ -316,8 +318,8 @@ func main() {
 					h, m := memo.Stats()
 					s := st.Stats()
 					fmt.Fprintf(os.Stderr,
-						"[cache: %d memo hits, %d misses; store %d hits, %d misses, %d puts, %d corrupt]\n",
-						h, m, s.Hits, s.Misses, s.Puts, s.Corrupt)
+						"[cache: %d memo hits, %d misses; store %d hits, %d misses, %d puts, %d corrupt; %d engines]\n",
+						h, m, s.Hits, s.Misses, s.Puts, s.Corrupt, t3sim.EnginesBuilt()-engines0)
 				}
 			}()
 		}

@@ -3,6 +3,7 @@ package t3sim
 import (
 	"t3sim/internal/collective"
 	"t3sim/internal/experiments"
+	"t3sim/internal/sim"
 	"t3sim/internal/store"
 )
 
@@ -282,6 +283,11 @@ func ResultStoreVersion() string { return experiments.StoreVersion() }
 func OpenResultStore(dir string, mode ResultStoreMode) (*ResultStore, error) {
 	return experiments.OpenStore(dir, mode)
 }
+
+// EnginesBuilt returns how many simulation engines this process has built
+// (cluster engines included). Its difference across a warm replay is zero
+// when every result came from the cache.
+func EnginesBuilt() int64 { return sim.EnginesBuilt() }
 
 // ParseResultStoreMode parses the CLIs' -cache-mode value (rw|ro|off); off
 // reports true in the second result.

@@ -102,15 +102,13 @@ func AblationArbitration(ev *Evaluator) (*AblationArbResult, error) {
 			return nil, err
 		}
 	}
-	for _, th := range []int{5, 10, 30, -1} {
+	for _, th := range []int{5, 10, 30, memory.MCANoLimit} {
 		opts, _, err := fusedOptionsFor(ev.Setup, c)
 		if err != nil {
 			return nil, err
 		}
-		mca := memory.NewMCA(memory.DefaultMCAConfig())
-		mca.SetThreshold(th)
 		opts.Arbitration = t3core.ArbMCA
-		opts.CustomArbiter = mca
+		opts.FixedMCAThreshold = th
 		label := fmt.Sprintf("MCA fixed %d", th)
 		if th < 0 {
 			label = "MCA no-limit"

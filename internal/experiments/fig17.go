@@ -30,6 +30,16 @@ func Fig17(setup Setup) (*Fig17Result, error) {
 	if err := setup.Validate(); err != nil {
 		return nil, err
 	}
+	var tab *memoTable[Fig17Result]
+	if setup.Memo != nil {
+		tab = &setup.Memo.fig17
+	}
+	return memoExperiment(tab, setup, func() (*Fig17Result, error) {
+		return fig17(setup)
+	})
+}
+
+func fig17(setup Setup) (*Fig17Result, error) {
 	m, err := transformer.ModelByName("T-NLG")
 	if err != nil {
 		return nil, err

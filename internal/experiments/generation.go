@@ -36,8 +36,17 @@ type GenerationResult struct {
 // with tensor parallelism providing aggregate memory bandwidth, and T3
 // overlapping the resulting small all-reduces (§7.3).
 func Generation(ev *Evaluator) (*GenerationResult, error) {
-	s := ev.Setup
-	hw := s.HW()
+	var tab *memoTable[GenerationResult]
+	if ev.Setup.Memo != nil {
+		tab = &ev.Setup.Memo.gen
+	}
+	return memoExperiment(tab, ev.Setup, func() (*GenerationResult, error) {
+		return generation(ev)
+	})
+}
+
+func generation(ev *Evaluator) (*GenerationResult, error) {
+	hw := ev.Setup.HW()
 	res := &GenerationResult{}
 	for _, name := range []string{"Mega-GPT-2", "T-NLG"} {
 		m, err := transformer.ModelByName(name)

@@ -42,15 +42,18 @@ import (
 //     FusedOptions, memory.Config or Setup grows a field the policy table
 //     does not name, so a new knob cannot silently alias two different runs.
 //   - Runs whose value is a side effect are never served from cache. Any
-//     non-nil observer hook (Observer, CustomArbiter, Events, Metrics,
-//     memory Metrics, ClusterStats) makes the options uncacheable: a cache
-//     hit would skip the recording the caller asked for. The invariant
-//     checker (Check) sits in between — it is a pure violation collector
-//     over a deterministic run, so in-memory replays within one process
-//     still share simulations (the golden harness attaches a checker to
-//     every run and must keep deduplicating), but it blocks the persistent
-//     tier: a -check run must actually simulate, not read a result some
-//     earlier, unchecked process wrote down.
+//     non-nil observer hook (Observer, Events, Metrics, memory Metrics,
+//     ClusterStats) makes the options uncacheable: a cache hit would skip
+//     the recording the caller asked for. Whole-experiment entries follow
+//     the same rule through their Setup: an experiment is cached unless its
+//     Setup carries a live Metrics sink, so -metrics and -timeline runs
+//     always simulate. The invariant checker (Check) sits in between — it
+//     is a pure violation collector over a deterministic run, so in-memory
+//     replays within one process still share simulations (the golden
+//     harness attaches a checker to every run and must keep
+//     deduplicating), but it blocks the persistent tier: a -check run must
+//     actually simulate, not read a result some earlier, unchecked process
+//     wrote down.
 //
 // Cached values are shared between callers; treat them as immutable (this
 // matters for FusedResult.StageReads, whose slice is aliased by every hit).
@@ -97,17 +100,17 @@ var hashPolicies = map[reflect.Type]map[string]fieldPolicy{
 		"Arbitration":        policyHash,
 		"Collective":         policyHash,
 		"GEMMCUs":            policyHash,
+		"FixedMCAThreshold":  policyHash,
 		"DMATilesPerBlock":   policyHash,
 		"DoubleBufferedGEMM": policyHash,
 		// ParWorkers only sets how many goroutines drive the
 		// multi-device cluster; results are byte-identical at every
 		// value, so it must not split the key.
-		"ParWorkers":    policySkip,
-		"Observer":      policyBarrier,
-		"CustomArbiter": policyBarrier,
-		"Events":        policyBarrier,
-		"Metrics":       policyBarrier,
-		"Check":         policyDiskBarrier,
+		"ParWorkers": policySkip,
+		"Observer":   policyBarrier,
+		"Events":     policyBarrier,
+		"Metrics":    policyBarrier,
+		"Check":      policyDiskBarrier,
 		// ClusterStats is an out-parameter recording scheduler windowing —
 		// like Events/Metrics, a caller asking for it wants this run's
 		// recording, so it must not be served from cache.
@@ -125,8 +128,9 @@ var hashPolicies = map[reflect.Type]map[string]fieldPolicy{
 		"Check":              policyDiskBarrier,
 	},
 	// Setup keys whole-experiment results (coarse-overlap, layer, fig14,
-	// fig6, topo-sweep): those drivers are deterministic functions of the
-	// machine description alone, so the Setup hash is their complete key.
+	// fig6, fig17, generation, topo-sweep, serve-sweep, serve-tenants):
+	// those drivers are deterministic functions of the machine description
+	// alone, so the Setup hash is their complete key.
 	reflect.TypeOf(Setup{}): {
 		"GPU":               policyHash,
 		"Memory":            policyHash,
@@ -403,7 +407,11 @@ type MemoCache struct {
 	layer    memoTable[LayerValidationResult]
 	fig6     memoTable[Fig6Result]
 	fig14    memoTable[Fig14Result]
+	fig17    memoTable[Fig17Result]
+	gen      memoTable[GenerationResult]
 	topo     memoTable[TopoSweepResult]
+	sweep    memoTable[ServeSweepResult]
+	tenants  memoTable[ServeTenantsResult]
 
 	disk *store.Store
 }
@@ -428,7 +436,11 @@ func (m *MemoCache) AttachStore(st *store.Store) {
 	m.layer.disk, m.layer.space = st, "layer"
 	m.fig6.disk, m.fig6.space = st, "fig6"
 	m.fig14.disk, m.fig14.space = st, "fig14"
+	m.fig17.disk, m.fig17.space = st, "fig17"
+	m.gen.disk, m.gen.space = st, "generation"
 	m.topo.disk, m.topo.space = st, "topo"
+	m.sweep.disk, m.sweep.space = st, "serve-sweep"
+	m.tenants.disk, m.tenants.space = st, "serve-tenants"
 }
 
 // Store returns the attached persistent store (nil if memory-only).
@@ -496,7 +508,8 @@ func (m *MemoCache) Stats() (hits, misses int64) {
 	}
 	for _, s := range []func() (int64, int64){
 		m.fused.stats, m.multi.stats, m.sublayer.stats, m.coarse.stats,
-		m.layer.stats, m.fig6.stats, m.fig14.stats, m.topo.stats,
+		m.layer.stats, m.fig6.stats, m.fig14.stats, m.fig17.stats,
+		m.gen.stats, m.topo.stats, m.sweep.stats, m.tenants.stats,
 	} {
 		h, mi := s()
 		hits += h

@@ -177,8 +177,9 @@ func mustSublayerKey(t *testing.T, o t3core.FusedOptions, ar units.Bytes, cus in
 }
 
 // TestMemoBarrierFields asserts every observer hook blocks caching — a hit
-// would skip the recording the caller asked for — while the pure-collector
-// checker neither blocks caching nor perturbs the key.
+// would skip the recording the caller asked for — while a pinned MCA
+// threshold splits the key and the pure-collector checker neither blocks
+// caching nor perturbs the key.
 func TestMemoBarrierFields(t *testing.T) {
 	base := memoTestOptions(t)
 	baseKey, ok, baseDisk := fusedKey(base, tagFusedRS)
@@ -191,10 +192,6 @@ func TestMemoBarrierFields(t *testing.T) {
 	o := base
 	o.Observer = memory.ObserverFunc(func(units.Time, *memory.Request) {})
 	cases["Observer"] = o
-
-	o = base
-	o.CustomArbiter = memory.NewMCA(memory.DefaultMCAConfig())
-	cases["CustomArbiter"] = o
 
 	o = base
 	o.Events = &t3core.EventLog{}
@@ -212,6 +209,23 @@ func TestMemoBarrierFields(t *testing.T) {
 		if _, ok, _ := fusedKey(opts, tagFusedRS); ok {
 			t.Errorf("%s set: options must be uncacheable", name)
 		}
+	}
+
+	// A pinned MCA threshold is data, not a hook: every value, 0 (the
+	// dynamic MCA) included, keys its own run, cacheable on both tiers.
+	pinned := map[memoKey]int{}
+	for _, th := range []int{0, 5, 10, 30, memory.MCANoLimit} {
+		o := base
+		o.Arbitration = t3core.ArbMCA
+		o.FixedMCAThreshold = th
+		k, ok, diskOK := fusedKey(o, tagFusedRS)
+		if !ok || !diskOK {
+			t.Errorf("FixedMCAThreshold %d: options must be cacheable on both tiers", th)
+		}
+		if prev, dup := pinned[k]; dup {
+			t.Errorf("FixedMCAThreshold %d and %d share a key", prev, th)
+		}
+		pinned[k] = th
 	}
 
 	withCheck := base

@@ -3,24 +3,53 @@ package experiments
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"t3sim/internal/check"
 )
 
-// TestMulti256RendersAllTopologies is the cheap smoke: one sequential run
-// must produce a row per topology variant with self-consistent times.
-func TestMulti256RendersAllTopologies(t *testing.T) {
-	if testing.Short() {
-		t.Skip("256-device run is long; run without -short")
-	}
+// multi256Reference is the sequential (MultiDeviceWorkers 0) 256-device run
+// with an invariant checker attached. Both tests below read the one shared
+// instance: every 256-device simulation is seconds long, and workers 0 and
+// 1 take the same inline cluster path, so there is nothing to gain from
+// running the reference twice.
+type multi256Reference struct {
+	res *Multi256Result
+	chk *check.Checker
+	err error
+}
+
+var multi256Ref = sync.OnceValue(func() multi256Reference {
 	setup := DefaultSetup()
 	chk := check.New()
 	setup.Check = chk
 	res, err := Multi256(setup)
-	if err != nil {
-		t.Fatal(err)
+	return multi256Reference{res: res, chk: chk, err: err}
+})
+
+// checkedMulti256Ref returns the shared reference, failing t if it errored
+// or its checker recorded a violation.
+func checkedMulti256Ref(t *testing.T) *Multi256Result {
+	t.Helper()
+	ref := multi256Ref()
+	if ref.err != nil {
+		t.Fatal(ref.err)
 	}
+	if !ref.chk.Ok() {
+		t.Fatalf("reference violations: %v", ref.chk.Violations())
+	}
+	return ref.res
+}
+
+// TestMulti256RendersAllTopologies is the cheap smoke: the sequential
+// reference must produce a row per topology variant with self-consistent
+// times and a clean invariant checker.
+func TestMulti256RendersAllTopologies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("256-device run is long; run without -short")
+	}
+	res := checkedMulti256Ref(t)
 	if len(res.Rows) != 3 {
 		t.Fatalf("got %d rows, want ring/torus/hier", len(res.Rows))
 	}
@@ -32,9 +61,6 @@ func TestMulti256RendersAllTopologies(t *testing.T) {
 			t.Errorf("%s: missing traffic counters %+v", row.Topo, row)
 		}
 	}
-	if !chk.Ok() {
-		t.Errorf("violations: %v", chk.Violations())
-	}
 	out := res.Render()
 	for _, want := range []string{"ring-256", "torus-16x16", "hier-4x64"} {
 		if !strings.Contains(out, want) {
@@ -45,18 +71,15 @@ func TestMulti256RendersAllTopologies(t *testing.T) {
 
 // TestMulti256ByteIdentity is the scale oracle for the cluster coordinator:
 // the 256-device result — all three topology variants — must DeepEqual the
-// sequential reference at workers 1/2/4/8, with the invariant checker clean.
-// Skipped under -short (it simulates 256 devices five times over).
+// checked sequential reference at workers 2/4/8, with the invariant checker
+// clean. Skipped under -short (it simulates 256 devices three times over,
+// plus the shared reference).
 func TestMulti256ByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-device equivalence sweep is long; run without -short")
 	}
-	setup := DefaultSetup()
-	want, err := Multi256(setup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
+	want := checkedMulti256Ref(t)
+	for _, workers := range []int{2, 4, 8} {
 		s := DefaultSetup()
 		s.MultiDeviceWorkers = workers
 		chk := check.New()

@@ -243,6 +243,16 @@ type ServeSweepResult struct {
 
 // ServeSweep runs the serving capacity sweep.
 func ServeSweep(ev *Evaluator) (*ServeSweepResult, error) {
+	var tab *memoTable[ServeSweepResult]
+	if ev.Setup.Memo != nil {
+		tab = &ev.Setup.Memo.sweep
+	}
+	return memoExperiment(tab, ev.Setup, func() (*ServeSweepResult, error) {
+		return serveSweep(ev)
+	})
+}
+
+func serveSweep(ev *Evaluator) (*ServeSweepResult, error) {
 	m, err := transformer.ModelByName(serveModel)
 	if err != nil {
 		return nil, err
@@ -337,6 +347,16 @@ type ServeTenantsResult struct {
 
 // ServeTenants runs the per-tenant study.
 func ServeTenants(ev *Evaluator) (*ServeTenantsResult, error) {
+	var tab *memoTable[ServeTenantsResult]
+	if ev.Setup.Memo != nil {
+		tab = &ev.Setup.Memo.tenants
+	}
+	return memoExperiment(tab, ev.Setup, func() (*ServeTenantsResult, error) {
+		return serveTenants(ev)
+	})
+}
+
+func serveTenants(ev *Evaluator) (*ServeTenantsResult, error) {
 	m, err := transformer.ModelByName(serveModel)
 	if err != nil {
 		return nil, err

@@ -43,7 +43,11 @@ var storedTypes = []reflect.Type{
 	reflect.TypeOf(LayerValidationResult{}),
 	reflect.TypeOf(Fig6Result{}),
 	reflect.TypeOf(Fig14Result{}),
+	reflect.TypeOf(Fig17Result{}),
+	reflect.TypeOf(GenerationResult{}),
 	reflect.TypeOf(TopoSweepResult{}),
+	reflect.TypeOf(ServeSweepResult{}),
+	reflect.TypeOf(ServeTenantsResult{}),
 	reflect.TypeOf(t3core.FusedOptions{}),
 	reflect.TypeOf(memory.Config{}),
 	reflect.TypeOf(Setup{}),

@@ -129,6 +129,10 @@ func (m *MCA) Next(v ChannelView) (Stream, bool) {
 	return 0, false
 }
 
+// MCANoLimit is the MCA threshold that places no occupancy limit on
+// communication.
+const MCANoLimit = -1
+
 // Threshold returns the current occupancy limit (<0 means unlimited).
 func (m *MCA) Threshold() int { return m.threshold }
 
@@ -151,13 +155,13 @@ func (m *MCA) SetIntensity(intensity float64) {
 	case intensity > 0.05:
 		m.threshold = th[min(2, len(th)-1)]
 	default:
-		m.threshold = -1 // compute barely touches DRAM: no limit
+		m.threshold = MCANoLimit // compute barely touches DRAM
 	}
 }
 
 // SetThreshold pins the occupancy limit directly (used by the fixed-
-// threshold ablation; -1 means unlimited). It marks the policy calibrated
-// so monitor windows do not override it.
+// threshold ablation; MCANoLimit means unlimited). It marks the policy
+// calibrated so monitor windows do not override it.
 func (m *MCA) SetThreshold(threshold int) {
 	m.threshold = threshold
 	m.haveLimit = true

@@ -13,6 +13,7 @@ package sim
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"t3sim/internal/check"
 	"t3sim/internal/units"
@@ -63,8 +64,20 @@ type Engine struct {
 	mono      *check.Monotonic // event-time monotonicity witness (nil = off)
 }
 
+// enginesBuilt counts NewEngine calls process-wide (see EnginesBuilt).
+var enginesBuilt atomic.Int64
+
 // NewEngine returns an empty engine with the clock at zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine {
+	enginesBuilt.Add(1)
+	return &Engine{}
+}
+
+// EnginesBuilt returns how many engines NewEngine has built in this process,
+// including the per-device engines of every NewCluster. The difference
+// across a piece of work says whether it simulated at all: a result served
+// entirely from a cache builds none. Zero-value Engines are not counted.
+func EnginesBuilt() int64 { return enginesBuilt.Load() }
 
 // AttachChecker registers an invariant checker that witnesses every
 // dispatched event's timestamp: the event clock must never run backwards,

@@ -75,9 +75,12 @@ type FusedOptions struct {
 	// Observer, if non-nil, receives every memory-controller issue (used to
 	// capture the Figure 17 DRAM traffic timeline).
 	Observer memory.Observer
-	// CustomArbiter, if non-nil, overrides Arbitration with a caller-built
-	// policy (fixed-threshold MCA ablations, §6.1.3).
-	CustomArbiter memory.Arbiter
+	// FixedMCAThreshold pins the MCA's DRAM-queue occupancy limit for
+	// communication instead of calibrating it from the monitor window (the
+	// §6.1.3 fixed-threshold ablation). 0 keeps the dynamic MCA, n > 0 pins
+	// n, and memory.MCANoLimit pins "unlimited". Non-zero values need
+	// Arbitration == ArbMCA.
+	FixedMCAThreshold int
 	// DMATilesPerBlock sets the DMA block granularity in wavefront tiles
 	// (§4.2.2: "the granularity of the DMA block/table entry is set to be
 	// equal to or larger than the Tracker granularity"). 0 or 1 means one
@@ -160,6 +163,9 @@ func (o FusedOptions) Validate() error {
 	}
 	if o.Collective != RingReduceScatter && o.Collective != DirectReduceScatter {
 		return fmt.Errorf("t3sim: timing model supports ring and direct reduce-scatter, not %v", o.Collective)
+	}
+	if err := o.validateArbitration(); err != nil {
+		return err
 	}
 	if err := o.validateTopo(); err != nil {
 		return err
@@ -309,14 +315,12 @@ func newFusedRun(o FusedOptions) (*fusedRun, error) {
 		r.chkDMA = c.Once("t3core.dma")
 	}
 
-	r.arb = o.CustomArbiter
-	if r.arb == nil {
-		var err error
-		if r.arb, err = newArbiter(o.Arbitration); err != nil {
-			return nil, err
-		}
+	arb, err := newArbiter(o)
+	if err != nil {
+		return nil, err
 	}
-	mc, err := memory.NewController(r.eng, o.Memory, r.arb)
+	r.arb = arb
+	mc, err := memory.NewController(r.eng, o.Memory, arb)
 	if err != nil {
 		return nil, err
 	}

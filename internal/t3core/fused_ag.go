@@ -87,7 +87,25 @@ func validateFusedCommon(o FusedOptions) error {
 	if tiles < o.Devices {
 		return fmt.Errorf("t3core: %d wavefront tiles cannot chunk across %d devices", tiles, o.Devices)
 	}
+	if err := o.validateArbitration(); err != nil {
+		return err
+	}
 	return o.validateTopo()
+}
+
+// validateArbitration checks a pinned MCA threshold: it needs the MCA
+// policy and is a positive limit or memory.MCANoLimit.
+func (o FusedOptions) validateArbitration() error {
+	if o.FixedMCAThreshold == 0 {
+		return nil
+	}
+	if o.Arbitration != ArbMCA {
+		return fmt.Errorf("t3core: FixedMCAThreshold %d needs MCA arbitration, got %v", o.FixedMCAThreshold, o.Arbitration)
+	}
+	if o.FixedMCAThreshold < memory.MCANoLimit {
+		return fmt.Errorf("t3core: FixedMCAThreshold %d: want > 0 or memory.MCANoLimit (%d)", o.FixedMCAThreshold, memory.MCANoLimit)
+	}
+	return nil
 }
 
 // validateTopo checks the optional topology spec against the run's shape.
@@ -105,17 +123,22 @@ func (o FusedOptions) validateTopo() error {
 	return nil
 }
 
-// newArbiter builds the configured arbitration policy.
-func newArbiter(a Arbitration) (memory.Arbiter, error) {
-	switch a {
+// newArbiter builds the configured arbitration policy, pinning the MCA's
+// threshold when o.FixedMCAThreshold is set.
+func newArbiter(o FusedOptions) (memory.Arbiter, error) {
+	switch o.Arbitration {
 	case ArbRoundRobin:
 		return &memory.RoundRobin{}, nil
 	case ArbMCA:
-		return memory.NewMCA(memory.DefaultMCAConfig()), nil
+		mca := memory.NewMCA(memory.DefaultMCAConfig())
+		if o.FixedMCAThreshold != 0 {
+			mca.SetThreshold(o.FixedMCAThreshold)
+		}
+		return mca, nil
 	case ArbComputeFirst:
 		return memory.ComputeFirst{}, nil
 	default:
-		return nil, fmt.Errorf("t3core: unknown arbitration %v", a)
+		return nil, fmt.Errorf("t3core: unknown arbitration %v", o.Arbitration)
 	}
 }
 
@@ -204,7 +227,7 @@ func (r *agRun) run() (FusedResult, error) {
 	if o.Check != nil {
 		r.ledger = o.Check.Ledger("t3core.ag.ring")
 	}
-	arb, err := newArbiter(o.Arbitration)
+	arb, err := newArbiter(o)
 	if err != nil {
 		return FusedResult{}, err
 	}
@@ -460,7 +483,7 @@ func (r *a2aRun) run() (FusedResult, error) {
 	if o.Check != nil {
 		r.ledger = o.Check.Ledger("t3core.a2a.ring")
 	}
-	arb, err := newArbiter(o.Arbitration)
+	arb, err := newArbiter(o)
 	if err != nil {
 		return FusedResult{}, err
 	}

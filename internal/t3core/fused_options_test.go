@@ -55,25 +55,81 @@ func TestFusedDMABlockUnevenChunks(t *testing.T) {
 	}
 }
 
-func TestFusedCustomArbiterFixedThresholds(t *testing.T) {
-	// The §6.1.3 fixed-threshold sweep: every pinned threshold completes,
-	// and the pinned value survives the monitor window.
-	for _, th := range []int{5, 10, 30, -1} {
-		o := fusedOpts(t, 8)
-		mca := memory.NewMCA(memory.DefaultMCAConfig())
-		mca.SetThreshold(th)
-		o.CustomArbiter = mca
-		o.Arbitration = ArbMCA // still runs the monitor window
-		res, err := RunFusedGEMMRS(o)
-		if err != nil {
-			t.Fatalf("threshold %d: %v", th, err)
+// pinnedMCADatapaths runs each fused datapath and reports the MCA threshold
+// its result carries.
+var pinnedMCADatapaths = []struct {
+	name string
+	opts func(t *testing.T) FusedOptions
+	run  func(FusedOptions) (threshold int, done units.Time, err error)
+}{
+	{"rs", func(t *testing.T) FusedOptions { return fusedOpts(t, 8) },
+		func(o FusedOptions) (int, units.Time, error) {
+			r, err := RunFusedGEMMRS(o)
+			return r.MCAThreshold, r.Done, err
+		}},
+	{"ag", func(t *testing.T) FusedOptions { return agOpts(t, 4) },
+		func(o FusedOptions) (int, units.Time, error) {
+			r, err := RunFusedGEMMAG(o)
+			return r.MCAThreshold, r.Done, err
+		}},
+	{"all-to-all", func(t *testing.T) FusedOptions { return a2aOpts(t, 4) },
+		func(o FusedOptions) (int, units.Time, error) {
+			r, err := RunFusedGEMMAllToAll(o)
+			return r.MCAThreshold, r.Done, err
+		}},
+	{"multi-device", func(t *testing.T) FusedOptions { return fusedOpts(t, 4) },
+		func(o FusedOptions) (int, units.Time, error) {
+			r, err := RunFusedGEMMRSMultiDevice(o)
+			return r.MCAThreshold, r.Done, err
+		}},
+}
+
+func TestFusedPinnedMCAThreshold(t *testing.T) {
+	// The §6.1.3 fixed-threshold sweep on every datapath: each pinned
+	// threshold completes, and the pinned value survives the monitor window.
+	for _, dp := range pinnedMCADatapaths {
+		for _, th := range []int{5, 10, 30, memory.MCANoLimit} {
+			o := dp.opts(t)
+			o.Arbitration = ArbMCA // still runs the monitor window
+			o.FixedMCAThreshold = th
+			got, done, err := dp.run(o)
+			if err != nil {
+				t.Fatalf("%s threshold %d: %v", dp.name, th, err)
+			}
+			if got != th {
+				t.Errorf("%s: threshold %d overridden to %d", dp.name, th, got)
+			}
+			if done <= 0 {
+				t.Errorf("%s threshold %d: no completion", dp.name, th)
+			}
 		}
-		if res.MCAThreshold != th {
-			t.Errorf("threshold %d overridden to %d", th, res.MCAThreshold)
+	}
+}
+
+func TestFusedPinnedMCAThresholdValidate(t *testing.T) {
+	for _, c := range []struct {
+		arb Arbitration
+		th  int
+	}{
+		{ArbRoundRobin, 10},
+		{ArbComputeFirst, 10},
+		{ArbRoundRobin, memory.MCANoLimit},
+		{ArbMCA, -2},
+	} {
+		for _, dp := range pinnedMCADatapaths {
+			o := dp.opts(t)
+			o.Arbitration = c.arb
+			o.FixedMCAThreshold = c.th
+			if _, _, err := dp.run(o); err == nil {
+				t.Errorf("%s: %v with pinned threshold %d accepted", dp.name, c.arb, c.th)
+			}
 		}
-		if res.Done <= 0 {
-			t.Errorf("threshold %d: no completion", th)
-		}
+	}
+	o := fusedOpts(t, 4)
+	o.Arbitration = ArbMCA
+	o.FixedMCAThreshold = memory.MCANoLimit
+	if err := o.Validate(); err != nil {
+		t.Errorf("MCA with MCANoLimit rejected: %v", err)
 	}
 }
 

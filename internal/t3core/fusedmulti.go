@@ -31,6 +31,9 @@ type MultiDeviceResult struct {
 	LinkBytes units.Bytes
 	// TrackerMaxLive is the largest per-device high-water mark.
 	TrackerMaxLive int
+	// MCAThreshold is device 0's MCA occupancy limit at the end of the run
+	// (0 if not MCA; -1 if unlimited).
+	MCAThreshold int
 }
 
 // Skew returns the spread between the earliest and latest device
@@ -59,6 +62,7 @@ type multiDevice struct {
 	run  *multiRun
 	eng  *sim.Engine // the engine this device's handlers run on
 	mem  *memory.Controller
+	arb  memory.Arbiter
 	trk  *Tracker
 	dma  *DMATable
 	amap AddressMap
@@ -226,13 +230,16 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 			res.Done = md.collectiveDone
 		}
 	}
+	if mca, ok := r.devs[0].arb.(*memory.MCA); ok {
+		res.MCAThreshold = mca.Threshold()
+	}
 	res.LinkBytes = r.topo.SentBytes()
 	return *res, nil
 }
 
 func (r *multiRun) newDevice(d int) (*multiDevice, error) {
 	o := r.o
-	arb, err := newArbiter(o.Arbitration)
+	arb, err := newArbiter(o)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +258,7 @@ func (r *multiRun) newDevice(d int) (*multiDevice, error) {
 	if err != nil {
 		return nil, err
 	}
-	md := &multiDevice{id: d, run: r, eng: eng, mem: mc, sink: sink, amap: RingReduceScatterMap(d, o.Devices)}
+	md := &multiDevice{id: d, run: r, eng: eng, mem: mc, arb: arb, sink: sink, amap: RingReduceScatterMap(d, o.Devices)}
 	if err := md.amap.Validate(); err != nil {
 		return nil, err
 	}

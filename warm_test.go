@@ -61,11 +61,12 @@ func runCatalogueCached(t *testing.T, dir string, jobs, par int) ([][]byte, t3si
 // TestGoldenWarmReplay pins the persistent result store end to end: a cold
 // catalogue run (-j 8, -par 2) populates a fresh store directory, then a warm
 // run through a second cache handle (-j 1, -par 4) — a stand-in for a later
-// process — serves from disk and must render byte-identical output. Both runs
-// are also held against the golden snapshots, so a cache that changed results
-// consistently across both runs would still fail. The deliberately different
-// jobs/par settings double as the determinism check: execution strategy never
-// splits a cache key precisely because the bytes cannot depend on it.
+// process — serves from disk without building a single simulation engine and
+// must render byte-identical output. Both runs are also held against the
+// golden snapshots, so a cache that changed results consistently across both
+// runs would still fail. The deliberately different jobs/par settings double
+// as the determinism check: execution strategy never splits a cache key
+// precisely because the bytes cannot depend on it.
 func TestGoldenWarmReplay(t *testing.T) {
 	if raceEnabled {
 		// Two more full catalogue runs; the package and experiments tests
@@ -86,15 +87,26 @@ func TestGoldenWarmReplay(t *testing.T) {
 		t.Errorf("cold run hit %d put errors", coldStats.PutErrors)
 	}
 
+	engines0 := t3sim.EnginesBuilt()
 	warmOuts, warmStats := runCatalogueCached(t, dir, 1, 4)
+	engines := t3sim.EnginesBuilt() - engines0
 	if warmStats.Hits == 0 {
 		t.Error("warm run served nothing from disk")
+	}
+	if warmStats.Misses != 0 {
+		t.Errorf("warm run missed the store %d times", warmStats.Misses)
 	}
 	if warmStats.Corrupt != 0 {
 		t.Errorf("warm run found %d corrupt entries in a store it just wrote", warmStats.Corrupt)
 	}
-	t.Logf("cold: %d puts (%d bytes); warm: %d disk hits / %d misses (%d bytes)",
-		coldStats.Puts, coldStats.BytesWritten, warmStats.Hits, warmStats.Misses, warmStats.BytesRead)
+	// A warm replay must not simulate at all: every catalogue entry, fig17's
+	// timelines and ablation-arb's pinned-threshold rows included, is a
+	// store read.
+	if engines != 0 {
+		t.Errorf("warm run built %d simulation engines, want 0", engines)
+	}
+	t.Logf("cold: %d puts (%d bytes); warm: %d disk hits / %d misses (%d bytes), %d engines",
+		coldStats.Puts, coldStats.BytesWritten, warmStats.Hits, warmStats.Misses, warmStats.BytesRead, engines)
 
 	for i, e := range t3sim.ExperimentCatalogue() {
 		if !bytes.Equal(coldOuts[i], warmOuts[i]) {
