@@ -308,7 +308,7 @@ func main() {
 			memo = t3sim.NewExperimentMemoCache()
 			memo.AttachStore(st)
 			setup.Memo = memo
-			engines0 := t3sim.EnginesBuilt()
+			engines0, events0 := t3sim.EnginesBuilt(), t3sim.EventsDispatched()
 			defer func() {
 				st.Flush()
 				if reg != nil {
@@ -318,8 +318,8 @@ func main() {
 					h, m := memo.Stats()
 					s := st.Stats()
 					fmt.Fprintf(os.Stderr,
-						"[cache: %d memo hits, %d misses; store %d hits, %d misses, %d puts, %d corrupt; %d engines]\n",
-						h, m, s.Hits, s.Misses, s.Puts, s.Corrupt, t3sim.EnginesBuilt()-engines0)
+						"[cache: %d memo hits, %d misses; store %d hits, %d misses, %d puts, %d corrupt; %d engines, %d events]\n",
+						h, m, s.Hits, s.Misses, s.Puts, s.Corrupt, t3sim.EnginesBuilt()-engines0, t3sim.EventsDispatched()-events0)
 				}
 			}()
 		}

@@ -289,6 +289,11 @@ func OpenResultStore(dir string, mode ResultStoreMode) (*ResultStore, error) {
 // when every result came from the cache.
 func EnginesBuilt() int64 { return sim.EnginesBuilt() }
 
+// EventsDispatched returns how many simulation events this process has
+// dispatched across every engine. For a given piece of work it is the same
+// on every run and at any worker count, so it measures work exactly.
+func EventsDispatched() uint64 { return sim.EventsDispatched() }
+
 // ParseResultStoreMode parses the CLIs' -cache-mode value (rw|ro|off); off
 // reports true in the second result.
 func ParseResultStoreMode(s string) (ResultStoreMode, bool, error) {

@@ -19,10 +19,9 @@ type channel struct {
 	busy             bool                // service stage occupied
 	inService        *Request            // request occupying the stage
 	svcDone          sim.Handler         // preallocated service-completion handler
-	bw               units.Bandwidth
-	lastComm         units.Time      // last time a comm request was issued (starvation)
-	inflightByStream [numStreams]int // enqueued but not yet fully serviced
-	banks            *bankTimer      // nil = flat service model
+	lastComm         units.Time          // last time a comm request was issued (starvation)
+	inflightByStream [numStreams]int     // enqueued but not yet fully serviced
+	banks            *bankTimer          // nil = flat service model
 
 	// occupancy statistics for the MCA monitor window
 	occSamples int64
@@ -85,25 +84,33 @@ func (ch *channel) service() {
 	ch.busy = true
 	ch.inService = r
 
+	c := ch.ctrl
+	now := c.eng.Now()
+	// A full-granularity request under the flat model — nearly every
+	// request — takes its kind's precomputed time and completes through
+	// that time's lane; partial tails and the bank model use the heap.
 	var t units.Time
-	if ch.banks != nil {
-		now := ch.ctrl.eng.Now()
+	full := ch.banks == nil && r.Bytes == c.cfg.RequestGranularity
+	switch {
+	case ch.banks != nil:
 		t = ch.banks.service(now, r) - now
-	} else {
-		t = ch.bw.TransferTime(r.Bytes)
-		if r.Kind == Update {
-			t = units.Time(float64(t) * ch.ctrl.cfg.UpdateFactor)
-		}
+	case full:
+		t = c.fullSvc[r.Kind]
+	default:
+		t = c.flatService(r.Kind, r.Bytes)
 	}
 	ch.sampleOccupancy()
 	if ch.chkServe != nil {
-		now := ch.ctrl.eng.Now()
 		ch.chkServe.Window(now, now+t)
 	}
-	ch.ctrl.counters.add(r.Kind, r.Stream, r.Bytes, ch.ctrl.eng.Now()-r.enqueuedAt)
+	c.counters.add(r.Kind, r.Stream, r.Bytes, now-r.enqueuedAt)
 	ch.mBytes[r.Kind][r.Stream].Add(int64(r.Bytes))
 	ch.mBusy.Add(int64(t))
-	ch.ctrl.eng.After(t, ch.svcDone)
+	if full {
+		c.svcLane[r.Kind].After(ch.svcDone)
+	} else {
+		c.eng.After(t, ch.svcDone)
+	}
 }
 
 // serviceDone is the single completion handler behind svcDone: the channel
@@ -137,7 +144,7 @@ func (ch *channel) complete(r *Request) {
 		isRead := r.Kind == Read
 		ch.ctrl.putReq(r)
 		if isRead && ch.ctrl.cfg.ReadLatency > 0 && x.fence.Remaining() == 1 {
-			ch.ctrl.eng.AfterFence(ch.ctrl.cfg.ReadLatency, x.fence)
+			ch.ctrl.readLane.AfterFence(x.fence)
 		} else {
 			x.fence.Done()
 		}
@@ -147,7 +154,7 @@ func (ch *channel) complete(r *Request) {
 		return
 	}
 	if r.Kind == Read && ch.ctrl.cfg.ReadLatency > 0 {
-		ch.ctrl.eng.After(ch.ctrl.cfg.ReadLatency, r.OnDone)
+		ch.ctrl.readLane.After(r.OnDone)
 	} else {
 		r.OnDone()
 	}

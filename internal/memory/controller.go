@@ -42,6 +42,15 @@ type Controller struct {
 
 	nextChannel int // striping cursor
 
+	// Flat service model: every channel's share of the stack bandwidth, a
+	// full-granularity request's service time per kind (computed once), and
+	// the lanes those completions and ReadLatency events use (see
+	// sim.Engine.Lane).
+	chanBW   units.Bandwidth
+	fullSvc  [3]units.Time
+	svcLane  [3]sim.Lane
+	readLane sim.Lane
+
 	// Freelists for the transaction hot path: every Transfer-created request
 	// and per-transfer fence record is recycled here, so steady-state traffic
 	// allocates nothing (see pool.go and the Request retention contract).
@@ -81,10 +90,19 @@ func NewController(eng *sim.Engine, cfg Config, arb Arbiter) (*Controller, error
 		return nil, fmt.Errorf("memory: nil arbiter")
 	}
 	c := &Controller{eng: eng, cfg: cfg, arbiter: arb}
-	perChannel := units.Bandwidth(float64(cfg.TotalBandwidth) / float64(cfg.Channels))
+	c.chanBW = units.Bandwidth(float64(cfg.TotalBandwidth) / float64(cfg.Channels))
+	if cfg.Banks == nil {
+		for k := Read; k <= Update; k++ {
+			c.fullSvc[k] = c.flatService(k, cfg.RequestGranularity)
+			c.svcLane[k] = eng.Lane(c.fullSvc[k])
+		}
+	}
+	if cfg.ReadLatency > 0 {
+		c.readLane = eng.Lane(cfg.ReadLatency)
+	}
 	c.channels = make([]*channel, cfg.Channels)
 	for i := range c.channels {
-		ch := &channel{ctrl: c, id: i, bw: perChannel}
+		ch := &channel{ctrl: c, id: i}
 		ch.svcDone = ch.serviceDone // one closure per channel, reused forever
 		if cfg.Banks != nil {
 			ch.banks = newBankTimer(*cfg.Banks)
@@ -113,6 +131,17 @@ func NewController(eng *sim.Engine, cfg Config, arb Arbiter) (*Controller, error
 		}
 	}
 	return c, nil
+}
+
+// flatService is the flat model's service time for a request of n bytes of
+// kind k: n at the channel's bandwidth, stretched by UpdateFactor for an
+// NMC update.
+func (c *Controller) flatService(k AccessKind, n units.Bytes) units.Time {
+	t := c.chanBW.TransferTime(n)
+	if k == Update {
+		t = units.Time(float64(t) * c.cfg.UpdateFactor)
+	}
+	return t
 }
 
 // Config returns the controller's configuration.

@@ -77,3 +77,31 @@ func BenchmarkEngineRunCascade(b *testing.B) {
 	}
 	e.Run()
 }
+
+// BenchmarkEngineRunLane is BenchmarkEngineRunCascade with the chains
+// re-arming through one fixed-delay lane — the DRAM service-completion
+// pattern — while every eighth hop takes a spread delay on the heap, so
+// dispatch keeps merging the two. Steady state allocates nothing.
+func BenchmarkEngineRunLane(b *testing.B) {
+	const chains = 64
+	e := NewEngine()
+	lane := e.Lane(97)
+	remaining := b.N
+	var tick func()
+	tick = func() {
+		if remaining > 0 {
+			remaining--
+			if remaining%8 == 0 {
+				e.After(benchSpread(remaining)%97, tick)
+			} else {
+				lane.After(tick)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for c := 0; c < chains; c++ {
+		e.After(units.Time(c+1), tick)
+	}
+	e.Run()
+}

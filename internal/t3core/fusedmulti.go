@@ -69,7 +69,8 @@ type multiDevice struct {
 	sink metrics.Sink // per-device "dev<i>" scope; nil without a run sink
 
 	phaseOfChunk []int
-	wgCursor     int
+	prodPhase    int // production cursor: address-map phase being written
+	prodOff      int // and the next tile's offset within that phase's chunk
 	ownedFence   *sim.Fence
 
 	gemmDone       units.Time
@@ -308,18 +309,20 @@ func (r *multiRun) newDevice(d int) (*multiDevice, error) {
 // because our model indexes tiles by output position on every device.
 func tileIDFor(t int) TileID { return TileID{WG: t / 8, WF: t % 8} }
 
-// prodTile converts a device's production-order index into the address-space
-// tile it writes: phase p covers the chunk the address map assigns it.
-func (md *multiDevice) prodTile(g int) (tile int, pm PhaseMap, ok bool) {
+// nextProdTile advances the device's production cursor by one index and
+// returns the address-space tile it writes: phase p covers the chunk the
+// address map assigns it, and production fills the phases in order. ok is
+// false once production runs past the last phase.
+func (md *multiDevice) nextProdTile() (tile int, pm PhaseMap, ok bool) {
 	r := md.run
-	off := g
-	for _, pm := range md.amap.Phases {
+	for md.prodPhase < len(md.amap.Phases) {
+		pm := md.amap.Phases[md.prodPhase]
 		c := pm.Chunk
-		sz := r.chunkStart[c+1] - r.chunkStart[c]
-		if off < sz {
+		if off := md.prodOff; off < r.chunkStart[c+1]-r.chunkStart[c] {
+			md.prodOff++
 			return r.chunkStart[c] + off, pm, true
 		}
-		off -= sz
+		md.prodPhase, md.prodOff = md.prodPhase+1, 0
 	}
 	return 0, PhaseMap{}, false
 }
@@ -327,10 +330,7 @@ func (md *multiDevice) prodTile(g int) (tile int, pm PhaseMap, ok bool) {
 // writeStage routes one stage's production per the device's address map.
 func (md *multiDevice) writeStage(_, wgs int, _ units.Bytes, onDone sim.Handler) {
 	r := md.run
-	til := r.o.Grid.Tiling
-	g0 := md.wgCursor * til.WFPerWG
-	md.wgCursor += wgs
-	count := wgs * til.WFPerWG
+	count := wgs * r.o.Grid.Tiling.WFPerWG
 
 	type job struct {
 		tile int
@@ -338,7 +338,7 @@ func (md *multiDevice) writeStage(_, wgs int, _ units.Bytes, onDone sim.Handler)
 	}
 	var jobs []job
 	for i := 0; i < count; i++ {
-		tile, pm, ok := md.prodTile(g0 + i)
+		tile, pm, ok := md.nextProdTile()
 		if !ok {
 			continue
 		}

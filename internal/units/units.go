@@ -101,7 +101,9 @@ const (
 )
 
 // TransferTime returns the time to move n bytes at rate bw, rounded up to a
-// whole picosecond so that a nonzero transfer never takes zero time.
+// whole picosecond so that a nonzero transfer never takes zero time. A
+// result that does not fit in Time panics, naming the bytes and the
+// bandwidth, rather than wrapping negative.
 func (bw Bandwidth) TransferTime(n Bytes) Time {
 	if n <= 0 {
 		return 0
@@ -110,6 +112,9 @@ func (bw Bandwidth) TransferTime(n Bytes) Time {
 		panic("units: TransferTime with non-positive bandwidth")
 	}
 	ps := float64(n) / float64(bw) * float64(Second)
+	if !(ps < math.MaxInt64) {
+		panic(fmt.Sprintf("units: TransferTime of %d bytes at %g B/s overflows the picosecond clock", int64(n), float64(bw)))
+	}
 	// Tolerate float rounding: without this, an exact result like 1024000 ps
 	// can land at 1024000.0000000001 and ceil up a spurious picosecond.
 	if r := math.Round(ps); math.Abs(ps-r) < 1e-3 {

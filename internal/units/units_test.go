@@ -1,6 +1,9 @@
 package units
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -64,6 +67,37 @@ func TestTransferTime(t *testing.T) {
 	// A single byte still takes at least one picosecond.
 	if got := (1 * TBps).TransferTime(1); got < 1 {
 		t.Errorf("TransferTime(1B) = %v, want >= 1ps", got)
+	}
+}
+
+// TestTransferTimeOverflowPanics pins that a transfer too long for the
+// picosecond clock fails where it is computed, naming its inputs, instead of
+// wrapping to a negative Time that only surfaces later as a negative delay.
+func TestTransferTimeOverflowPanics(t *testing.T) {
+	// At 1 TB/s a byte takes exactly one picosecond, so 2^62 bytes still
+	// fits and MaxInt64 bytes (2^63 ps as a float64) does not.
+	if got := TBps.TransferTime(1 << 62); got != 1<<62 {
+		t.Errorf("TransferTime(2^62) at 1TB/s = %d ps, want %d", int64(got), int64(1)<<62)
+	}
+	for _, c := range []struct {
+		n  Bytes
+		bw Bandwidth
+	}{
+		{math.MaxInt64, TBps},
+		{1 << 62, GBps},
+		{1, 1e-300},
+	} {
+		func() {
+			want := []string{fmt.Sprintf("%d bytes", int64(c.n)), fmt.Sprintf("%g B/s", float64(c.bw))}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, want[0]) || !strings.Contains(msg, want[1]) {
+					t.Errorf("TransferTime(%s at %s): panic %q, want one naming both", want[0], want[1], msg)
+				}
+			}()
+			got := c.bw.TransferTime(c.n)
+			t.Errorf("TransferTime(%s at %s) = %d ps, want a panic", want[0], want[1], int64(got))
+		}()
 	}
 }
 
