@@ -190,7 +190,7 @@ func TestMemoBarrierFields(t *testing.T) {
 	cases := map[string]t3core.FusedOptions{}
 
 	o := base
-	o.Observer = memory.ObserverFunc(func(units.Time, *memory.Request) {})
+	o.Observer = memory.ObserverFunc(func(units.Time, memory.Request) {})
 	cases["Observer"] = o
 
 	o = base

@@ -117,11 +117,11 @@ func newBankTimer(cfg BankConfig) *bankTimer {
 // cycles converts a cycle count to time.
 func (b *bankTimer) cycles(n int) units.Time { return units.Time(n) * b.period }
 
-// service plays out the request's column commands starting no earlier than
+// service plays out a request's column commands starting no earlier than
 // `start` and returns when its last burst finishes.
-func (b *bankTimer) service(start units.Time, r *Request) units.Time {
+func (b *bankTimer) service(start units.Time, kind AccessKind, bytes units.Bytes) units.Time {
 	cfg := b.cfg
-	bursts := int(units.CeilDiv(int64(r.Bytes), int64(cfg.BurstBytes)))
+	bursts := int(units.CeilDiv(int64(bytes), int64(cfg.BurstBytes)))
 	busFree := start
 	end := start
 	for i := 0; i < bursts; i++ {
@@ -152,7 +152,7 @@ func (b *bankTimer) service(start units.Time, r *Request) units.Time {
 		// op-and-store, CCDL otherwise; other groups only respect CCDS,
 		// modeled by the bus/burst pacing plus their own group clocks.
 		gap := cfg.CCDLCycles
-		if r.Kind == Update {
+		if kind == Update {
 			gap = cfg.CCDWLCycles
 		}
 		if gap < cfg.CCDSCycles {

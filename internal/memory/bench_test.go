@@ -31,7 +31,7 @@ func burstController() (*sim.Engine, *Controller, func(), error) {
 }
 
 // BenchmarkChannelEnqueueService measures one serviced burst through the
-// request pools and ring queues: enqueue, arbitrate, per-channel service,
+// transfer pool and ring queues: enqueue, arbitrate, per-channel service,
 // fence completion. The interesting number is allocs/op, which must be zero
 // in steady state.
 func BenchmarkChannelEnqueueService(b *testing.B) {
@@ -39,7 +39,7 @@ func BenchmarkChannelEnqueueService(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	burst() // warm the pools and ring buffers to the burst's high-water mark
+	burst() // warm the transfer pool and rings to the burst's high-water mark
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -47,9 +47,10 @@ func BenchmarkChannelEnqueueService(b *testing.B) {
 	}
 }
 
-// TestTransferSteadyStateAllocFree pins the tentpole guarantee: once pools
-// and rings have reached a burst's high-water mark, servicing further bursts
-// allocates nothing — not per transfer, not per request, not per completion.
+// TestTransferSteadyStateAllocFree pins the hot path's guarantee: once the
+// transfer pool and rings have reached a burst's high-water mark, servicing
+// further bursts allocates nothing — not per transfer, not per request, not
+// per completion.
 func TestTransferSteadyStateAllocFree(t *testing.T) {
 	_, _, burst, err := burstController()
 	if err != nil {
@@ -93,3 +94,34 @@ func TestTransferToSteadyStateAllocFree(t *testing.T) {
 type countCompletion struct{ n int }
 
 func (c *countCompletion) Complete(Tag) { c.n++ }
+
+// coldTransferAllocs counts the objects one fresh controller allocates to
+// build itself and serve a single read transfer of n full requests.
+func coldTransferAllocs(t *testing.T, cfg Config, n int) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(5, func() {
+		eng := sim.NewEngine()
+		c, err := NewController(eng, cfg, ComputeFirst{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Transfer(Read, StreamCompute, units.Bytes(n)*cfg.RequestGranularity, Tag{}, nil)
+		eng.Run()
+	})
+}
+
+// TestTransferColdStartAllocs pins what a transfer's size costs a cold
+// controller: queued requests are slots in the channel rings, so serving
+// 4,096 requests instead of 64 may add only the ring doublings — at most
+// log2(4096/64) per channel — and never an object per request.
+func TestTransferColdStartAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	small := coldTransferAllocs(t, cfg, 64)
+	large := coldTransferAllocs(t, cfg, 4096)
+	limit := float64(cfg.Channels * 6) // log2(4096/64) = 6
+	if extra := large - small; extra > limit {
+		t.Fatalf("4,096 requests allocate %.0f objects, 64 allocate %.0f: %.0f extra, want at most %.0f",
+			large, small, extra, limit)
+	}
+	t.Logf("64 requests: %.0f allocs; 4,096 requests: %.0f allocs", small, large)
+}

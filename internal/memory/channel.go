@@ -17,7 +17,7 @@ type channel struct {
 	streams          [numStreams]reqRing // waiting, pre-arbitration
 	dramq            reqRing             // issued, waiting for service
 	busy             bool                // service stage occupied
-	inService        *Request            // request occupying the stage
+	inService        *xfer               // transfer of the request occupying the stage
 	svcDone          sim.Handler         // preallocated service-completion handler
 	lastComm         units.Time          // last time a comm request was issued (starvation)
 	inflightByStream [numStreams]int     // enqueued but not yet fully serviced
@@ -38,11 +38,10 @@ type channel struct {
 	chkDepth *check.Bound      // DRAM command-queue occupancy vs QueueDepth
 }
 
-// enqueue places a request on its stream queue and kicks arbitration.
-func (ch *channel) enqueue(r *Request) {
-	r.enqueuedAt = ch.ctrl.eng.Now()
-	ch.streams[r.Stream].push(r)
-	ch.inflightByStream[r.Stream]++
+// enqueue places a request on stream s's queue and kicks arbitration.
+func (ch *channel) enqueue(r slot, s Stream) {
+	ch.streams[s].push(r)
+	ch.inflightByStream[s]++
 	ch.arbitrate()
 }
 
@@ -81,33 +80,35 @@ func (ch *channel) service() {
 		return
 	}
 	r := ch.dramq.pop()
-	ch.busy = true
-	ch.inService = r
-
 	c := ch.ctrl
+	x := c.xfers[r.xf]
+	ch.busy = true
+	ch.inService = x
+
+	bytes := units.Bytes(r.bytes)
 	now := c.eng.Now()
 	// A full-granularity request under the flat model — nearly every
 	// request — takes its kind's precomputed time and completes through
 	// that time's lane; partial tails and the bank model use the heap.
 	var t units.Time
-	full := ch.banks == nil && r.Bytes == c.cfg.RequestGranularity
+	full := ch.banks == nil && bytes == c.cfg.RequestGranularity
 	switch {
 	case ch.banks != nil:
-		t = ch.banks.service(now, r) - now
+		t = ch.banks.service(now, x.kind, bytes) - now
 	case full:
-		t = c.fullSvc[r.Kind]
+		t = c.fullSvc[x.kind]
 	default:
-		t = c.flatService(r.Kind, r.Bytes)
+		t = c.flatService(x.kind, bytes)
 	}
 	ch.sampleOccupancy()
 	if ch.chkServe != nil {
 		ch.chkServe.Window(now, now+t)
 	}
-	c.counters.add(r.Kind, r.Stream, r.Bytes, now-r.enqueuedAt)
-	ch.mBytes[r.Kind][r.Stream].Add(int64(r.Bytes))
+	c.counters.add(x.kind, x.stream, bytes, now-x.start)
+	ch.mBytes[x.kind][x.stream].Add(int64(bytes))
 	ch.mBusy.Add(int64(t))
 	if full {
-		c.svcLane[r.Kind].After(ch.svcDone)
+		c.svcLane[x.kind].After(ch.svcDone)
 	} else {
 		c.eng.After(t, ch.svcDone)
 	}
@@ -115,48 +116,32 @@ func (ch *channel) service() {
 
 // serviceDone is the single completion handler behind svcDone: the channel
 // services one request at a time, so the request it applies to is always
-// inService and no per-service closure is needed.
+// inService's and no per-service closure is needed.
 func (ch *channel) serviceDone() {
-	r := ch.inService
+	x := ch.inService
 	ch.inService = nil
 	ch.busy = false
-	ch.inflightByStream[r.Stream]--
-	ch.complete(r)
+	ch.inflightByStream[x.stream]--
+	ch.complete(x)
 	// Freeing the service stage may unblock arbitration (queue depth).
 	ch.arbitrate()
 	ch.ctrl.checkIdle()
 }
 
-// complete delivers a serviced request's completion. Pooled requests
-// (created by Transfer/TransferTo) are recycled here, before their fence
-// completion is delivered or scheduled — any observer holding the pointer
-// past OnIssue is in violation of the retention contract.
+// complete counts a serviced request down on its transfer's fence.
 //
-// A pooled read counts down its transfer's fence as soon as its service
-// ends; only the request that drains the fence schedules the ReadLatency
-// event. ReadLatency is constant, so per-request latency events would fire
-// in service-completion order and the last one — the only one that does more
+// A read counts down its transfer's fence as soon as its service ends; only
+// the request that drains the fence schedules the ReadLatency event.
+// ReadLatency is constant, so per-request latency events would fire in
+// service-completion order and the last one — the only one that does more
 // than decrement — sits exactly where the single event is scheduled: same
 // time, same place in the insertion order. A transfer of n read requests
 // therefore costs n+1 events instead of 2n.
-func (ch *channel) complete(r *Request) {
-	if x := r.xf; x != nil {
-		isRead := r.Kind == Read
-		ch.ctrl.putReq(r)
-		if isRead && ch.ctrl.cfg.ReadLatency > 0 && x.fence.Remaining() == 1 {
-			ch.ctrl.readLane.AfterFence(x.fence)
-		} else {
-			x.fence.Done()
-		}
-		return
-	}
-	if r.OnDone == nil {
-		return
-	}
-	if r.Kind == Read && ch.ctrl.cfg.ReadLatency > 0 {
-		ch.ctrl.readLane.After(r.OnDone)
+func (ch *channel) complete(x *xfer) {
+	if x.kind == Read && ch.ctrl.cfg.ReadLatency > 0 && x.fence.Remaining() == 1 {
+		ch.ctrl.readLane.AfterFence(x.fence)
 	} else {
-		r.OnDone()
+		x.fence.Done()
 	}
 }
 

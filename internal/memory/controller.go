@@ -12,22 +12,16 @@ import (
 // The T3 tracker registers itself here: the paper checks the tracker "once
 // the accesses are enqueued in the memory controller queue" so the check is
 // off the critical path (§4.2.1). The DRAM traffic trace (Figure 17) is also
-// an observer.
-//
-// Retention contract: the *Request is only valid for the duration of the
-// OnIssue call. Requests created by Transfer/TransferTo are pooled and
-// recycled as soon as they finish service, so an observer must read (copy)
-// the fields it needs synchronously and must never store the pointer. Race
-// and `-tags t3debug` builds poison freed requests to catch violations.
+// an observer. The request is passed by value; an observer may keep it.
 type Observer interface {
-	OnIssue(now units.Time, r *Request)
+	OnIssue(now units.Time, r Request)
 }
 
 // ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(now units.Time, r *Request)
+type ObserverFunc func(now units.Time, r Request)
 
 // OnIssue implements Observer.
-func (f ObserverFunc) OnIssue(now units.Time, r *Request) { f(now, r) }
+func (f ObserverFunc) OnIssue(now units.Time, r Request) { f(now, r) }
 
 // Controller is one GPU's HBM stack: a set of channels fed through a shared
 // arbitration policy. Transfers are striped across channels round-robin,
@@ -51,11 +45,12 @@ type Controller struct {
 	svcLane  [3]sim.Lane
 	readLane sim.Lane
 
-	// Freelists for the transaction hot path: every Transfer-created request
-	// and per-transfer fence record is recycled here, so steady-state traffic
-	// allocates nothing (see pool.go and the Request retention contract).
-	reqFree []*Request
-	xfFree  []*xfer
+	// Every per-transfer record ever built, indexed by xfer.id (queue slots
+	// name their transfer by that index), and the freelist of those not in
+	// use (see pool.go). Requests themselves are queue slots, not objects,
+	// so steady-state traffic allocates nothing.
+	xfers  []*xfer
+	xfFree []*xfer
 
 	idleWaiters   []idleWaiter
 	monitorActive bool
@@ -156,25 +151,6 @@ func (c *Controller) SetObserver(o Observer) { c.observer = o }
 // Arbiter returns the installed arbitration policy.
 func (c *Controller) Arbiter() Arbiter { return c.arbiter }
 
-// Access submits a single request of at most RequestGranularity bytes.
-// Requests submitted here are caller-owned (never pooled); the controller
-// uses the pointer until service completes but does not recycle it.
-func (c *Controller) Access(r *Request) {
-	if poolGuard && r.freed {
-		panic("memory: access of a freed pooled request (retained past its completion)")
-	}
-	if r.Bytes <= 0 {
-		panic("memory: access with non-positive size")
-	}
-	if r.Bytes > c.cfg.RequestGranularity {
-		panic(fmt.Sprintf("memory: request of %v exceeds granularity %v; use Transfer",
-			r.Bytes, c.cfg.RequestGranularity))
-	}
-	ch := c.channels[c.nextChannel]
-	c.nextChannel = (c.nextChannel + 1) % len(c.channels)
-	ch.enqueue(r)
-}
-
 // Transfer splits a transfer of total bytes into granularity-sized requests
 // striped across channels and runs onDone when every request has completed.
 // The tag is attached to each request. onDone may be nil.
@@ -202,33 +178,23 @@ func (c *Controller) TransferTo(kind AccessKind, stream Stream, total units.Byte
 	c.transfer(kind, stream, total, tag, cb, nil)
 }
 
-// transfer issues the granularity-sized pooled requests for one transfer.
-// total must be positive; exactly one of cb/fn is the completion (both may
-// be nil for fire-and-forget traffic).
+// transfer stripes the granularity-sized requests of one transfer across
+// the channels, enqueueing and arbitrating each in turn. total must be
+// positive; exactly one of cb/fn is the completion (both may be nil for
+// fire-and-forget traffic).
 func (c *Controller) transfer(kind AccessKind, stream Stream, total units.Bytes, tag Tag, cb Completion, fn func()) {
 	g := c.cfg.RequestGranularity
 	n := int(units.CeilDiv(int64(total), int64(g)))
 	x := c.getXfer(n)
-	x.tag, x.cb, x.fn = tag, cb, fn
-	if c.mtrack != nil {
-		x.track = c.mtrack
-		x.name = transferSpanName[kind][stream]
-		x.start = c.eng.Now()
-	}
+	x.kind, x.stream, x.tag, x.start = kind, stream, tag, c.eng.Now()
+	x.cb, x.fn = cb, fn
 	remaining := total
 	for i := 0; i < n; i++ {
-		sz := g
-		if remaining < g {
-			sz = remaining
-		}
+		sz := min(g, remaining)
 		remaining -= sz
-		r := c.getReq()
-		r.Kind = kind
-		r.Stream = stream
-		r.Bytes = sz
-		r.Tag = tag
-		r.xf = x
-		c.Access(r)
+		ch := c.channels[c.nextChannel]
+		c.nextChannel = (c.nextChannel + 1) % len(c.channels)
+		ch.enqueue(slot{xf: x.id, bytes: uint32(sz)}, stream)
 	}
 }
 
@@ -298,9 +264,10 @@ func (c *Controller) EndMonitor() {
 	c.mtrack.Instant("mca-window-end", c.eng.Now())
 }
 
-func (c *Controller) notifyEnqueue(r *Request) {
+func (c *Controller) notifyEnqueue(s slot) {
 	if c.observer != nil {
-		c.observer.OnIssue(c.eng.Now(), r)
+		x := c.xfers[s.xf]
+		c.observer.OnIssue(c.eng.Now(), Request{Kind: x.kind, Stream: x.stream, Bytes: units.Bytes(s.bytes), Tag: x.tag})
 	}
 }
 

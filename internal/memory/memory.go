@@ -13,6 +13,7 @@ package memory
 
 import (
 	"fmt"
+	"math"
 
 	"t3sim/internal/check"
 	"t3sim/internal/metrics"
@@ -75,27 +76,16 @@ type Tag struct {
 	Region int
 }
 
-// Request is one memory transaction. Large transfers are split into requests
-// of at most Config.RequestGranularity bytes by Controller.Transfer.
-//
-// Retention contract: requests created internally by Transfer/TransferTo are
-// pooled — the controller recycles them the instant their service completes,
-// so any code handed a *Request (Observer.OnIssue, metrics, checker hooks)
-// must copy the fields it needs and must not hold the pointer past the
-// callback. Requests a caller constructs itself and submits via Access are
-// caller-owned and never pooled.
+// Request describes one memory transaction as an Observer sees it. Transfers
+// are split into requests of at most Config.RequestGranularity bytes by
+// Controller.Transfer; inside the controller a queued request is an 8-byte
+// slot (its transfer's index and its size), and a Request value is built from
+// it only when an observer is installed.
 type Request struct {
 	Kind   AccessKind
 	Stream Stream
 	Bytes  units.Bytes
 	Tag    Tag
-	// OnDone, if non-nil, runs when the request finishes service (plus the
-	// fixed completion latency for reads).
-	OnDone func()
-
-	enqueuedAt units.Time // set by the controller; feeds the wait statistics
-	xf         *xfer      // owning transfer; non-nil marks a pooled request
-	freed      bool       // pool-guard poison mark (race / t3debug builds)
 }
 
 // Config describes an HBM stack.
@@ -154,8 +144,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("memory: Channels = %d, must be positive", c.Channels)
 	case c.TotalBandwidth <= 0:
 		return fmt.Errorf("memory: TotalBandwidth = %v, must be positive", c.TotalBandwidth)
-	case c.RequestGranularity <= 0:
-		return fmt.Errorf("memory: RequestGranularity = %v, must be positive", c.RequestGranularity)
+	case c.RequestGranularity <= 0 || c.RequestGranularity > math.MaxUint32:
+		return fmt.Errorf("memory: RequestGranularity = %v, must be positive and at most 4 GiB", c.RequestGranularity)
 	case c.QueueDepth <= 0:
 		return fmt.Errorf("memory: QueueDepth = %d, must be positive", c.QueueDepth)
 	case c.ReadLatency < 0:

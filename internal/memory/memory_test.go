@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"math"
 	"testing"
 
 	"t3sim/internal/sim"
@@ -35,6 +36,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Channels = 0 },
 		func(c *Config) { c.TotalBandwidth = 0 },
 		func(c *Config) { c.RequestGranularity = 0 },
+		func(c *Config) { c.RequestGranularity = math.MaxUint32 + 1 },
 		func(c *Config) { c.QueueDepth = 0 },
 		func(c *Config) { c.ReadLatency = -1 },
 		func(c *Config) { c.UpdateFactor = 0.5 },
@@ -92,8 +94,7 @@ func TestReadLatencyAddsToCompletion(t *testing.T) {
 	cfg.ReadLatency = 100 * units.Nanosecond
 	eng, c := newTestController(t, cfg, ComputeFirst{})
 	var done units.Time
-	c.Access(&Request{Kind: Read, Stream: StreamCompute, Bytes: 1024,
-		OnDone: func() { done = eng.Now() }})
+	c.Transfer(Read, StreamCompute, 1024, Tag{}, func() { done = eng.Now() })
 	eng.Run()
 	// 1024 B at 1 B/ns service = 1024 ns + 100 ns latency (+1 for ceil).
 	want := units.Time(1024+100) * units.Nanosecond
@@ -113,16 +114,14 @@ func TestComputeFirstPriority(t *testing.T) {
 
 	var order []string
 	for i := 0; i < 8; i++ {
-		c.Access(&Request{Kind: Read, Stream: StreamComm, Bytes: 1024,
-			OnDone: func() { order = append(order, "comm") }})
+		c.Transfer(Read, StreamComm, 1024, Tag{}, func() { order = append(order, "comm") })
 	}
 	var computeDone int
 	eng.After(1, func() {
-		c.Access(&Request{Kind: Read, Stream: StreamCompute, Bytes: 1024,
-			OnDone: func() {
-				order = append(order, "compute")
-				computeDone = len(order)
-			}})
+		c.Transfer(Read, StreamCompute, 1024, Tag{}, func() {
+			order = append(order, "compute")
+			computeDone = len(order)
+		})
 	})
 	eng.Run()
 	// QueueDepth 2 comm requests were already issued before compute arrived;
@@ -139,8 +138,7 @@ func TestRoundRobinAlternates(t *testing.T) {
 	eng, c := newTestController(t, cfg, &RoundRobin{})
 	var order []Stream
 	submit := func(s Stream) {
-		c.Access(&Request{Kind: Read, Stream: s, Bytes: 1024,
-			OnDone: func() { order = append(order, s) }})
+		c.Transfer(Read, s, 1024, Tag{}, func() { order = append(order, s) })
 	}
 	for i := 0; i < 3; i++ {
 		submit(StreamCompute)
@@ -172,13 +170,13 @@ func TestMCAThresholdBlocksComm(t *testing.T) {
 	}
 	eng, c := newTestController(t, cfg, mca)
 	issued := 0
-	c.SetObserver(ObserverFunc(func(now units.Time, r *Request) {
+	c.SetObserver(ObserverFunc(func(now units.Time, r Request) {
 		if r.Stream == StreamComm {
 			issued++
 		}
 	}))
 	for i := 0; i < 20; i++ {
-		c.Access(&Request{Kind: Write, Stream: StreamComm, Bytes: 1024})
+		c.Transfer(Write, StreamComm, 1024, Tag{}, nil)
 	}
 	// Immediately after submission, at most threshold requests may be in the
 	// DRAM queue (issue stops at occupancy 5); one more can issue each time
@@ -205,7 +203,7 @@ func TestMCAStarvationBound(t *testing.T) {
 	eng, c := newTestController(t, cfg, mca)
 
 	var commIssue units.Time
-	c.SetObserver(ObserverFunc(func(now units.Time, r *Request) {
+	c.SetObserver(ObserverFunc(func(now units.Time, r Request) {
 		if r.Stream == StreamComm && commIssue == 0 {
 			commIssue = now
 		}
@@ -218,12 +216,12 @@ func TestMCAStarvationBound(t *testing.T) {
 			return
 		}
 		remaining--
-		c.Access(&Request{Kind: Read, Stream: StreamCompute, Bytes: 1024, OnDone: feed})
+		c.Transfer(Read, StreamCompute, 1024, Tag{}, feed)
 	}
 	for i := 0; i < 8; i++ {
 		feed()
 	}
-	c.Access(&Request{Kind: Write, Stream: StreamComm, Bytes: 1024})
+	c.Transfer(Write, StreamComm, 1024, Tag{}, nil)
 	eng.Run()
 	if commIssue == 0 {
 		t.Fatal("comm request never issued")
@@ -263,7 +261,7 @@ func TestMonitorWindowCalibratesMCA(t *testing.T) {
 	c.BeginMonitor()
 	// A heavy burst keeps DRAM queue occupancy high during the window.
 	for i := 0; i < 200; i++ {
-		c.Access(&Request{Kind: Read, Stream: StreamCompute, Bytes: 1024})
+		c.Transfer(Read, StreamCompute, 1024, Tag{}, nil)
 	}
 	eng.Run()
 	c.EndMonitor()
@@ -334,23 +332,6 @@ func TestTransferZeroBytesCompletesImmediately(t *testing.T) {
 	if !ran {
 		t.Error("zero-byte transfer should complete synchronously")
 	}
-}
-
-func TestAccessPanics(t *testing.T) {
-	_, c := newTestController(t, testConfig(), ComputeFirst{})
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("zero bytes", func() { c.Access(&Request{Kind: Read, Bytes: 0}) })
-	mustPanic("oversized", func() {
-		c.Access(&Request{Kind: Read, Bytes: c.Config().RequestGranularity + 1})
-	})
 }
 
 func TestRequestsFor(t *testing.T) {

@@ -1,7 +1,6 @@
 package memory
 
 import (
-	"t3sim/internal/metrics"
 	"t3sim/internal/sim"
 	"t3sim/internal/units"
 )
@@ -15,21 +14,23 @@ type Completion interface {
 	Complete(tag Tag)
 }
 
-// xfer is the pooled per-Transfer state: the fence counting outstanding
-// requests and the completion to deliver when it drains. The fence and its
-// onDone closure are allocated once per xfer object and rearmed with
-// Fence.Reset on reuse, so a steady-state transfer costs zero allocations.
+// xfer is the pooled per-Transfer state. It holds everything the requests of
+// one transfer share — kind, stream, tag and the time they were enqueued —
+// so a queued request is only a slot{xfer index, bytes}; the fence counting
+// outstanding requests; and the completion to deliver when it drains. The
+// fence and its onDone closure are allocated once per xfer object and
+// rearmed with Fence.Reset on reuse, so a steady-state transfer costs zero
+// allocations.
 type xfer struct {
-	ctrl  *Controller
-	fence *sim.Fence
-	tag   Tag
-	cb    Completion
-	fn    func()
-
-	// Metrics span state, captured at issue when a track is attached.
-	track *metrics.Track
-	name  string
-	start units.Time
+	ctrl   *Controller
+	id     uint32 // index in ctrl.xfers
+	fence  *sim.Fence
+	kind   AccessKind
+	stream Stream
+	tag    Tag
+	start  units.Time // enqueue time: wait statistics and the metrics span
+	cb     Completion
+	fn     func()
 }
 
 // finish runs when the transfer's last request completes. It records the
@@ -38,9 +39,9 @@ type xfer struct {
 // started by the callback rearm this fence while its Done is still
 // unwinding.
 func (x *xfer) finish() {
-	if x.track != nil {
-		x.track.Span(x.name, x.start, x.ctrl.eng.Now())
-		x.track = nil
+	c := x.ctrl
+	if c.mtrack != nil {
+		c.mtrack.Span(transferSpanName[x.kind][x.stream], x.start, c.eng.Now())
 	}
 	cb, fn, tag := x.cb, x.fn, x.tag
 	x.cb, x.fn = nil, nil
@@ -49,7 +50,7 @@ func (x *xfer) finish() {
 	} else if fn != nil {
 		fn()
 	}
-	x.ctrl.xfFree = append(x.ctrl.xfFree, x)
+	c.xfFree = append(c.xfFree, x)
 }
 
 // getXfer returns a transfer record with its fence armed for n completions,
@@ -62,35 +63,8 @@ func (c *Controller) getXfer(n int) *xfer {
 		x.fence.Reset(n)
 		return x
 	}
-	x := &xfer{ctrl: c}
+	x := &xfer{ctrl: c, id: uint32(len(c.xfers))}
+	c.xfers = append(c.xfers, x)
 	x.fence = sim.NewFence(n, x.finish)
 	return x
-}
-
-// getReq returns a zeroed pooled request. Requests obtained here are owned
-// by the controller: they are recycled the moment their service completes,
-// so observers and instruments must copy what they need (see Observer).
-func (c *Controller) getReq() *Request {
-	if n := len(c.reqFree); n > 0 {
-		r := c.reqFree[n-1]
-		c.reqFree[n-1] = nil
-		c.reqFree = c.reqFree[:n-1]
-		if poolGuard {
-			unpoisonRequest(r)
-		}
-		return r
-	}
-	return &Request{}
-}
-
-// putReq recycles a pooled request. In guarded builds (-race or -tags
-// t3debug) the request is poisoned so that a retained pointer is detected on
-// its next use instead of silently reading recycled fields.
-func (c *Controller) putReq(r *Request) {
-	r.OnDone = nil
-	r.xf = nil
-	if poolGuard {
-		poisonRequest(r)
-	}
-	c.reqFree = append(c.reqFree, r)
 }

@@ -116,8 +116,7 @@ func TestPropertyServiceOrderWithinStream(t *testing.T) {
 		var order []int
 		for i := 0; i < 20; i++ {
 			i := i
-			c.Access(&Request{Kind: Write, Stream: StreamCompute, Bytes: 512,
-				OnDone: func() { order = append(order, i) }})
+			c.Transfer(Write, StreamCompute, 512, Tag{}, func() { order = append(order, i) })
 		}
 		eng.Run()
 		for i := 1; i < len(order); i++ {
@@ -140,7 +139,7 @@ func TestWaitStatistics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A lone request: no wait.
-	c.Access(&Request{Kind: Read, Stream: StreamCompute, Bytes: 1024})
+	c.Transfer(Read, StreamCompute, 1024, Tag{}, nil)
 	eng.Run()
 	if w := c.Counters().MeanWait(StreamCompute); w != 0 {
 		t.Errorf("lone request waited %v, want 0", w)
@@ -153,10 +152,10 @@ func TestWaitStatistics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 32; i++ {
-		c2.Access(&Request{Kind: Read, Stream: StreamCompute, Bytes: 2048})
+		c2.Transfer(Read, StreamCompute, 2048, Tag{}, nil)
 	}
 	for i := 0; i < 4; i++ {
-		c2.Access(&Request{Kind: Write, Stream: StreamComm, Bytes: 2048})
+		c2.Transfer(Write, StreamComm, 2048, Tag{}, nil)
 	}
 	eng2.Run()
 	commWait := c2.Counters().MeanWait(StreamComm)
@@ -185,11 +184,12 @@ type xferSpec struct {
 }
 
 // runCompletions issues specs on a fresh controller and records every
-// transfer's completion. pooled issues each through Transfer (one fence per
+// transfer's completion. whole issues each as one Transfer (one fence per
 // transfer, one ReadLatency event per read transfer); otherwise each request
-// is a caller-owned Access whose OnDone gets its own ReadLatency event — the
-// per-request reference the fence collapse must reproduce exactly.
-func runCompletions(t *testing.T, cfg Config, arb Arbiter, specs []xferSpec, pooled bool) completionTrace {
+// is a one-request Transfer of its own whose completion gets its own
+// ReadLatency event — the per-request reference the fence collapse must
+// reproduce exactly.
+func runCompletions(t *testing.T, cfg Config, arb Arbiter, specs []xferSpec, whole bool) completionTrace {
 	t.Helper()
 	eng := sim.NewEngine()
 	c, err := NewController(eng, cfg, arb)
@@ -205,18 +205,17 @@ func runCompletions(t *testing.T, cfg Config, arb Arbiter, specs []xferSpec, poo
 		}
 		tag := Tag{WG: i}
 		eng.At(sp.issue, func() {
-			if pooled {
+			if whole {
 				c.Transfer(sp.kind, sp.stream, sp.bytes, tag, done)
 				return
 			}
 			left := c.RequestsFor(sp.bytes)
 			for rem := sp.bytes; rem > 0; rem -= cfg.RequestGranularity {
-				c.Access(&Request{Kind: sp.kind, Stream: sp.stream, Bytes: min(rem, cfg.RequestGranularity), Tag: tag,
-					OnDone: func() {
-						if left--; left == 0 {
-							done()
-						}
-					}})
+				c.Transfer(sp.kind, sp.stream, min(rem, cfg.RequestGranularity), tag, func() {
+					if left--; left == 0 {
+						done()
+					}
+				})
 			}
 		})
 	}
@@ -227,7 +226,7 @@ func runCompletions(t *testing.T, cfg Config, arb Arbiter, specs []xferSpec, poo
 // TestPropertyReadFenceCollapseExact pins the one-event-per-read-transfer
 // completion: across random kinds, streams, partial last requests, 1–32
 // channels, zero and positive ReadLatency, the flat and bank timing models
-// and all three arbiters, pooled transfers finish at the same picosecond and
+// and all three arbiters, whole transfers finish at the same picosecond and
 // in the same callback order as a reference that delivers every request's
 // read latency as its own event.
 func TestPropertyReadFenceCollapseExact(t *testing.T) {

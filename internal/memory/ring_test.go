@@ -3,31 +3,40 @@ package memory
 import (
 	"math/rand"
 	"testing"
-
-	"t3sim/internal/units"
 )
 
 // sliceQueue is the reference model: the pre-ring FIFO, a plain slice with
 // shift-dequeue. The property test drives it and reqRing with the same
 // operation sequence and demands operation-for-operation equivalence.
 type sliceQueue struct {
-	q []*Request
+	q []slot
 }
 
 func (s *sliceQueue) len() int { return len(s.q) }
 
-func (s *sliceQueue) push(r *Request) { s.q = append(s.q, r) }
+func (s *sliceQueue) push(r slot) { s.q = append(s.q, r) }
 
-func (s *sliceQueue) pop() *Request {
+func (s *sliceQueue) pop() slot {
 	r := s.q[0]
 	copy(s.q, s.q[1:])
 	s.q = s.q[:len(s.q)-1]
 	return r
 }
 
+// distinctSlots returns n slots with pairwise distinct identities: a slot is
+// identified by its (transfer, bytes) pair, and the slots share four
+// transfers so that both fields matter to the comparison.
+func distinctSlots(n int) []slot {
+	s := make([]slot, n)
+	for i := range s {
+		s[i] = slot{xf: uint32(i % 4), bytes: uint32(i/4 + 1)}
+	}
+	return s
+}
+
 // TestPropertyRingEquivalentToSliceQueue drives randomized push/pop
 // sequences through the ring and the slice model: every pop must return the
-// same request, and the lengths must agree after every operation. The
+// same slot, and the lengths must agree after every operation. The
 // sequences are long enough to force repeated growth, wraparound, and
 // drain-to-empty episodes.
 func TestPropertyRingEquivalentToSliceQueue(t *testing.T) {
@@ -35,11 +44,7 @@ func TestPropertyRingEquivalentToSliceQueue(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var ring reqRing
 		var ref sliceQueue
-		// A pool of distinct identities so pointer equality is meaningful.
-		reqs := make([]*Request, 64)
-		for i := range reqs {
-			reqs[i] = &Request{Bytes: units.Bytes(i + 1)}
-		}
+		reqs := distinctSlots(64)
 		// Phases with different push/pop bias exercise growth (push-heavy),
 		// wraparound (balanced), and drain (pop-heavy).
 		for phase, pushBias := range []int{8, 5, 2} {
@@ -55,7 +60,7 @@ func TestPropertyRingEquivalentToSliceQueue(t *testing.T) {
 				} else {
 					got, want := ring.pop(), ref.pop()
 					if got != want {
-						t.Fatalf("seed %d phase %d op %d: pop %p, reference %p",
+						t.Fatalf("seed %d phase %d op %d: pop %+v, reference %+v",
 							seed, phase, op, got, want)
 					}
 				}
@@ -64,7 +69,7 @@ func TestPropertyRingEquivalentToSliceQueue(t *testing.T) {
 		// Drain both completely: the tails must agree too.
 		for ref.len() > 0 {
 			if got, want := ring.pop(), ref.pop(); got != want {
-				t.Fatalf("seed %d drain: pop %p, reference %p", seed, got, want)
+				t.Fatalf("seed %d drain: pop %+v, reference %+v", seed, got, want)
 			}
 		}
 		if ring.len() != 0 {
@@ -89,10 +94,7 @@ func TestRingPopEmptyPanics(t *testing.T) {
 // edge and checks FIFO order survives the copy.
 func TestRingGrowUnwraps(t *testing.T) {
 	var ring reqRing
-	reqs := make([]*Request, 64)
-	for i := range reqs {
-		reqs[i] = &Request{}
-	}
+	reqs := distinctSlots(64)
 	// Advance head so the window wraps, then grow under load.
 	for i := 0; i < 6; i++ {
 		ring.push(reqs[i])

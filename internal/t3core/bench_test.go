@@ -91,7 +91,7 @@ func newTriggerHarness(tb testing.TB, tiles int) *triggerHarness {
 	}); err != nil {
 		tb.Fatal(err)
 	}
-	mc.SetObserver(memory.ObserverFunc(func(_ units.Time, r *memory.Request) {
+	mc.SetObserver(memory.ObserverFunc(func(_ units.Time, r memory.Request) {
 		if r.Kind != memory.Update || r.Tag.WG >= mirrorWGBase {
 			return
 		}

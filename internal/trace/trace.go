@@ -86,7 +86,7 @@ func NewRegistered(m metrics.Sink, bucket units.Time) (*Trace, error) {
 }
 
 // OnIssue implements memory.Observer.
-func (t *Trace) OnIssue(now units.Time, r *memory.Request) {
+func (t *Trace) OnIssue(now units.Time, r memory.Request) {
 	switch {
 	case r.Stream == memory.StreamCompute && r.Kind == memory.Read:
 		t.computeRead.Add(now, int64(r.Bytes))

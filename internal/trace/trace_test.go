@@ -21,10 +21,10 @@ func TestBucketing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.OnIssue(100*units.Nanosecond, &memory.Request{Kind: memory.Read, Stream: memory.StreamCompute, Bytes: 10})
-	tr.OnIssue(900*units.Nanosecond, &memory.Request{Kind: memory.Write, Stream: memory.StreamCompute, Bytes: 20})
-	tr.OnIssue(1500*units.Nanosecond, &memory.Request{Kind: memory.Update, Stream: memory.StreamComm, Bytes: 30})
-	tr.OnIssue(2500*units.Nanosecond, &memory.Request{Kind: memory.Read, Stream: memory.StreamComm, Bytes: 40})
+	tr.OnIssue(100*units.Nanosecond, memory.Request{Kind: memory.Read, Stream: memory.StreamCompute, Bytes: 10})
+	tr.OnIssue(900*units.Nanosecond, memory.Request{Kind: memory.Write, Stream: memory.StreamCompute, Bytes: 20})
+	tr.OnIssue(1500*units.Nanosecond, memory.Request{Kind: memory.Update, Stream: memory.StreamComm, Bytes: 30})
+	tr.OnIssue(2500*units.Nanosecond, memory.Request{Kind: memory.Read, Stream: memory.StreamComm, Bytes: 40})
 
 	s := tr.Samples()
 	if len(s) != 3 {
@@ -55,7 +55,7 @@ func TestBucketing(t *testing.T) {
 
 func TestGapsAreZeroFilled(t *testing.T) {
 	tr, _ := New(1 * units.Microsecond)
-	tr.OnIssue(5500*units.Nanosecond, &memory.Request{Kind: memory.Read, Stream: memory.StreamCompute, Bytes: 1})
+	tr.OnIssue(5500*units.Nanosecond, memory.Request{Kind: memory.Read, Stream: memory.StreamCompute, Bytes: 1})
 	if len(tr.Samples()) != 6 {
 		t.Fatalf("samples = %d, want 6", len(tr.Samples()))
 	}

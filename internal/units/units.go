@@ -156,10 +156,16 @@ func (f Frequency) Cycles(n float64) Time {
 // String renders the frequency in GHz.
 func (f Frequency) String() string { return fmt.Sprintf("%.2fGHz", float64(f)/float64(GHz)) }
 
-// CeilDiv returns ceil(a/b) for positive b.
+// CeilDiv returns ceil(a/b) for positive b. It is exact for every a: it
+// never forms a+b-1, which would wrap near MaxInt64, and it rounds negative
+// quotients toward +∞.
 func CeilDiv(a, b int64) int64 {
 	if b <= 0 {
 		panic("units: CeilDiv with non-positive divisor")
 	}
-	return (a + b - 1) / b
+	q := a / b
+	if a%b > 0 {
+		q++
+	}
+	return q
 }

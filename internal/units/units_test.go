@@ -131,6 +131,13 @@ func TestFrequency(t *testing.T) {
 func TestCeilDiv(t *testing.T) {
 	cases := []struct{ a, b, want int64 }{
 		{0, 4, 0}, {1, 4, 1}, {4, 4, 1}, {5, 4, 2}, {8, 4, 2},
+		// b = 1 is the identity, at both ends of the range.
+		{7, 1, 7}, {-7, 1, -7}, {math.MaxInt64, 1, math.MaxInt64}, {math.MinInt64, 1, math.MinInt64},
+		// Near MaxInt64 a+b-1 would wrap negative.
+		{math.MaxInt64, 2048, 1 << 52}, {math.MaxInt64, 2, 1 << 62},
+		{math.MaxInt64 - 1, math.MaxInt64, 1}, {math.MaxInt64, math.MaxInt64, 1},
+		// Negative dividends round toward +∞, exact or not.
+		{-4, 2, -2}, {-5, 2, -2}, {-1, 4, 0}, {-8, 4, -2}, {math.MinInt64, 2048, -(1 << 52)},
 	}
 	for _, c := range cases {
 		if got := CeilDiv(c.a, c.b); got != c.want {
