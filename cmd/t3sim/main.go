@@ -138,7 +138,7 @@ func main() {
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0),
 		"max concurrent simulations; 1 = fully serial; output is identical at any -j")
 	par := flag.Int("par", 0,
-		"worker goroutines per explicit multi-device simulation (conservative parallel DES); "+
+		"worker goroutines per explicit multi-device fused run (conservative parallel DES; timed baseline collectives always run on one engine); "+
 			"0 or 1 = the cluster runs serially on the simulation's own goroutine; output is byte-identical at any -par")
 	checkRuns := flag.Bool("check", false,
 		"attach the simulation invariant checker to every run; violations fail the process")

@@ -235,14 +235,13 @@ func (l *Ledger) Outstanding() int64 {
 	return l.in - l.out
 }
 
-// Lookahead verifies the conservative parallel-DES window guarantee: a
-// cross-engine message drained at a window barrier must never be timestamped
-// inside the window that just ran — deliveries always land at or after the
-// barrier, because every send inside a window of width L (the link latency)
-// serializes for a non-negative time and then travels for exactly L. A
-// message arriving earlier means an engine already executed events the
-// message should have interleaved with, i.e. the synchronization layer lost
-// determinism. A nil *Lookahead discards observations.
+// Lookahead verifies the conservative parallel-DES link guarantee: a
+// cross-engine message drained at a round barrier must never be timestamped
+// earlier than its link's latency after the round its sender posted it in
+// began. A message arriving earlier means the receiving engine may already
+// have executed events the message should have interleaved with, i.e. the
+// synchronization layer lost determinism. A nil *Lookahead discards
+// observations.
 type Lookahead struct {
 	c    *Checker
 	path string
@@ -254,19 +253,6 @@ func (c *Checker) Lookahead(path string) *Lookahead {
 		return nil
 	}
 	return &Lookahead{c: c, path: path}
-}
-
-// Observe checks one drained message: deliverAt is its delivery timestamp,
-// barrier the window boundary it was drained at. deliverAt < barrier is a
-// violation of the lookahead guarantee.
-func (la *Lookahead) Observe(barrier, deliverAt units.Time) {
-	if la == nil {
-		return
-	}
-	if deliverAt < barrier {
-		la.c.Violationf(deliverAt, la.path, RuleOrdering+"/lookahead",
-			"message delivered at %v inside the window ending at %v", deliverAt, barrier)
-	}
 }
 
 // ObserveLink checks one drained message against its link's law — the
@@ -285,84 +271,6 @@ func (la *Lookahead) ObserveLink(windowStart, minLatency, deliverAt units.Time) 
 		la.c.Violationf(deliverAt, la.path, RuleOrdering+"/link-lookahead",
 			"message delivered at %v but the link admits nothing before %v (window start %v + link latency %v)",
 			deliverAt, windowStart+minLatency, windowStart, minLatency)
-	}
-}
-
-// CrossLedger verifies a conservation law that spans engines running on
-// different goroutines — ring bytes injected by every sender equal bytes
-// staged by every receiver. Unlike Ledger (a single-writer running balance),
-// a CrossLedger hands each participant a private CrossCell: cells are
-// single-writer on their owner's goroutine during the run, and the books are
-// summed only at Close, after the cluster barrier has already ordered every
-// cell write before the coordinator's read. A nil *CrossLedger returns nil
-// (inert) cells.
-type CrossLedger struct {
-	c     *Checker
-	path  string
-	mu    sync.Mutex
-	cells []*CrossCell
-}
-
-// CrossCell is one participant's private conservation account.
-type CrossCell struct {
-	in, out int64
-}
-
-// CrossLedger returns a handle for the model path (nil on a nil checker).
-func (c *Checker) CrossLedger(path string) *CrossLedger {
-	if c == nil {
-		return nil
-	}
-	return &CrossLedger{c: c, path: path}
-}
-
-// Cell registers and returns a new private account. Call it at setup, before
-// the owning goroutine starts. Nil ledgers return nil cells.
-func (x *CrossLedger) Cell() *CrossCell {
-	if x == nil {
-		return nil
-	}
-	cell := &CrossCell{}
-	x.mu.Lock()
-	x.cells = append(x.cells, cell)
-	x.mu.Unlock()
-	return cell
-}
-
-// Add records n units injected by this cell's owner.
-func (cc *CrossCell) Add(n int64) {
-	if cc == nil {
-		return
-	}
-	cc.in += n
-}
-
-// Sub records n units delivered to this cell's owner.
-func (cc *CrossCell) Sub(n int64) {
-	if cc == nil {
-		return
-	}
-	cc.out += n
-}
-
-// Close sums every cell and asserts the global books balance at end of run.
-// Call it only after the owning goroutines have stopped (e.g. after
-// Cluster.Run returns).
-func (x *CrossLedger) Close(at units.Time) {
-	if x == nil {
-		return
-	}
-	x.mu.Lock()
-	var in, out int64
-	for _, cell := range x.cells {
-		in += cell.in
-		out += cell.out
-	}
-	x.mu.Unlock()
-	if in != out {
-		x.c.Violationf(at, x.path, RuleConservation+"/cross-balance",
-			"injected %d but delivered %d across %d cells (%d outstanding)",
-			in, out, len(x.cells), in-out)
 	}
 }
 

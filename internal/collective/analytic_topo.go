@@ -6,7 +6,6 @@ import (
 
 	"t3sim/internal/interconnect"
 	"t3sim/internal/memory"
-	"t3sim/internal/sim"
 	"t3sim/internal/units"
 )
 
@@ -49,7 +48,10 @@ func AnalyticTopoTimeBounds(algo Algorithm, op Op, spec interconnect.TopoSpec, o
 }
 
 func analyticTopo(algo Algorithm, op Op, spec interconnect.TopoSpec, o AnalyticOptions, chained bool) (units.Time, error) {
-	if err := spec.Validate(); err != nil {
+	// The routes come from the same deterministic next-hop table the DES
+	// uses — routing is part of the topology's spec, not of either model.
+	routes, err := spec.Routes()
+	if err != nil {
 		return 0, err
 	}
 	switch {
@@ -69,19 +71,13 @@ func analyticTopo(algo Algorithm, op Op, spec interconnect.TopoSpec, o AnalyticO
 	if err != nil {
 		return 0, err
 	}
-	// The routes come from the same deterministic next-hop table the DES
-	// uses — routing is part of the topology's spec, not of either model.
-	topo, err := spec.Build(sim.NewEngine())
-	if err != nil {
-		return 0, err
-	}
 
 	cuRate := o.cuRate()
 	devReady := make([]units.Time, n)
 	cuFree := make([]units.Time, n)
 	arrive := make([]units.Time, n)
 	memB := make([]units.Bytes, n)
-	linkBusy := make(map[*interconnect.Link]units.Time, topo.NumLinks())
+	linkBusy := make([]units.Time, routes.NumLinks()) // per edge index
 
 	ops := make([]sendOp, 0, 64)
 	for _, round := range sched.rounds {
@@ -126,9 +122,8 @@ func analyticTopo(algo Algorithm, op Op, spec interconnect.TopoSpec, o AnalyticO
 			var maxEnd, lat units.Time
 			cur := sop.src
 			for cur != sop.dst {
-				hop := topo.NextHop(cur, sop.dst)
-				l := topo.Link(cur, hop)
-				cfg := l.Config()
+				hop := routes.NextHop(cur, sop.dst)
+				l, cfg := routes.Edge(cur, hop)
 				hs := base
 				if chained {
 					hs = st

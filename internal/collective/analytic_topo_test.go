@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"t3sim/internal/interconnect"
+	"t3sim/internal/sim"
 	"t3sim/internal/units"
 )
 
@@ -255,5 +256,27 @@ func TestScheduleMovesExpectedBytes(t *testing.T) {
 				t.Errorf("ring RS n=%d dev %d: %d wire bytes, want %d", n, d, got, want)
 			}
 		}
+	}
+}
+
+// TestAnalyticTopoBuildsNoEngine pins that the analytic model routes from
+// the spec's route table: selecting an algorithm and bracketing every
+// candidate on every topology kind builds no simulation engine. Not
+// parallel, so no other test's engines land inside the window.
+func TestAnalyticTopoBuildsNoEngine(t *testing.T) {
+	before := sim.EnginesBuilt()
+	for _, spec := range testSpecs() {
+		o := topoAnalyticOpts(8 * units.MiB)
+		if _, err := SelectAlgorithmWith(AllReduceOp, spec, o); err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range CandidateAlgorithms(spec) {
+			if _, _, err := AnalyticTopoTimeBounds(algo, AllReduceOp, spec, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if built := sim.EnginesBuilt() - before; built != 0 {
+		t.Errorf("analytic model built %d engines, want 0", built)
 	}
 }

@@ -1,12 +1,11 @@
 package collective
 
 import (
+	"fmt"
 	"testing"
 
 	"t3sim/internal/check"
 	"t3sim/internal/interconnect"
-	"t3sim/internal/memory"
-	"t3sim/internal/sim"
 	"t3sim/internal/units"
 )
 
@@ -30,66 +29,27 @@ func fuzzSpec(kind, a, b byte) interconnect.TopoSpec {
 }
 
 // FuzzTopoCollectiveConservation fuzzes (topology, N, algorithm, op, size,
-// block split, worker count) through the timed cluster engine and holds it
-// to the conservation oracle: the cross-engine wire ledger must balance,
-// every device must stage exactly the wire bytes its schedule owes it —
-// right bytes, right device, exactly once — and every device must finish.
+// block split) through the timed engine and holds it to the conservation
+// oracle (runConserved): the wire ledger must balance, every device must
+// stage exactly the wire bytes its schedule owes it — right bytes, right
+// device, exactly once — and every device must finish.
 func FuzzTopoCollectiveConservation(f *testing.F) {
 	// Torus and tree-on-ring shapes seed the corpus (the multi-hop routes);
-	// the rest of the tuple picks algorithm/op/size/workers.
-	f.Add(byte(1), byte(0), byte(1), byte(1), byte(2), byte(9), byte(1), byte(2))
-	f.Add(byte(0), byte(3), byte(0), byte(1), byte(0), byte(16), byte(0), byte(1))
-	f.Add(byte(2), byte(6), byte(0), byte(3), byte(2), byte(33), byte(2), byte(3))
-	f.Add(byte(3), byte(1), byte(2), byte(0), byte(1), byte(7), byte(1), byte(2))
-	f.Fuzz(func(t *testing.T, kind, a, b, algoSel, opSel, sizeSel, blockSel, workerSel byte) {
+	// the rest of the tuple picks algorithm/op/size/block.
+	f.Add(byte(1), byte(0), byte(1), byte(1), byte(2), byte(9), byte(1))
+	f.Add(byte(0), byte(3), byte(0), byte(1), byte(0), byte(16), byte(0))
+	f.Add(byte(2), byte(6), byte(0), byte(3), byte(2), byte(33), byte(2))
+	f.Add(byte(3), byte(1), byte(2), byte(0), byte(1), byte(7), byte(1))
+	f.Fuzz(func(t *testing.T, kind, a, b, algoSel, opSel, sizeSel, blockSel byte) {
 		spec := fuzzSpec(kind, a, b)
 		cands := CandidateAlgorithms(spec)
 		algo := cands[int(algoSel)%len(cands)]
 		op := Op(int(opSel) % 3)
-		nmc := opSel&4 != 0
 
-		cl := sim.NewCluster(spec.Devices, spec.MinLinkLatency())
-		topo, err := spec.BuildCluster(cl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chk := check.New()
-		devs := make([]*Device, spec.Devices)
-		for i := range devs {
-			mc, err := memory.NewController(cl.Engine(i), memory.DefaultConfig(), memory.ComputeFirst{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			devs[i] = &Device{ID: i, Mem: mc}
-		}
-		o := TopoOptions{
-			Topo:              topo,
-			Devices:           devs,
-			TotalBytes:        16*units.KiB + units.Bytes(sizeSel)*3*units.KiB + units.Bytes(a),
-			BlockBytes:        4*units.KiB + units.Bytes(blockSel)*units.KiB,
-			CUs:               80,
-			PerCUMemBandwidth: 16 * units.GBps,
-			NMC:               nmc,
-			Stream:            memory.StreamComm,
-			Check:             chk,
-		}
-		cr, err := StartClusterTopoCollective(cl, algo, op, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.Run(1 + int(workerSel)%3)
-		cr.Finish()
-		for d := 0; d < spec.Devices; d++ {
-			if cr.DeviceDone(d) == 0 {
-				t.Fatalf("%v/%v/%v: device %d never completed", spec.Kind, algo, op, d)
-			}
-			if got, want := cr.r.staged[d], cr.r.sched.expectedIncomingBytes(d); got != want {
-				t.Errorf("%v/%v/%v: device %d staged %d wire bytes, want exactly %d",
-					spec.Kind, algo, op, d, got, want)
-			}
-		}
-		if !chk.Ok() {
-			t.Errorf("%v/%v/%v: violations: %v", spec.Kind, algo, op, chk.Violations())
-		}
+		eng, o := topoHarness(t, spec)
+		o.TotalBytes = 16*units.KiB + units.Bytes(sizeSel)*3*units.KiB + units.Bytes(a)
+		o.BlockBytes = 4*units.KiB + units.Bytes(blockSel)*units.KiB
+		o.NMC = opSel&4 != 0
+		runConserved(t, eng, algo, op, o, check.New(), fmt.Sprintf("%v/%v/%v", spec.Kind, algo, op))
 	})
 }

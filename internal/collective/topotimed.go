@@ -40,10 +40,9 @@ type TopoOptions struct {
 	NMC bool
 	// Stream selects the memory-controller stream the kernel's accesses use.
 	Stream memory.Stream
-	// Metrics, if non-nil, receives a "collective" timeline track (one per
-	// device on a cluster) with one span per pipelined block, a staging
-	// instant per round boundary, and block/byte counters. Nil costs
-	// nothing.
+	// Metrics, if non-nil, receives a "collective" timeline track with one
+	// span per pipelined block, a staging instant per round boundary, and
+	// block/byte counters. Nil costs nothing.
 	Metrics metrics.Sink
 	// Check, if non-nil, attaches the graph conservation witness: a wire
 	// ledger over all links plus a per-device incoming-bytes bound that a
@@ -79,88 +78,41 @@ func (o TopoOptions) cuRate() units.Bandwidth {
 	return units.Bandwidth(float64(o.PerCUMemBandwidth) * float64(o.CUs))
 }
 
-// graphRun tracks one in-flight timed collective over a topology graph. Each
-// round is its own kernel, exactly like the paper's simulated baseline
-// (§5.1.1, Figure 13): blocks pipeline freely within a round, but a device
-// begins round r+1 only after every round-r op destined to it has been
-// staged (and, for eager-fold algorithms, folded) — the kernel boundary. A
-// round may deliver nothing to a device (tree leaves, finished halving
-// partners); such devices advance immediately.
+// graphRun tracks one in-flight timed collective over a topology graph on
+// one shared engine. Each round is its own kernel, exactly like the paper's
+// simulated baseline (§5.1.1, Figure 13): blocks pipeline freely within a
+// round, but a device begins round r+1 only after every round-r op destined
+// to it has been staged (and, for eager-fold algorithms, folded) — the
+// kernel boundary. A round may deliver nothing to a device (tree leaves,
+// finished halving partners); such devices advance immediately.
 type graphRun struct {
-	eng    *sim.Engine   // shared-engine mode; nil in cluster mode
-	engs   []*sim.Engine // cluster mode: device d's private engine; nil otherwise
+	eng    *sim.Engine
 	o      TopoOptions
 	n      int
 	sched  *schedule
-	cuFree []units.Time // per-device CU pacer (single-writer: device d's engine)
+	cuFree []units.Time // per-device CU pacer
 
-	// cursor[d] is the next round device d will issue; advanced only on d's
-	// engine. fences[d][r] gates round r+1 (nil when round r delivers
-	// nothing to d); registered up front because a fast peer may deliver
-	// round-r+1 blocks while d is still staging round r.
+	// cursor[d] is the next round device d will issue. fences[d][r] gates
+	// round r+1 (nil when round r delivers nothing to d); registered up
+	// front because a fast peer may deliver round-r+1 blocks while d is
+	// still staging round r.
 	cursor []int
 	fences [][]*sim.Fence
-
-	done       *sim.Fence  // shared-engine mode completion
-	deviceDone func(d int) // cluster mode: invoked on device d's engine
+	done   *sim.Fence
 
 	mtrack     *metrics.Track
-	mtracks    []*metrics.Track
 	mBlocks    *metrics.Counter
 	mLinkBytes *metrics.Counter
 
-	ledger  *check.Ledger
-	cells   []*check.CrossCell
-	xledger *check.CrossLedger
+	ledger *check.Ledger
 	// bounds[d] caps the wire bytes staged at device d by the schedule's
-	// expectation; staged[d] is the running total (single-writer: d's
-	// engine). A chunk delivered to the wrong device pushes that device
-	// past its bound.
+	// expectation; staged[d] is the running total. A chunk delivered to the
+	// wrong device pushes that device past its bound.
 	bounds []*check.Bound
 	staged []int64
 }
 
-func (r *graphRun) engOf(d int) *sim.Engine {
-	if r.engs != nil {
-		return r.engs[d]
-	}
-	return r.eng
-}
-
-func (r *graphRun) trackOf(d int) *metrics.Track {
-	if r.mtracks != nil {
-		return r.mtracks[d]
-	}
-	return r.mtrack
-}
-
-func (r *graphRun) wireAdd(d int, n int64) {
-	if r.cells != nil {
-		r.cells[d].Add(n)
-		return
-	}
-	r.ledger.Add(n)
-}
-
-func (r *graphRun) wireSub(d int, n int64) {
-	if r.cells != nil {
-		r.cells[d].Sub(n)
-		return
-	}
-	r.ledger.Sub(r.engOf(d).Now(), n)
-}
-
-func (r *graphRun) horizon() units.Time {
-	var h units.Time
-	for _, e := range r.engs {
-		if e.Now() > h {
-			h = e.Now()
-		}
-	}
-	return h
-}
-
-func newGraphRun(eng *sim.Engine, engs []*sim.Engine, algo Algorithm, op Op, o TopoOptions, onDone sim.Handler) (*graphRun, error) {
+func newGraphRun(eng *sim.Engine, algo Algorithm, op Op, o TopoOptions, onDone sim.Handler) (*graphRun, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
@@ -169,30 +121,18 @@ func newGraphRun(eng *sim.Engine, engs []*sim.Engine, algo Algorithm, op Op, o T
 	if err != nil {
 		return nil, err
 	}
-	r := &graphRun{eng: eng, engs: engs, o: o, n: n, sched: sched}
+	r := &graphRun{eng: eng, o: o, n: n, sched: sched}
 	r.cuFree = make([]units.Time, n)
 	r.cursor = make([]int, n)
-	if engs == nil {
-		if o.Check.Enabled() {
-			r.ledger = o.Check.Ledger("collective.topo")
-			inner := onDone
-			onDone = func() {
-				r.ledger.Close(eng.Now())
-				if inner != nil {
-					inner()
-				}
+	if o.Check.Enabled() {
+		r.ledger = o.Check.Ledger("collective.topo")
+		inner := onDone
+		onDone = func() {
+			r.ledger.Close(eng.Now())
+			if inner != nil {
+				inner()
 			}
 		}
-		r.done = sim.NewFence(n, onDone)
-	} else if o.Check.Enabled() {
-		x := o.Check.CrossLedger("collective.topo")
-		r.cells = make([]*check.CrossCell, n)
-		for d := range r.cells {
-			r.cells[d] = x.Cell()
-		}
-		r.xledger = x
-	}
-	if o.Check.Enabled() {
 		r.bounds = make([]*check.Bound, n)
 		r.staged = make([]int64, n)
 		for d := range r.bounds {
@@ -201,15 +141,9 @@ func newGraphRun(eng *sim.Engine, engs []*sim.Engine, algo Algorithm, op Op, o T
 				sched.expectedIncomingBytes(d))
 		}
 	}
+	r.done = sim.NewFence(n, onDone)
 	if m := o.Metrics; m != nil {
-		if engs != nil {
-			r.mtracks = make([]*metrics.Track, n)
-			for d := range r.mtracks {
-				r.mtracks[d] = m.Track(fmt.Sprintf("collective.dev%d", d))
-			}
-		} else {
-			r.mtrack = m.Track("collective")
-		}
+		r.mtrack = m.Track("collective")
 		r.mBlocks = m.Counter("collective.blocks_sent")
 		r.mLinkBytes = m.Counter("collective.link_bytes")
 	}
@@ -224,8 +158,8 @@ func newGraphRun(eng *sim.Engine, engs []*sim.Engine, algo Algorithm, op Op, o T
 			}
 			d, rd := d, rd
 			r.fences[d][rd] = sim.NewFence(in, func() {
-				if tr := r.trackOf(d); tr != nil {
-					tr.Instant(fmt.Sprintf("dev%d.round%d.staged", d, rd), r.engOf(d).Now())
+				if r.mtrack != nil {
+					r.mtrack.Instant(fmt.Sprintf("dev%d.round%d.staged", d, rd), r.eng.Now())
 				}
 				if r.cursor[d] == rd+1 {
 					r.advance(d)
@@ -244,13 +178,12 @@ func (r *graphRun) start() {
 }
 
 // advance issues device d's rounds until it must wait for arrivals or runs
-// out of schedule. Runs on d's engine (or during setup, before the engines
-// start); resumed by the round fence callback.
+// out of schedule; resumed by the round fence callback.
 func (r *graphRun) advance(d int) {
 	for {
 		rd := r.cursor[d]
 		if rd == len(r.sched.rounds) {
-			r.complete(d)
+			r.done.Done()
 			return
 		}
 		r.issueRound(d, rd)
@@ -279,7 +212,7 @@ func (r *graphRun) issueRound(d, rd int) {
 
 // pace reserves CU time on device d for touching n bytes `touches` times.
 func (r *graphRun) pace(d int, touches int, n units.Bytes) units.Time {
-	now := r.engOf(d).Now()
+	now := r.eng.Now()
 	if r.cuFree[d] < now {
 		r.cuFree[d] = now
 	}
@@ -293,17 +226,16 @@ func (r *graphRun) pace(d int, touches int, n units.Bytes) units.Time {
 func (r *graphRun) send(rd int, op sendOp, block units.Bytes) {
 	o := r.o
 	mem := o.Devices[op.src].Mem
-	start := r.engOf(op.src).Now()
+	start := r.eng.Now()
 	fence := sim.NewFence(op.srcReads, func() {
 		at := r.pace(op.src, op.srcReads+1, block)
-		r.engOf(op.src).At(at, func() {
-			r.wireAdd(op.src, int64(block))
+		r.eng.At(at, func() {
+			r.ledger.Add(int64(block))
 			o.Topo.Send(op.src, op.dst, block, func() {
-				// On a cluster this runs on the destination's engine.
 				r.mBlocks.Inc()
 				r.mLinkBytes.Add(int64(block))
-				if tr := r.trackOf(op.dst); tr != nil {
-					tr.Span(fmt.Sprintf("dev%d.round%d.block", op.src, rd), start, r.engOf(op.dst).Now())
+				if r.mtrack != nil {
+					r.mtrack.Span(fmt.Sprintf("dev%d.round%d.block", op.src, rd), start, r.eng.Now())
 				}
 				r.stage(rd, op, block)
 			})
@@ -325,10 +257,10 @@ func (r *graphRun) stage(rd int, op sendOp, block units.Bytes) {
 		kind = memory.Update
 	}
 	o.Devices[d].Mem.Transfer(kind, o.Stream, block, memory.Tag{}, func() {
-		r.wireSub(d, int64(block))
+		r.ledger.Sub(r.eng.Now(), int64(block))
 		if r.bounds != nil {
 			r.staged[d] += int64(block)
-			r.bounds[d].Observe(r.engOf(d).Now(), r.staged[d])
+			r.bounds[d].Observe(r.eng.Now(), r.staged[d])
 		}
 		if op.fold && op.reduce && !o.NMC {
 			r.fold(d, rd, block)
@@ -348,7 +280,7 @@ func (r *graphRun) fold(d, rd int, block units.Bytes) {
 	mem := o.Devices[d].Mem
 	reads := sim.NewFence(2, func() {
 		at := r.pace(d, 3, block)
-		r.engOf(d).At(at, func() {
+		r.eng.At(at, func() {
 			mem.Transfer(memory.Write, o.Stream, block, memory.Tag{}, func() { r.credit(d, rd) })
 		})
 	})
@@ -366,70 +298,14 @@ func (r *graphRun) credit(d, rd int) {
 	}
 }
 
-func (r *graphRun) complete(d int) {
-	if r.deviceDone != nil {
-		r.deviceDone(d)
-		return
-	}
-	r.done.Done()
-}
-
 // StartTopoCollective schedules a timed collective with the given algorithm
 // and operation over o.Topo on eng, running onDone when every device has
 // finished. The caller drives the engine.
 func StartTopoCollective(eng *sim.Engine, algo Algorithm, op Op, o TopoOptions, onDone sim.Handler) error {
-	r, err := newGraphRun(eng, nil, algo, op, o, onDone)
+	r, err := newGraphRun(eng, algo, op, o, onDone)
 	if err != nil {
 		return err
 	}
 	r.start()
 	return nil
-}
-
-// TopoClusterRun is a timed topology collective scheduled across the
-// per-device engines of a sim.Cluster (o.Topo must be built with
-// BuildCluster on the same cluster). Drive it with Cluster.Run, then call
-// Finish.
-type TopoClusterRun struct {
-	r      *graphRun
-	doneAt []units.Time
-}
-
-// StartClusterTopoCollective schedules a timed collective across the
-// cluster's engines. The result is identical to StartTopoCollective on a
-// single shared engine at every worker count.
-func StartClusterTopoCollective(cl *sim.Cluster, algo Algorithm, op Op, o TopoOptions) (*TopoClusterRun, error) {
-	engs := cl.Engines()
-	if o.Topo != nil && o.Topo.Devices() != len(engs) {
-		return nil, fmt.Errorf("collective: %d-device topology on %d-engine cluster",
-			o.Topo.Devices(), len(engs))
-	}
-	r, err := newGraphRun(nil, engs, algo, op, o, nil)
-	if err != nil {
-		return nil, err
-	}
-	cr := &TopoClusterRun{r: r, doneAt: make([]units.Time, r.n)}
-	r.deviceDone = func(d int) { cr.doneAt[d] = r.engOf(d).Now() }
-	r.start()
-	return cr, nil
-}
-
-// DeviceDone returns device d's completion time. Valid after Cluster.Run.
-func (cr *TopoClusterRun) DeviceDone(d int) units.Time { return cr.doneAt[d] }
-
-// Done returns the overall completion time — the latest device completion.
-func (cr *TopoClusterRun) Done() units.Time {
-	var t units.Time
-	for _, at := range cr.doneAt {
-		if at > t {
-			t = at
-		}
-	}
-	return t
-}
-
-// Finish closes the cross-engine conservation books. Call it once, after
-// Cluster.Run has returned.
-func (cr *TopoClusterRun) Finish() {
-	cr.r.xledger.Close(cr.r.horizon())
 }

@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -45,34 +44,6 @@ func topoHarness(t *testing.T, spec interconnect.TopoSpec) (*sim.Engine, TopoOpt
 		devs[i] = &Device{ID: i, Mem: mc}
 	}
 	return eng, TopoOptions{
-		Topo:              topo,
-		Devices:           devs,
-		TotalBytes:        8 * units.MiB,
-		BlockBytes:        32 * units.KiB,
-		CUs:               80,
-		PerCUMemBandwidth: 16 * units.GBps,
-		Stream:            memory.StreamComm,
-	}
-}
-
-// clusterTopoHarness is topoHarness with every device on its own cluster
-// engine; lookahead is the spec's minimum link latency.
-func clusterTopoHarness(t *testing.T, spec interconnect.TopoSpec) (*sim.Cluster, TopoOptions) {
-	t.Helper()
-	cl := sim.NewCluster(spec.Devices, spec.MinLinkLatency())
-	topo, err := spec.BuildCluster(cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	devs := make([]*Device, spec.Devices)
-	for i := range devs {
-		mc, err := memory.NewController(cl.Engine(i), memory.DefaultConfig(), memory.ComputeFirst{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		devs[i] = &Device{ID: i, Mem: mc}
-	}
-	return cl, TopoOptions{
 		Topo:              topo,
 		Devices:           devs,
 		TotalBytes:        8 * units.MiB,
@@ -127,57 +98,42 @@ func TestTopoRingMatchesLegacyRing(t *testing.T) {
 	}
 }
 
-// TestTopoCollectiveClusterMatchesShared requires every (topology ×
-// algorithm × op) cell to complete at identical times whether the devices
-// share one engine or each owns a cluster engine — at every worker count.
-func TestTopoCollectiveClusterMatchesShared(t *testing.T) {
-	for _, spec := range testSpecs() {
-		for _, algo := range CandidateAlgorithms(spec) {
-			for _, op := range []Op{ReduceScatterOp, AllGatherOp, AllReduceOp} {
-				spec, algo, op := spec, algo, op
-				t.Run(fmt.Sprintf("%v/%v/%v", spec.Kind, algo, op), func(t *testing.T) {
-					t.Parallel()
-					eng, so := topoHarness(t, spec)
-					want := runTopo(t, eng, algo, op, so)
-					wantDev := make([]units.Time, spec.Devices)
-
-					for _, workers := range []int{1, 2, 4} {
-						cl, co := clusterTopoHarness(t, spec)
-						chk := check.New()
-						co.Check = chk
-						cr, err := StartClusterTopoCollective(cl, algo, op, co)
-						if err != nil {
-							t.Fatal(err)
-						}
-						cl.Run(workers)
-						cr.Finish()
-						if got := cr.Done(); got != want {
-							t.Errorf("workers=%d: done %v, want %v", workers, got, want)
-						}
-						for d := 0; d < spec.Devices; d++ {
-							if workers == 1 {
-								wantDev[d] = cr.DeviceDone(d)
-							} else if got := cr.DeviceDone(d); got != wantDev[d] {
-								t.Errorf("workers=%d: device %d done %v, want %v", workers, d, got, wantDev[d])
-							}
-						}
-						if gotB, wantB := co.Topo.SentBytes(), so.Topo.SentBytes(); gotB != wantB {
-							t.Errorf("workers=%d: wire bytes %v, want %v", workers, gotB, wantB)
-						}
-						if !chk.Ok() {
-							t.Errorf("workers=%d: violations: %v", workers, chk.Violations())
-						}
-					}
-				})
-			}
+// runConserved runs one checked collective on eng and holds it to the
+// conservation oracle: the run completes, every device finishes its schedule
+// and stages exactly the wire bytes the schedule owes it — right bytes,
+// right device, exactly once — and the checker (wire ledger, incoming
+// bounds, plus whatever engine and link witnesses the caller attached)
+// stays clean.
+func runConserved(t *testing.T, eng *sim.Engine, algo Algorithm, op Op, o TopoOptions, chk *check.Checker, label string) {
+	t.Helper()
+	o.Check = chk
+	done := false
+	r, err := newGraphRun(eng, algo, op, o, func() { done = true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.start()
+	eng.Run()
+	if !done {
+		t.Fatalf("%s: never completed", label)
+	}
+	for d := 0; d < r.n; d++ {
+		if r.cursor[d] != len(r.sched.rounds) {
+			t.Errorf("%s: device %d stopped at round %d of %d", label, d, r.cursor[d], len(r.sched.rounds))
 		}
+		if got, want := r.staged[d], r.sched.expectedIncomingBytes(d); got != want {
+			t.Errorf("%s: device %d staged %d wire bytes, want exactly %d", label, d, got, want)
+		}
+	}
+	if !chk.Ok() {
+		t.Errorf("%s: violations: %v", label, chk.Violations())
 	}
 }
 
 // TestTopoCollectiveConservationLaws runs the heterogeneous two-level
-// topology with the full checker attached — per-link lookahead laws on every
-// mailbox (intra- and inter-node latencies), the cross-engine wire ledger,
-// and the per-device incoming bounds — and demands a clean bill.
+// topology with the full checker attached — engine monotonicity, every
+// link's serialization witness, the wire ledger and the per-device incoming
+// bounds — and demands a clean bill.
 func TestTopoCollectiveConservationLaws(t *testing.T) {
 	cfg := interconnect.DefaultConfig()
 	inter := cfg
@@ -185,25 +141,11 @@ func TestTopoCollectiveConservationLaws(t *testing.T) {
 	inter.LinkLatency = 2 * units.Microsecond
 	spec := interconnect.HierarchicalTopo(2, 4, cfg, inter)
 	for _, algo := range CandidateAlgorithms(spec) {
-		cl, co := clusterTopoHarness(t, spec)
+		eng, o := topoHarness(t, spec)
 		chk := check.New()
-		for _, e := range cl.Engines() {
-			e.AttachChecker(chk)
-		}
-		co.Check = chk
-		co.Topo.AttachChecker(chk)
-		cr, err := StartClusterTopoCollective(cl, algo, AllReduceOp, co)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.Run(2)
-		cr.Finish()
-		if cr.Done() == 0 {
-			t.Fatalf("%v: never completed", algo)
-		}
-		if !chk.Ok() {
-			t.Errorf("%v: violations: %v", algo, chk.Violations())
-		}
+		eng.AttachChecker(chk)
+		o.Topo.AttachChecker(chk)
+		runConserved(t, eng, algo, AllReduceOp, o, chk, algo.String())
 	}
 }
 
@@ -216,7 +158,7 @@ func TestTopoMisroutedChunkTripsBound(t *testing.T) {
 	eng, o := topoHarness(t, spec)
 	chk := check.New()
 	o.Check = chk
-	r, err := newGraphRun(eng, nil, AlgoDirect, AllGatherOp, o, nil)
+	r, err := newGraphRun(eng, AlgoDirect, AllGatherOp, o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,6 @@ import (
 	"t3sim/internal/check"
 	"t3sim/internal/collective"
 	"t3sim/internal/interconnect"
-	"t3sim/internal/memory"
-	"t3sim/internal/sim"
 	"t3sim/internal/units"
 )
 
@@ -16,8 +14,7 @@ import (
 // (internal/collective/topotimed.go) versus the chunk-recurrence analytic
 // model (internal/collective/analytic_topo.go) over every (topology ×
 // algorithm) cell, in both the tolerance regime (Table 1 machine) and the
-// exact-link-bound regime the ring sweep pioneered — plus byte-identity of
-// the cluster runs against the shared engine at every worker count.
+// exact-link-bound regime the ring sweep pioneered.
 
 // topoDiffSpecs returns the four 8-device topologies the battery sweeps —
 // the same ladder the topo-sweep experiment runs — so every algorithm
@@ -26,85 +23,32 @@ func topoDiffSpecs(link interconnect.Config) []interconnect.TopoSpec {
 	return DefaultTopoSpecs(link)
 }
 
-// topoDiameter is the worst-case route length on a built topology.
+// topoDiameter is the worst-case route length on a topology.
 func topoDiameter(t *testing.T, spec interconnect.TopoSpec) int {
 	t.Helper()
-	topo, err := spec.Build(sim.NewEngine())
+	routes, err := spec.Routes()
 	if err != nil {
 		t.Fatal(err)
 	}
 	diam := 0
 	for s := 0; s < spec.Devices; s++ {
 		for d := 0; d < spec.Devices; d++ {
-			if s != d && topo.Hops(s, d) > diam {
-				diam = topo.Hops(s, d)
-			}
+			diam = max(diam, routes.Hops(s, d))
 		}
 	}
 	return diam
 }
 
-// runTimedTopoCollective runs one timed graph collective to completion with
-// the invariant checker attached. workers == 0 uses a single shared engine;
-// workers > 0 builds a cluster and runs it at that parallelism.
+// runTimedTopoCollective runs topo-sweep's timed collective to completion
+// with the invariant checker attached.
 func runTimedTopoCollective(t *testing.T, setup Setup, spec interconnect.TopoSpec,
-	algo collective.Algorithm, op collective.Op, size units.Bytes, nmc bool, workers int) units.Time {
+	algo collective.Algorithm, op collective.Op, size units.Bytes, nmc bool) units.Time {
 	t.Helper()
 	checker := check.New()
-	buildDevs := func(engOf func(int) *sim.Engine) []*collective.Device {
-		devs := make([]*collective.Device, spec.Devices)
-		for i := range devs {
-			memCfg := setup.Memory
-			memCfg.Check = checker
-			mc, err := memory.NewController(engOf(i), memCfg, memory.ComputeFirst{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			devs[i] = &collective.Device{ID: i, Mem: mc}
-		}
-		return devs
-	}
-	opts := collective.TopoOptions{
-		TotalBytes:        size,
-		BlockBytes:        setup.BlockBytes,
-		CUs:               setup.CollectiveCUs,
-		PerCUMemBandwidth: setup.PerCUMemBandwidth,
-		NMC:               nmc,
-		Stream:            memory.StreamComm,
-		Check:             checker,
-	}
-	var done units.Time
-	if workers == 0 {
-		eng := sim.NewEngine()
-		eng.AttachChecker(checker)
-		topo, err := spec.Build(eng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Topo = topo
-		opts.Devices = buildDevs(func(int) *sim.Engine { return eng })
-		if err := collective.StartTopoCollective(eng, algo, op, opts, func() { done = eng.Now() }); err != nil {
-			t.Fatal(err)
-		}
-		eng.Run()
-	} else {
-		cl := sim.NewCluster(spec.Devices, spec.MinLinkLatency())
-		for _, e := range cl.Engines() {
-			e.AttachChecker(checker)
-		}
-		topo, err := spec.BuildCluster(cl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Topo = topo
-		opts.Devices = buildDevs(cl.Engine)
-		cr, err := collective.StartClusterTopoCollective(cl, algo, op, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.Run(workers)
-		cr.Finish()
-		done = cr.Done()
+	setup.Check = checker
+	done, err := timedTopoCollective(setup, spec, algo, op, size, nmc, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if done == 0 {
 		t.Fatalf("%v/%v/%v never completed", spec.Kind, algo, op)
@@ -142,9 +86,8 @@ func topoStepSlack(setup Setup, spec interconnect.TopoSpec, diam int) units.Time
 }
 
 // TestDifferentialTopoCollectives sweeps every (topology × algorithm) cell
-// over sizes and ops on the Table 1 machine: the shared-engine DES must
-// match the analytic recurrence within tolerance, and the cluster runs must
-// be byte-identical to the shared engine at workers 1, 2 and 4.
+// over sizes and ops on the Table 1 machine: the DES must match the analytic
+// recurrence within tolerance.
 func TestDifferentialTopoCollectives(t *testing.T) {
 	setup := DefaultSetup()
 	for _, spec := range topoDiffSpecs(setup.Link) {
@@ -168,7 +111,7 @@ func TestDifferentialTopoCollectives(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					simT := runTimedTopoCollective(t, setup, spec, algo, tc.op, tc.size, tc.nmc, 0)
+					simT := runTimedTopoCollective(t, setup, spec, algo, tc.op, tc.size, tc.nmc)
 					lo, hi, err := collective.AnalyticTopoTimeBounds(algo, tc.op, spec, topoAnalyticOpts(setup, tc.size, tc.nmc))
 					if err != nil {
 						t.Fatal(err)
@@ -193,16 +136,6 @@ func TestDifferentialTopoCollectives(t *testing.T) {
 					if rel > differentialTolerance && diff > allow {
 						t.Errorf("DES %v outside analytic envelope [%v, %v] by %v (%.2f%%), exceeds both %.0f%% and the %v fixed-cost allowance",
 							simT, lo, hi, diff, 100*rel, 100*differentialTolerance, allow)
-					}
-
-					// Cluster byte-identity at every worker count, on the
-					// smaller size to keep the battery fast.
-					if tc.size <= 8*units.MiB {
-						for _, workers := range []int{1, 2, 4} {
-							if got := runTimedTopoCollective(t, setup, spec, algo, tc.op, tc.size, tc.nmc, workers); got != simT {
-								t.Errorf("cluster workers=%d: done %v, want shared-engine %v", workers, got, simT)
-							}
-						}
 					}
 				})
 			}
@@ -233,7 +166,7 @@ func TestDifferentialTopoLinkBoundExact(t *testing.T) {
 				t.Run(fmt.Sprintf("%v/%v/%v", spec.Kind, algo, op), func(t *testing.T) {
 					t.Parallel()
 					const size = 4 * units.MiB
-					simT := runTimedTopoCollective(t, setup, spec, algo, op, size, true, 0)
+					simT := runTimedTopoCollective(t, setup, spec, algo, op, size, true)
 					lo, hi, err := collective.AnalyticTopoTimeBounds(algo, op, spec, topoAnalyticOpts(setup, size, true))
 					if err != nil {
 						t.Fatal(err)

@@ -50,8 +50,8 @@ type Setup struct {
 	// simulations. The fused multi-device runs (mirror, multi64, multi256,
 	// topo-sweep's fused rows) always simulate each device on its own
 	// cluster engine, and 0 or 1 drives that cluster serially on the
-	// calling goroutine; topo-sweep's timed collectives run on one shared
-	// engine at 0. Output is byte-identical at every value — the knob
+	// calling goroutine. The timed baseline collectives always run on one
+	// shared engine and ignore it. Output is byte-identical at every value — the knob
 	// trades wall-clock time only — so it is excluded from the memo key and
 	// safe to flip per invocation (-par on the CLIs).
 	MultiDeviceWorkers int

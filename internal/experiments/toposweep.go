@@ -166,12 +166,32 @@ func topoAnalytic(setup Setup, size units.Bytes, nmc bool) collective.AnalyticOp
 	}
 }
 
-// timedTopoCollective runs one timed graph collective to completion.
-// workers == 0 uses a single shared engine; workers > 0 simulates each
-// device on its own cluster engine (byte-identical at every count).
+// timedTopoCollective runs one timed graph collective to completion on a
+// single shared engine.
 func timedTopoCollective(setup Setup, spec interconnect.TopoSpec, algo collective.Algorithm,
-	op collective.Op, size units.Bytes, nmc bool, workers int, sink metrics.Sink) (units.Time, error) {
+	op collective.Op, size units.Bytes, nmc bool, sink metrics.Sink) (units.Time, error) {
+	eng := sim.NewEngine()
+	eng.AttachChecker(setup.Check)
+	topo, err := spec.Build(eng)
+	if err != nil {
+		return 0, err
+	}
+	topo.AttachChecker(setup.Check)
+	memCfg := setup.Memory
+	if setup.Check != nil && memCfg.Check == nil {
+		memCfg.Check = setup.Check
+	}
+	devs := make([]*collective.Device, spec.Devices)
+	for i := range devs {
+		mc, err := memory.NewController(eng, memCfg, memory.ComputeFirst{})
+		if err != nil {
+			return 0, err
+		}
+		devs[i] = &collective.Device{ID: i, Mem: mc}
+	}
 	opts := collective.TopoOptions{
+		Topo:              topo,
+		Devices:           devs,
 		TotalBytes:        size,
 		BlockBytes:        setup.BlockBytes,
 		CUs:               setup.CollectiveCUs,
@@ -181,61 +201,12 @@ func timedTopoCollective(setup Setup, spec interconnect.TopoSpec, algo collectiv
 		Metrics:           sink,
 		Check:             setup.Check,
 	}
-	memCfg := setup.Memory
-	if setup.Check != nil && memCfg.Check == nil {
-		memCfg.Check = setup.Check
-	}
-	buildDevs := func(engOf func(int) *sim.Engine) error {
-		devs := make([]*collective.Device, spec.Devices)
-		for i := range devs {
-			mc, err := memory.NewController(engOf(i), memCfg, memory.ComputeFirst{})
-			if err != nil {
-				return err
-			}
-			devs[i] = &collective.Device{ID: i, Mem: mc}
-		}
-		opts.Devices = devs
-		return nil
-	}
-	if workers <= 0 {
-		eng := sim.NewEngine()
-		eng.AttachChecker(setup.Check)
-		topo, err := spec.Build(eng)
-		if err != nil {
-			return 0, err
-		}
-		topo.AttachChecker(setup.Check)
-		opts.Topo = topo
-		if err := buildDevs(func(int) *sim.Engine { return eng }); err != nil {
-			return 0, err
-		}
-		var done units.Time
-		if err := collective.StartTopoCollective(eng, algo, op, opts, func() { done = eng.Now() }); err != nil {
-			return 0, err
-		}
-		eng.Run()
-		return done, nil
-	}
-	cl := sim.NewCluster(spec.Devices, spec.MinLinkLatency())
-	for _, e := range cl.Engines() {
-		e.AttachChecker(setup.Check)
-	}
-	topo, err := spec.BuildCluster(cl)
-	if err != nil {
+	var done units.Time
+	if err := collective.StartTopoCollective(eng, algo, op, opts, func() { done = eng.Now() }); err != nil {
 		return 0, err
 	}
-	topo.AttachChecker(setup.Check)
-	opts.Topo = topo
-	if err := buildDevs(cl.Engine); err != nil {
-		return 0, err
-	}
-	cr, err := collective.StartClusterTopoCollective(cl, algo, op, opts)
-	if err != nil {
-		return 0, err
-	}
-	cl.Run(workers)
-	cr.Finish()
-	return cr.Done(), nil
+	eng.Run()
+	return done, nil
 }
 
 // TopoSweep runs the topology sweep. A non-zero setup.Topo restricts every
@@ -294,7 +265,7 @@ func topoSweep(setup Setup) (*TopoSweepResult, error) {
 				sink = setup.Metrics.Scope(fmt.Sprintf("topo-sweep/%s-%s", topoName(spec), algo))
 			}
 			des, err := timedTopoCollective(setup, spec, algo, collective.AllReduceOp,
-				topoTimedSize, false, setup.MultiDeviceWorkers, sink)
+				topoTimedSize, false, sink)
 			if err != nil {
 				return nil, err
 			}
@@ -341,7 +312,7 @@ func topoSweep(setup Setup) (*TopoSweepResult, error) {
 		// reduce-scatter of the whole output over the same graph (NMC
 		// updates, like the fused datapath applies).
 		rs, err := timedTopoCollective(setup, spec, collective.AlgoRing, collective.ReduceScatterOp,
-			grid.Shape.OutputBytes(), true, setup.MultiDeviceWorkers, nil)
+			grid.Shape.OutputBytes(), true, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -89,13 +89,12 @@ func NewLink(eng *sim.Engine, cfg Config) (*Link, error) {
 // NewClusterLink returns a link whose ends live on different engines of a
 // cluster: serialization runs on device src's engine, deliveries post to
 // device dst's mailbox and fire on dst's engine at the next round boundary.
-// The mailbox is registered as the attributed link src → dst with this link's
+// The mailbox is registered as the link src → dst with this link's
 // propagation latency, which is what feeds the scheduler's per-device
 // horizons: dst may run ahead until the earliest instant src's pending events
-// could reach it over this latency, rather than stalling at the global
-// window. The link latency must cover the cluster's lookahead — that is
-// exactly the conservative-window guarantee — so a shorter latency is
-// rejected.
+// could reach it over this latency. The link latency must cover the
+// cluster's lookahead, the floor of every link latency, so a shorter latency
+// is rejected.
 func NewClusterLink(cl *sim.Cluster, src, dst int, cfg Config) (*Link, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -214,17 +214,6 @@ func (s TopoSpec) Neighbors(d int) []int {
 	return out
 }
 
-// EdgeConfig returns the configuration of the (first) direct link src → dst
-// and whether such a link exists.
-func (s TopoSpec) EdgeConfig(src, dst int) (Config, bool) {
-	for _, e := range s.edges() {
-		if e.src == src && e.dst == dst {
-			return e.cfg, true
-		}
-	}
-	return Config{}, false
-}
-
 // MinLinkLatency returns the smallest propagation latency over every link —
 // the widest conservative lookahead a cluster hosting this topology admits.
 func (s TopoSpec) MinLinkLatency() units.Time {
@@ -241,77 +230,46 @@ func (s TopoSpec) MinLinkLatency() units.Time {
 	return min
 }
 
-// Topology is a built interconnect graph: the spec plus one live Link per
-// directed edge and a precomputed deterministic next-hop table. Multi-hop
-// Sends store-and-forward at message granularity: each intermediate hop
-// re-serializes on its own outgoing link, with forwarding scheduled on the
-// receiving device's engine (so cluster topologies parallelize exactly like
-// cluster rings).
-type Topology struct {
-	spec    TopoSpec
+// Routes is a topology's deterministic routing, derived from the spec alone:
+// the canonical edge list, the first direct edge per ordered device pair and
+// the next-hop table. A built Topology embeds it; the analytic model routes
+// over it without instantiating any link.
+type Routes struct {
+	n       int
 	edges   []edgeSpec
-	links   []*Link
-	first   map[[2]int]int // (src,dst) -> index of first direct edge
-	nexthop []int          // n*n next-hop table; -1 on the diagonal
+	first   []int32 // n*n: index of the first direct edge src → dst; -1 if none
+	nexthop []int32 // n*n: first hop of the route src → dst; -1 on the diagonal
 }
 
-// Build instantiates the topology's links on one shared engine.
-func (s TopoSpec) Build(eng *sim.Engine) (*Topology, error) {
-	return s.build(func(e edgeSpec) (*Link, error) { return NewLink(eng, e.cfg) })
-}
-
-// BuildCluster instantiates the topology across a cluster's per-device
-// engines: each link serializes on its source device's engine and delivers
-// into its destination's mailbox, registered as an attributed link edge with
-// the link's own latency — the per-link lookahead the dynamic horizons feed
-// on. Mailboxes are registered in canonical edge order (see edges), which
-// fixes drain order for every worker count. Every link latency must cover
-// the cluster's lookahead; build the cluster with MinLinkLatency.
-func (s TopoSpec) BuildCluster(cl *sim.Cluster) (*Topology, error) {
-	if n := len(cl.Engines()); n != s.Devices {
-		return nil, fmt.Errorf("interconnect: %d-device topology on %d-engine cluster", s.Devices, n)
-	}
-	return s.build(func(e edgeSpec) (*Link, error) { return NewClusterLink(cl, e.src, e.dst, e.cfg) })
-}
-
-func (s TopoSpec) build(mk func(edgeSpec) (*Link, error)) (*Topology, error) {
+// Routes validates the spec and returns its routing table.
+func (s TopoSpec) Routes() (*Routes, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Topology{spec: s, edges: s.edges(), first: make(map[[2]int]int)}
-	t.links = make([]*Link, len(t.edges))
-	for i, e := range t.edges {
-		l, err := mk(e)
-		if err != nil {
-			return nil, err
-		}
-		t.links[i] = l
-		key := [2]int{e.src, e.dst}
-		if _, ok := t.first[key]; !ok {
-			t.first[key] = i
+	n := s.Devices
+	r := &Routes{n: n, edges: s.edges(), first: make([]int32, n*n)}
+	for i := range r.first {
+		r.first[i] = -1
+	}
+	for i, e := range r.edges {
+		if k := e.src*n + e.dst; r.first[k] < 0 {
+			r.first[k] = int32(i)
 		}
 	}
-	t.routeAll()
-	return t, nil
+	r.routeAll()
+	return r, nil
 }
 
 // routeAll fills the next-hop table: breadth-first search from every source
 // over out-edges in canonical order, so ties between equal-length paths
 // always break toward the earliest-listed edge — the deterministic-routing
 // contract the differential tests and the analytic model both rely on.
-func (t *Topology) routeAll() {
-	n := t.spec.Devices
-	t.nexthop = make([]int, n*n)
+func (r *Routes) routeAll() {
+	n := r.n
+	r.nexthop = make([]int32, n*n)
 	adj := make([][]int, n) // out-neighbor lists in edge order, deduplicated
-	for _, e := range t.edges {
-		seen := false
-		for _, d := range adj[e.src] {
-			if d == e.dst {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+	for i, e := range r.edges {
+		if r.first[e.src*n+e.dst] == int32(i) {
 			adj[e.src] = append(adj[e.src], e.dst)
 		}
 	}
@@ -335,7 +293,7 @@ func (t *Topology) routeAll() {
 		}
 		for dst := 0; dst < n; dst++ {
 			if dst == src {
-				t.nexthop[src*n+dst] = -1
+				r.nexthop[src*n+dst] = -1
 				continue
 			}
 			// Walk back from dst to the hop adjacent to src.
@@ -343,9 +301,95 @@ func (t *Topology) routeAll() {
 			for prev[hop] != src {
 				hop = prev[hop]
 			}
-			t.nexthop[src*n+dst] = hop
+			r.nexthop[src*n+dst] = int32(hop)
 		}
 	}
+}
+
+// NumLinks returns the number of directed links.
+func (r *Routes) NumLinks() int { return len(r.edges) }
+
+// Edge returns the index (in canonical edge order) and configuration of the
+// first direct link src → dst, or -1 when the devices are not adjacent.
+func (r *Routes) Edge(src, dst int) (int, Config) {
+	i := r.first[src*r.n+dst]
+	if i < 0 {
+		return -1, Config{}
+	}
+	return int(i), r.edges[i].cfg
+}
+
+// NextHop returns the first hop of the deterministic shortest route
+// src → dst (-1 when src == dst).
+func (r *Routes) NextHop(src, dst int) int {
+	return int(r.nexthop[src*r.n+dst])
+}
+
+// Hops returns the length of the deterministic route src → dst.
+func (r *Routes) Hops(src, dst int) int {
+	h := 0
+	for src != dst {
+		src = r.NextHop(src, dst)
+		h++
+	}
+	return h
+}
+
+// Route returns the deterministic shortest route src → dst as the hop
+// sequence after src (ending in dst). Empty when src == dst.
+func (r *Routes) Route(src, dst int) []int {
+	var out []int
+	for src != dst {
+		src = r.NextHop(src, dst)
+		out = append(out, src)
+	}
+	return out
+}
+
+// Topology is a built interconnect graph: the spec's Routes plus one live
+// Link per directed edge. Multi-hop Sends store-and-forward at message
+// granularity: each intermediate hop re-serializes on its own outgoing link,
+// with forwarding scheduled on the receiving device's engine (so cluster
+// topologies parallelize exactly like cluster rings).
+type Topology struct {
+	*Routes
+	spec  TopoSpec
+	links []*Link
+}
+
+// Build instantiates the topology's links on one shared engine.
+func (s TopoSpec) Build(eng *sim.Engine) (*Topology, error) {
+	return s.build(func(e edgeSpec) (*Link, error) { return NewLink(eng, e.cfg) })
+}
+
+// BuildCluster instantiates the topology across a cluster's per-device
+// engines: each link serializes on its source device's engine and delivers
+// into its destination's mailbox, registered as a link edge with the link's
+// own latency — the per-link lookahead the dynamic horizons feed on.
+// Mailboxes are registered in canonical edge order (see edges), which fixes
+// drain order for every worker count. Every link latency must cover the
+// cluster's lookahead; build the cluster with MinLinkLatency.
+func (s TopoSpec) BuildCluster(cl *sim.Cluster) (*Topology, error) {
+	if n := len(cl.Engines()); n != s.Devices {
+		return nil, fmt.Errorf("interconnect: %d-device topology on %d-engine cluster", s.Devices, n)
+	}
+	return s.build(func(e edgeSpec) (*Link, error) { return NewClusterLink(cl, e.src, e.dst, e.cfg) })
+}
+
+func (s TopoSpec) build(mk func(edgeSpec) (*Link, error)) (*Topology, error) {
+	rt, err := s.Routes()
+	if err != nil {
+		return nil, err
+	}
+	t := &Topology{Routes: rt, spec: s, links: make([]*Link, len(rt.edges))}
+	for i, e := range rt.edges {
+		l, err := mk(e)
+		if err != nil {
+			return nil, err
+		}
+		t.links[i] = l
+	}
+	return t, nil
 }
 
 // Spec returns the graph description.
@@ -354,43 +398,13 @@ func (t *Topology) Spec() TopoSpec { return t.spec }
 // Devices returns the device count.
 func (t *Topology) Devices() int { return t.spec.Devices }
 
-// NumLinks returns the number of directed links.
-func (t *Topology) NumLinks() int { return len(t.links) }
-
 // Link returns the (first) direct link src → dst, or nil when the devices
 // are not adjacent.
 func (t *Topology) Link(src, dst int) *Link {
-	if i, ok := t.first[[2]int{src, dst}]; ok {
+	if i, _ := t.Edge(src, dst); i >= 0 {
 		return t.links[i]
 	}
 	return nil
-}
-
-// NextHop returns the first hop of the deterministic shortest route
-// src → dst (-1 when src == dst).
-func (t *Topology) NextHop(src, dst int) int {
-	return t.nexthop[src*t.spec.Devices+dst]
-}
-
-// Hops returns the length of the deterministic route src → dst.
-func (t *Topology) Hops(src, dst int) int {
-	h := 0
-	for src != dst {
-		src = t.NextHop(src, dst)
-		h++
-	}
-	return h
-}
-
-// Route returns the deterministic shortest route src → dst as the hop
-// sequence after src (ending in dst). Empty when src == dst.
-func (t *Topology) Route(src, dst int) []int {
-	var out []int
-	for src != dst {
-		src = t.NextHop(src, dst)
-		out = append(out, src)
-	}
-	return out
 }
 
 // Send routes n bytes from src to dst along the deterministic shortest

@@ -11,7 +11,7 @@ import (
 // hierWindowProbe runs a fixed multi-round traffic pattern over a 2x4
 // hierarchy on a cluster and returns the delivery times plus the run stats.
 // The spec's per-edge latencies are taken as given; the cluster lookahead is
-// always the spec's MinLinkLatency (the unattributed-mailbox floor).
+// always the spec's MinLinkLatency (the floor every link latency covers).
 func hierWindowProbe(t *testing.T, spec TopoSpec, workers int) ([]units.Time, sim.ClusterStats) {
 	t.Helper()
 	n := spec.Devices

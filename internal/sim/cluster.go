@@ -37,11 +37,7 @@ const never = units.Time(math.MaxInt64)
 // and travels at least the link latency. A device whose neighbors are far in
 // the future runs many global windows' worth of events in one round without
 // synchronizing; a device with no inbound link at all (H = never) runs to
-// completion. Mailboxes registered without a source (Mailbox, as opposed to
-// LinkMailbox) admit posts from anywhere with only the cluster-wide lookahead
-// guarantee, so they floor their destination's bound and horizon at
-// min-over-all-engines(base) + lookahead — exactly the legacy global window.
-// Every bound and horizon is re-derived from scratch each round by one
+// completion. Every bound and horizon is re-derived from scratch each round by one
 // multi-source Dijkstra over the link graph (computeWindows).
 //
 // Progress: an engine holding the globally earliest event m is always
@@ -63,18 +59,15 @@ type Cluster struct {
 	lookahead units.Time
 	engines   []*Engine
 	boxes     []*Mailbox
-	barrier   units.Time     // unattributed-mail floor of the last round (legacy global window)
 	chk       *check.Checker // retained so late-registered mailboxes get link handles
-	la        *check.Lookahead
 
 	// Link topology, rebuilt lazily from boxes when Run starts. Each
-	// attributed mailbox is one directed edge, identified by a dense edge id
-	// (eid) in mailbox registration order.
+	// mailbox is one directed edge, identified by a dense edge id (eid) in
+	// mailbox registration order.
 	builtBoxes int
 	nEdges     int
-	in         [][]edge // per-engine inbound attributed links (peer = source)
-	out        [][]edge // per-engine outbound attributed links (peer = destination)
-	openInbox  []bool   // engine is the destination of an unattributed Mailbox
+	in         [][]edge // per-engine inbound links (peer = source)
+	out        [][]edge // per-engine outbound links (peer = destination)
 	edgeSrc    []int32  // per-eid endpoints, for diagnostics
 	edgeDst    []int32
 
@@ -85,8 +78,8 @@ type Cluster struct {
 	dirty    []bool       // base[i] may be stale (engine ran or received mail)
 	dirtyIdx []int32
 	bound    []units.Time // B_j of the current round
-	horizons []units.Time // H_i of the current round (open floor applied)
-	hsup     []int32      // inbound eid defining H_i; -2 open floor, -1 none
+	horizons []units.Time // H_i of the current round
+	hsup     []int32      // inbound eid defining H_i; -1 none
 	heap     djHeap       // Dijkstra worklist
 	runnable []int32      // engines with base < horizon this round
 	// prevNow is each engine's clock at the start of the last round it ran:
@@ -98,8 +91,6 @@ type Cluster struct {
 	// since the last drain — single-writer per slice, read by the
 	// coordinator after the round barrier.
 	postedBy   [][]int32
-	openMu     sync.Mutex
-	openPosted []int32 // unattributed boxes posted to (any goroutine)
 	drainList  []int32
 	firstDrain bool
 
@@ -131,7 +122,7 @@ type Cluster struct {
 	left     atomic.Int64
 }
 
-// edge is one attributed link endpoint adjacency entry.
+// edge is one link endpoint adjacency entry.
 type edge struct {
 	peer int32
 	eid  int32 // dense edge id, indexing edgeStall*
@@ -196,10 +187,10 @@ func (c *Cluster) EdgeStalls() []EdgeStall {
 	return out
 }
 
-// NewCluster returns a coordinator owning n fresh engines. The lookahead
-// must be positive — a zero-latency link admits no conservative window, so
-// callers with LinkLatency == 0 must run on a single engine or reject the
-// configuration.
+// NewCluster returns a coordinator owning n fresh engines. The lookahead is
+// the floor every link latency must cover, and must be positive — a
+// zero-latency link admits no conservative window, so callers with
+// LinkLatency == 0 must run on a single engine or reject the configuration.
 func NewCluster(n int, lookahead units.Time) *Cluster {
 	if n < 1 {
 		panic(fmt.Sprintf("sim: cluster of %d engines", n))
@@ -221,25 +212,21 @@ func (c *Cluster) Engines() []*Engine { return c.engines }
 func (c *Cluster) Engine(i int) *Engine { return c.engines[i] }
 
 // Lookahead returns the cluster-wide minimum lookahead: the floor for every
-// link latency, and the window width unattributed mailboxes fall back to.
+// link latency.
 func (c *Cluster) Lookahead() units.Time { return c.lookahead }
 
 // Stats returns the windowing statistics accumulated by Run so far.
 func (c *Cluster) Stats() ClusterStats { return c.stats }
 
-// AttachChecker arms every engine's monotonicity witness plus the cluster's
-// lookahead laws: the global-window law for unattributed mailboxes and the
-// per-link law for attributed ones. A nil checker detaches.
+// AttachChecker arms every engine's monotonicity witness plus every link's
+// lookahead law. A nil checker detaches.
 func (c *Cluster) AttachChecker(chk *check.Checker) {
 	c.chk = chk
 	for _, e := range c.engines {
 		e.AttachChecker(chk)
 	}
-	c.la = chk.Lookahead("sim.cluster")
 	for _, b := range c.boxes {
-		if b.src >= 0 {
-			b.la = chk.Lookahead(fmt.Sprintf("sim.cluster.link%d-%d", b.src, b.dstIdx))
-		}
+		b.la = chk.Lookahead(fmt.Sprintf("sim.cluster.link%d-%d", b.src, b.dstIdx))
 	}
 }
 
@@ -252,22 +239,20 @@ type mail struct {
 	fn  Handler
 }
 
-// Mailbox carries cross-engine messages toward one destination engine. A
+// Mailbox carries cross-engine messages over one directed link src → dst. A
 // sender running inside a round calls Post instead of dst.At (which would
 // race with the destination's worker); the coordinator drains the box at the
-// next round boundary. Each mailbox is meant to serve a single logical sender
-// (one ring link); the mutex exists so unrelated senders on other goroutines
-// can post to *other* mailboxes concurrently while the race detector still
-// sees a clean handoff to the coordinator.
+// next round boundary. Only code on the source engine posts; the mutex makes
+// the handoff to the coordinator visible to the race detector.
 type Mailbox struct {
 	cl     *Cluster
 	dst    *Engine
 	dstIdx int32
 	bidx   int32      // index in cl.boxes: the canonical drain order
-	src    int32      // source engine index, or -1 for an unattributed mailbox
-	lat    units.Time // registered minimum link latency (attributed only)
+	src    int32      // source engine index
+	lat    units.Time // registered minimum link latency
 
-	la *check.Lookahead // per-link law handle (attributed only)
+	la *check.Lookahead // per-link law handle
 
 	mu     sync.Mutex
 	posted bool // has undrained mail
@@ -275,30 +260,15 @@ type Mailbox struct {
 	in     []mail
 }
 
-// Mailbox registers and returns an unattributed mailbox delivering into
-// device dst's engine: any goroutine may post to it, with only the
-// cluster-wide lookahead guarantee. The destination therefore never advances
-// past the legacy global window (earliest pending event anywhere +
-// lookahead). Prefer LinkMailbox, which tells the scheduler which device
-// posts and how much latency the link guarantees, so the destination can run
-// ahead on its own per-link horizon. Registration order is drain order at
-// each round, so callers must register mailboxes in a deterministic order at
-// setup time.
-func (c *Cluster) Mailbox(dst int) *Mailbox {
-	b := &Mailbox{cl: c, dst: c.engines[dst], dstIdx: int32(dst), bidx: int32(len(c.boxes)), src: -1}
-	c.boxes = append(c.boxes, b)
-	return b
-}
-
 // LinkMailbox registers and returns a mailbox for the directed link
 // src → dst with the given minimum latency: every Post must come from code
 // running on src's engine, timestamped at least minLatency after src's
 // current time. In exchange the scheduler bounds dst by this link's law —
-// B_src + minLatency — instead of the global window, which is what lets
-// devices with distant neighbors run far ahead. minLatency below the cluster
-// lookahead panics: the cluster-wide lookahead is defined as the minimum
-// cross-engine latency, so a tighter link would falsify every unattributed
-// bound already handed out.
+// B_src + minLatency — which is what lets devices with distant neighbors run
+// far ahead. Registration order is drain order at each round, so callers
+// must register mailboxes in a deterministic order at setup time.
+// minLatency below the cluster lookahead panics: the lookahead is the floor
+// every link latency must cover.
 func (c *Cluster) LinkMailbox(src, dst int, minLatency units.Time) *Mailbox {
 	if src < 0 || src >= len(c.engines) || dst < 0 || dst >= len(c.engines) {
 		panic(fmt.Sprintf("sim: link mailbox %d->%d outside cluster of %d", src, dst, len(c.engines)))
@@ -342,20 +312,14 @@ func (b *Mailbox) Post(at units.Time, fn Handler) {
 	}
 }
 
-// notePosted records that b holds mail since the last drain. Attributed
-// boxes are only ever posted from code running on their source engine, so
-// the per-source list is single-writer within a round; unattributed boxes
-// admit posts from anywhere and go through a mutex.
+// notePosted records that b holds mail since the last drain. Boxes are only
+// ever posted from code running on their source engine, so the per-source
+// list is single-writer within a round. Setup code may post before Run has
+// sized the lists; the first drain sweeps every box anyway.
 func (c *Cluster) notePosted(b *Mailbox) {
-	if b.src >= 0 {
-		if int(b.src) < len(c.postedBy) {
-			c.postedBy[b.src] = append(c.postedBy[b.src], b.bidx)
-		}
-		return
+	if int(b.src) < len(c.postedBy) {
+		c.postedBy[b.src] = append(c.postedBy[b.src], b.bidx)
 	}
-	c.openMu.Lock()
-	c.openPosted = append(c.openPosted, b.bidx)
-	c.openMu.Unlock()
 }
 
 // sortMail orders messages by (time, sender seq) — insertion sort, since a
@@ -375,8 +339,8 @@ func sortMail(ms []mail) {
 
 // drain moves held messages into their destination engines' calendars at a
 // round boundary. It visits only the boxes posted to since the last drain
-// (collected from the engines that ran — the only possible posters — plus
-// the unattributed list), sorted back into registration order so the
+// (collected from the engines that ran — the only possible posters), sorted
+// back into registration order so the
 // delivery order is the deterministic subset of a full sweep. The first
 // drain of a Run sweeps every box: setup code may have posted before the
 // per-source lists existed.
@@ -389,9 +353,6 @@ func (c *Cluster) drain() {
 		for i := range c.postedBy {
 			c.postedBy[i] = c.postedBy[i][:0]
 		}
-		c.openMu.Lock()
-		c.openPosted = c.openPosted[:0]
-		c.openMu.Unlock()
 		return
 	}
 	c.drainList = c.drainList[:0]
@@ -401,10 +362,6 @@ func (c *Cluster) drain() {
 			c.postedBy[i] = pb[:0]
 		}
 	}
-	c.openMu.Lock()
-	c.drainList = append(c.drainList, c.openPosted...)
-	c.openPosted = c.openPosted[:0]
-	c.openMu.Unlock()
 	slices.Sort(c.drainList)
 	for _, bi := range c.drainList {
 		c.drainBox(c.boxes[bi])
@@ -412,7 +369,7 @@ func (c *Cluster) drain() {
 }
 
 // drainBox empties one mailbox into its destination engine: (time, seq)
-// sorted, lookahead laws observed, late deliveries clamped. The backing
+// sorted, the link's lookahead law observed, late deliveries clamped. The backing
 // array is retained, so a steady-state drain allocates nothing.
 func (c *Cluster) drainBox(b *Mailbox) {
 	b.mu.Lock()
@@ -424,20 +381,12 @@ func (c *Cluster) drainBox(b *Mailbox) {
 		return
 	}
 	sortMail(ms)
-	// Everything in an attributed box was posted while its source ran the
-	// last round, which started at prevNow[src] (prepare seeds it with the
-	// clock setup code posts from).
-	attributed := b.src >= 0
-	var start units.Time
-	if attributed {
-		start = c.prevNow[b.src]
-	}
+	// Everything in the box was posted while its source ran the last round,
+	// which started at prevNow[src] (prepare seeds it with the clock setup
+	// code posts from).
+	start := c.prevNow[b.src]
 	for _, m := range ms {
-		if attributed {
-			b.la.ObserveLink(start, b.lat, m.at)
-		} else {
-			c.la.Observe(c.barrier, m.at)
-		}
+		b.la.ObserveLink(start, b.lat, m.at)
 		at := m.at
 		if at < b.dst.Now() {
 			// Lookahead violated (already recorded): clamp so the run
@@ -470,7 +419,6 @@ func (c *Cluster) prepare() {
 		c.baseTree = newMinTree(n)
 		c.in = make([][]edge, n)
 		c.out = make([][]edge, n)
-		c.openInbox = make([]bool, n)
 		c.blockedMark = make([]bool, n)
 		c.blockedPos = make([]int32, n)
 		c.blockedList = make([]int32, 0, n)
@@ -480,16 +428,11 @@ func (c *Cluster) prepare() {
 		for i := 0; i < n; i++ {
 			c.in[i] = c.in[i][:0]
 			c.out[i] = c.out[i][:0]
-			c.openInbox[i] = false
 		}
 		c.edgeSrc = c.edgeSrc[:0]
 		c.edgeDst = c.edgeDst[:0]
 		eid := int32(0)
 		for _, b := range c.boxes {
-			if b.src < 0 {
-				c.openInbox[b.dstIdx] = true
-				continue
-			}
 			c.in[b.dstIdx] = append(c.in[b.dstIdx], edge{peer: b.src, eid: eid, lat: b.lat})
 			c.out[b.src] = append(c.out[b.src], edge{peer: b.dstIdx, eid: eid, lat: b.lat})
 			c.edgeSrc = append(c.edgeSrc, b.src)
@@ -551,24 +494,17 @@ func (c *Cluster) refreshBase() {
 }
 
 // computeWindows derives this round's per-engine bounds B, horizons H, and
-// the runnable set from scratch, given the globally earliest pending event
-// baseMin.
+// the runnable set from scratch.
 //
-// The bound pass is a multi-source Dijkstra: seed every engine with
-// min(base, open-inbox floor) and relax through outbound links, so B_j ends
-// at the earliest time any pending event anywhere can influence j. The
-// horizon pass then takes, per engine, the minimum over inbound links of
-// B_source + latency (floored by the open-inbox window), which is the first
-// instant a not-yet-posted message could demand delivery.
-func (c *Cluster) computeWindows(baseMin units.Time) {
+// The bound pass is a multi-source Dijkstra: seed every engine with its base
+// and relax through outbound links, so B_j ends at the earliest time any
+// pending event anywhere can influence j. The horizon pass then takes, per
+// engine, the minimum over inbound links of B_source + latency, which is the
+// first instant a not-yet-posted message could demand delivery.
+func (c *Cluster) computeWindows() {
 	n := len(c.engines)
-	open := baseMin + c.lookahead // unattributed floor; also this round's legacy barrier
 	c.heap.reset()
-	for i := 0; i < n; i++ {
-		b := c.base[i]
-		if c.openInbox[i] && open < b {
-			b = open
-		}
+	for i, b := range c.base {
 		c.bound[i] = b
 		if b != never {
 			c.heap.push(djItem{t: b, eng: int32(i)})
@@ -596,9 +532,6 @@ func (c *Cluster) computeWindows(baseMin units.Time) {
 				hs = e.eid
 			}
 		}
-		if c.openInbox[i] && open < h {
-			h, hs = open, -2
-		}
 		c.horizons[i] = h
 		c.hsup[i] = hs
 		if c.base[i] < h {
@@ -609,7 +542,6 @@ func (c *Cluster) computeWindows(baseMin units.Time) {
 			c.setBlocked(int32(i), c.base[i] != never && h != never)
 		}
 	}
-	c.barrier = open
 }
 
 // setBlocked maintains the blocked-engine set: engines with pending events
@@ -697,15 +629,15 @@ func (c *Cluster) Run(workers int) units.Time {
 	for {
 		c.drain()
 		c.refreshBase()
-		baseMin := c.baseTree.root()
-		if baseMin == never {
+		if c.baseTree.root() == never {
 			return c.horizon()
 		}
-		c.computeWindows(baseMin)
+		c.computeWindows()
 		if len(c.runnable) == 0 {
-			// Unreachable: the engine holding baseMin always has a horizon
-			// strictly beyond it (positive link latencies). Guard anyway so a
-			// future invariant break fails loudly instead of spinning.
+			// Unreachable: the engine holding the earliest pending event
+			// always has a horizon strictly beyond it (positive link
+			// latencies). Guard anyway so a future invariant break fails
+			// loudly instead of spinning.
 			panic("sim: cluster stalled with pending events")
 		}
 		if !parallel || len(c.runnable) == 1 {

@@ -13,7 +13,7 @@ import (
 // ---------------------------------------------------------------------------
 
 // torusTraffic drives a seeded pseudo-random workload over a rows×cols torus
-// of attributed links (4 outbound links per device, heterogeneous latencies)
+// of links (4 outbound links per device, heterogeneous latencies)
 // at the given worker count, returning the merged log and the run's stats.
 // The log and every stat must be identical across worker counts.
 func torusTraffic(t *testing.T, workers int, seed int64) (string, ClusterStats) {
@@ -121,7 +121,7 @@ func starTraffic(t *testing.T, workers int, seed int64) (string, ClusterStats) {
 }
 
 // TestClusterAppointmentMatchesWindowed runs the torus and star probes —
-// attributed links with per-edge latencies — under the cluster's one sync
+// links with per-edge latencies — under the cluster's one sync
 // protocol (per-round bounds plus the posted-only drain) at workers 1/2/4.
 // Once a cross-protocol oracle, it now pins that the merged log and every
 // ClusterStats field on these multi-link graphs are pure functions of the

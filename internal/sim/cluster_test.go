@@ -119,7 +119,7 @@ func ringOnCluster(t *testing.T, workers int, chk *check.Checker) string {
 	// One mailbox per forward link, registered in device order.
 	boxes := make([]*Mailbox, ringDevs)
 	for d := 0; d < ringDevs; d++ {
-		boxes[d] = cl.Mailbox((d + 1) % ringDevs)
+		boxes[d] = cl.LinkMailbox(d, (d+1)%ringDevs, ringLinkLat)
 	}
 	hops := ringDevs * ringLaps
 	var arrive func(dev, hop int) Handler
@@ -165,7 +165,7 @@ func randomTraffic(workers int, seed int64) string {
 	log := &ringLog{perDev: make([][]string, devs)}
 	boxes := make([]*Mailbox, devs)
 	for d := 0; d < devs; d++ {
-		boxes[d] = cl.Mailbox((d + 1) % devs)
+		boxes[d] = cl.LinkMailbox(d, (d+1)%devs, lookahead)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var burst func(dev, depth int) Handler
@@ -202,23 +202,23 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestClusterLookaheadViolationDetected proves the lookahead law is
-// falsifiable: a model that posts a delivery closer than the lookahead —
-// here, effectively instantaneous — must be flagged, because the receiving
-// engine may already have run past the delivery time.
+// TestClusterLookaheadViolationDetected proves the cluster lookahead is
+// only a floor, not a delivery guarantee: a post that clears the cluster
+// lookahead but undercuts its own link's registered latency must still be
+// flagged, because the receiving engine's horizon trusted the link.
 func TestClusterLookaheadViolationDetected(t *testing.T) {
 	chk := check.New()
 	cl := NewCluster(2, 10)
 	cl.AttachChecker(chk)
-	box := cl.Mailbox(1)
+	box := cl.LinkMailbox(0, 1, 50)
 	cl.Engine(1).At(0, func() {}) // pull engine 1 into the first window
 	cl.Engine(0).At(5, func() {
-		box.Post(6, func() {}) // lies about the link latency: 6 < barrier
+		box.Post(25, func() {}) // 25 >= 5 + lookahead, but 25 < 0 + 50
 	})
 	cl.Run(2)
 	found := false
 	for _, v := range chk.Violations() {
-		if v.Rule == "ordering/lookahead" {
+		if v.Rule == "ordering/link-lookahead" {
 			found = true
 		}
 	}
@@ -238,7 +238,7 @@ func TestClusterStress(t *testing.T) {
 		log := &ringLog{perDev: make([][]string, devs)}
 		boxes := make([]*Mailbox, devs)
 		for d := 0; d < devs; d++ {
-			boxes[d] = cl.Mailbox((d + 1) % devs)
+			boxes[d] = cl.LinkMailbox(d, (d+1)%devs, 5)
 		}
 		var hop func(dev, n int) Handler
 		hop = func(dev, n int) Handler {
@@ -302,7 +302,7 @@ func TestClusterWindowLoopAllocs(t *testing.T) {
 // Dynamic per-device lookahead
 // ---------------------------------------------------------------------------
 
-// linkRing wires devs engines into a ring of attributed LinkMailboxes with
+// linkRing wires devs engines into a ring of LinkMailboxes with
 // per-link latencies lat[d] (link d goes d -> (d+1)%devs), runs a token
 // workload where every hop uses its own link's latency, and returns the
 // merged log.
@@ -412,7 +412,7 @@ func TestClusterLinkLawViolationDetected(t *testing.T) {
 	box := cl.LinkMailbox(0, 1, 10)
 	cl.Engine(1).At(0, func() {}) // pull engine 1 into the first round
 	cl.Engine(0).At(5, func() {
-		box.Post(6, func() {}) // lies about the link latency: 6 < 0 + 10? no — 6 < window start 0 + 10
+		box.Post(6, func() {}) // lies about the link latency: 6 < window start 0 + 10
 	})
 	cl.Run(2)
 	found := false

@@ -345,7 +345,8 @@ func (e *Engine) RunBefore(deadline units.Time) units.Time {
 }
 
 // NextAt returns the earliest pending event's timestamp, or false when the
-// queue is empty. Cluster uses it to compute the global window horizon.
+// queue is empty. Cluster uses it as the engine's base, the seed of its
+// per-device bound.
 func (e *Engine) NextAt() (units.Time, bool) {
 	if e.laneLen > 0 {
 		_, at := e.earliest()
