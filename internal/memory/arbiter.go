@@ -32,19 +32,23 @@ type RoundRobin struct {
 	last Stream
 }
 
-// Next implements Arbiter.
+// Next implements Arbiter: with both streams pending it issues from the one
+// it did not issue from last, with one pending it issues from that one, and
+// with none it stalls.
 func (r *RoundRobin) Next(v ChannelView) (Stream, bool) {
-	first := StreamCompute
-	if r.last == StreamCompute {
-		first = StreamComm
+	var s Stream
+	switch {
+	case v.ComputePending > 0 && v.CommPending > 0:
+		s = other(r.last)
+	case v.ComputePending > 0:
+		s = StreamCompute
+	case v.CommPending > 0:
+		s = StreamComm
+	default:
+		return 0, false
 	}
-	for _, s := range [...]Stream{first, other(first)} {
-		if pending(v, s) > 0 {
-			r.last = s
-			return s, true
-		}
-	}
-	return 0, false
+	r.last = s
+	return s, true
 }
 
 // ComputeFirst always prefers the compute stream and issues communication
@@ -170,13 +174,6 @@ func (m *MCA) SetThreshold(threshold int) {
 
 // Calibrated reports whether a monitor window has set the threshold.
 func (m *MCA) Calibrated() bool { return m.haveLimit }
-
-func pending(v ChannelView, s Stream) int {
-	if s == StreamCompute {
-		return v.ComputePending
-	}
-	return v.CommPending
-}
 
 func other(s Stream) Stream {
 	if s == StreamCompute {

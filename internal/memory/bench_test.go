@@ -32,8 +32,8 @@ func burstController() (*sim.Engine, *Controller, func(), error) {
 
 // BenchmarkChannelEnqueueService measures one serviced burst through the
 // transfer pool and ring queues: enqueue, arbitrate, per-channel service,
-// fence completion. The interesting number is allocs/op, which must be zero
-// in steady state.
+// countdown completion. The interesting number is allocs/op, which must be
+// zero in steady state.
 func BenchmarkChannelEnqueueService(b *testing.B) {
 	_, _, burst, err := burstController()
 	if err != nil {
@@ -63,8 +63,8 @@ func TestTransferSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestTransferToSteadyStateAllocFree pins the same property for the
-// Completion-receiver path the fused runner uses, including read-latency
-// fence delivery.
+// Completion-receiver path the fused runners use, including the deferred
+// read-latency completion.
 func TestTransferToSteadyStateAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()

@@ -38,10 +38,15 @@ type channel struct {
 	chkDepth *check.Bound      // DRAM command-queue occupancy vs QueueDepth
 }
 
-// enqueue places a request on stream s's queue and kicks arbitration.
+// enqueue places a request on stream s's queue and kicks arbitration —
+// unless the service stage is busy and the DRAM queue full, when
+// arbitration could neither issue nor start service.
 func (ch *channel) enqueue(r slot, s Stream) {
 	ch.streams[s].push(r)
 	ch.inflightByStream[s]++
+	if ch.busy && ch.dramq.len() >= ch.ctrl.cfg.QueueDepth {
+		return
+	}
 	ch.arbitrate()
 }
 
@@ -128,20 +133,28 @@ func (ch *channel) serviceDone() {
 	ch.ctrl.checkIdle()
 }
 
-// complete counts a serviced request down on its transfer's fence.
+// complete counts a serviced request down on its transfer.
 //
-// A read counts down its transfer's fence as soon as its service ends; only
-// the request that drains the fence schedules the ReadLatency event.
-// ReadLatency is constant, so per-request latency events would fire in
-// service-completion order and the last one — the only one that does more
-// than decrement — sits exactly where the single event is scheduled: same
-// time, same place in the insertion order. A transfer of n read requests
-// therefore costs n+1 events instead of 2n.
+// A read counts down as soon as its service ends; only the request that
+// drains the count schedules the ReadLatency event. ReadLatency is
+// constant, so per-request latency events would fire in service-completion
+// order and the last one — the only one that does more than decrement —
+// sits exactly where the single event is scheduled: same time, same place
+// in the insertion order. A transfer of n read requests therefore costs n+1
+// events instead of 2n. Completing a transfer with nothing outstanding
+// panics.
 func (ch *channel) complete(x *xfer) {
-	if x.kind == Read && ch.ctrl.cfg.ReadLatency > 0 && x.fence.Remaining() == 1 {
-		ch.ctrl.readLane.AfterFence(x.fence)
+	if x.left <= 0 {
+		panic("memory: transfer over-completed")
+	}
+	x.left--
+	if x.left > 0 {
+		return
+	}
+	if x.kind == Read && ch.ctrl.cfg.ReadLatency > 0 {
+		ch.ctrl.readLane.After(x.done)
 	} else {
-		x.fence.Done()
+		x.finish()
 	}
 }
 

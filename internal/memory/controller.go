@@ -193,7 +193,9 @@ func (c *Controller) transfer(kind AccessKind, stream Stream, total units.Bytes,
 		sz := min(g, remaining)
 		remaining -= sz
 		ch := c.channels[c.nextChannel]
-		c.nextChannel = (c.nextChannel + 1) % len(c.channels)
+		if c.nextChannel++; c.nextChannel == len(c.channels) {
+			c.nextChannel = 0
+		}
 		ch.enqueue(slot{xf: x.id, bytes: uint32(sz)}, stream)
 	}
 }

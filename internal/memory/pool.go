@@ -9,22 +9,24 @@ import (
 // tag. It is the allocation-free alternative to Transfer's func() callback:
 // a caller that serves many transfers implements Complete once on a pooled
 // or long-lived receiver and recovers per-transfer context from the tag,
-// instead of capturing it in a fresh closure per call.
+// instead of capturing it in a fresh closure per call. The fused runners —
+// the mirror runners and the explicit multi-device runner alike — issue
+// their per-tile traffic this way.
 type Completion interface {
 	Complete(tag Tag)
 }
 
 // xfer is the pooled per-Transfer state. It holds everything the requests of
 // one transfer share — kind, stream, tag and the time they were enqueued —
-// so a queued request is only a slot{xfer index, bytes}; the fence counting
-// outstanding requests; and the completion to deliver when it drains. The
-// fence and its onDone closure are allocated once per xfer object and
-// rearmed with Fence.Reset on reuse, so a steady-state transfer costs zero
-// allocations.
+// so a queued request is only a slot{xfer index, bytes}; the count of
+// requests still outstanding; and the completion to deliver when that count
+// drains. The done handler is bound to finish once per xfer object, so a
+// steady-state transfer costs zero allocations.
 type xfer struct {
 	ctrl   *Controller
 	id     uint32 // index in ctrl.xfers
-	fence  *sim.Fence
+	left   int    // requests not yet serviced
+	done   sim.Handler
 	kind   AccessKind
 	stream Stream
 	tag    Tag
@@ -36,8 +38,7 @@ type xfer struct {
 // finish runs when the transfer's last request completes. It records the
 // metrics span, delivers the completion, and only then returns the xfer to
 // the pool — releasing before the callback would let a nested Transfer
-// started by the callback rearm this fence while its Done is still
-// unwinding.
+// started by the callback rearm this record while it is still unwinding.
 func (x *xfer) finish() {
 	c := x.ctrl
 	if c.mtrack != nil {
@@ -53,18 +54,23 @@ func (x *xfer) finish() {
 	c.xfFree = append(c.xfFree, x)
 }
 
-// getXfer returns a transfer record with its fence armed for n completions,
-// reusing a pooled one when available. n must be positive.
+// getXfer returns a transfer record armed for n outstanding requests,
+// reusing a pooled one when available. n must be positive. Rearming a
+// record that still has requests outstanding panics: they would be merged
+// into the new transfer.
 func (c *Controller) getXfer(n int) *xfer {
 	if ln := len(c.xfFree); ln > 0 {
 		x := c.xfFree[ln-1]
+		if x.left != 0 {
+			panic("memory: rearming a transfer still in flight")
+		}
 		c.xfFree[ln-1] = nil
 		c.xfFree = c.xfFree[:ln-1]
-		x.fence.Reset(n)
+		x.left = n
 		return x
 	}
-	x := &xfer{ctrl: c, id: uint32(len(c.xfers))}
+	x := &xfer{ctrl: c, id: uint32(len(c.xfers)), left: n}
+	x.done = x.finish
 	c.xfers = append(c.xfers, x)
-	x.fence = sim.NewFence(n, x.finish)
 	return x
 }

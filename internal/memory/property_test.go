@@ -184,10 +184,10 @@ type xferSpec struct {
 }
 
 // runCompletions issues specs on a fresh controller and records every
-// transfer's completion. whole issues each as one Transfer (one fence per
-// transfer, one ReadLatency event per read transfer); otherwise each request
-// is a one-request Transfer of its own whose completion gets its own
-// ReadLatency event — the per-request reference the fence collapse must
+// transfer's completion. whole issues each as one Transfer (one countdown
+// per transfer, one ReadLatency event per read transfer); otherwise each
+// request is a one-request Transfer of its own whose completion gets its
+// own ReadLatency event — the per-request reference the collapse must
 // reproduce exactly.
 func runCompletions(t *testing.T, cfg Config, arb Arbiter, specs []xferSpec, whole bool) completionTrace {
 	t.Helper()

@@ -34,11 +34,6 @@ type event struct {
 	at  units.Time
 	seq uint64 // insertion order; breaks ties deterministically
 	fn  Handler
-	// fence, when fn is nil, is completed (Done) instead of calling a
-	// handler. Carrying the fence in the event lets hot paths schedule a
-	// deferred completion without allocating a method-value closure for
-	// fence.Done on every request (see Engine.AfterFence).
-	fence *Fence
 }
 
 // before reports whether e fires ahead of o under the deterministic
@@ -56,8 +51,8 @@ func (e event) before(o event) bool {
 // allocations (the backing array is reused across drain cycles). Events
 // scheduled through a fixed-delay Lane bypass it entirely. The 4-ary layout
 // (children of i at 4i+1..4i+4) halves tree depth versus a binary heap,
-// trading a wider sibling scan — two cache lines for 32-byte events —
-// for fewer cache-missing levels on sift-down, the pop-side cost
+// trading a wider sibling scan — four 24-byte events {at, seq, fn}, 96
+// bytes — for fewer cache-missing levels on sift-down, the pop-side cost
 // that dominates a DES dispatch loop.
 const heapArity = 4
 
@@ -167,25 +162,8 @@ func (e *Engine) After(d units.Time, fn Handler) {
 	e.At(e.now+d, fn)
 }
 
-// AfterFence schedules one completion (Done) on f at d after the current
-// time. It is equivalent to After(d, f.Done) — same position in the
-// deterministic (time, insertion-seq) event order — but stores the fence
-// pointer in the event itself, so no method-value closure is allocated.
-// Negative delays and nil fences panic.
-func (e *Engine) AfterFence(d units.Time, f *Fence) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	if f == nil {
-		panic("sim: scheduling nil fence")
-	}
-	e.seq++
-	e.push(event{at: e.now + d, seq: e.seq, fence: f})
-}
-
-// Lane is an engine's FIFO for one fixed delay. Lane.After(fn) and
-// Lane.AfterFence(f) are exactly Engine.After(d, fn) and
-// Engine.AfterFence(d, f): same time, same insertion seq, same place in the
+// Lane is an engine's FIFO for one fixed delay. Lane.After(fn) is exactly
+// Engine.After(d, fn): same time, same insertion seq, same place in the
 // dispatch order. Because the clock never runs backwards and seq only
 // grows, events appended to a lane are already in (at, seq) order, so a
 // lane schedules and dispatches in O(1) where the heap pays O(log n).
@@ -225,15 +203,6 @@ func (l Lane) After(fn Handler) {
 		panic("sim: scheduling nil handler")
 	}
 	l.e.lanePush(l.slot, event{at: l.e.now + l.d, fn: fn})
-}
-
-// AfterFence schedules one completion (Done) on f the lane's delay after
-// the current time (see Engine.AfterFence).
-func (l Lane) AfterFence(f *Fence) {
-	if f == nil {
-		panic("sim: scheduling nil fence")
-	}
-	l.e.lanePush(l.slot, event{at: l.e.now + l.d, fence: f})
 }
 
 // lanePush stamps ev with the next seq and appends it to lane slot, or
@@ -386,11 +355,7 @@ func (e *Engine) drain(limit units.Time, incl bool) {
 		e.mono.Observe(ev.at)
 		e.now = ev.at
 		e.processed++
-		if ev.fn != nil {
-			ev.fn()
-		} else {
-			ev.fence.Done()
-		}
+		ev.fn()
 	}
 	eventsDispatched.Add(e.processed - p0)
 }

@@ -13,8 +13,8 @@ import (
 var laneDelays = []units.Time{0, 1, 3, 4, 7, 9, 16}
 
 // calReplay replays one seeded random workload on an engine. With lanes
-// false it is the heap-only reference: every Lane.After / Lane.AfterFence
-// becomes the Engine.After / Engine.AfterFence it is defined to equal.
+// false it is the heap-only reference: every Lane.After becomes the
+// Engine.After it is defined to equal.
 type calReplay struct {
 	e      *Engine
 	lanes  bool
@@ -46,11 +46,11 @@ func (d *calReplay) schedule(r *rand.Rand) {
 	case op == 1 || op == 3 && !d.lanes:
 		d.e.After(delay, fire)
 	case op == 2 || op == 4 && !d.lanes:
-		d.e.AfterFence(delay, NewFence(1, fire))
+		d.e.After(delay, NewFence(1, fire).Done)
 	case op == 3:
 		d.e.Lane(delay).After(fire)
 	default:
-		d.e.Lane(delay).AfterFence(NewFence(1, fire))
+		d.e.Lane(delay).After(NewFence(1, fire).Done)
 	}
 }
 
@@ -95,11 +95,11 @@ func (d *calReplay) state() calState {
 }
 
 // TestLanesMatchHeapOnly is the lanes' equivalence property: randomized
-// mixes of At, After, AfterFence, Lane.After and Lane.AfterFence — with
-// equal-time ties across heap and lanes, and more delays than lane slots —
-// driven through RunUntil, RunBefore, NextAt, Pending and Run dispatch
-// exactly the (at, seq) sequence, and report exactly the state, of a
-// heap-only engine given the same calls.
+// mixes of At, After and Lane.After, with plain handlers and fence
+// completions as handlers — with equal-time ties across heap and lanes, and
+// more delays than lane slots — driven through RunUntil, RunBefore, NextAt,
+// Pending and Run dispatch exactly the (at, seq) sequence, and report
+// exactly the state, of a heap-only engine given the same calls.
 func TestLanesMatchHeapOnly(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rep := [2]*calReplay{
@@ -171,7 +171,7 @@ func TestLaneSlotsAndForwarding(t *testing.T) {
 	}
 	mustPanic(t, "negative lane delay", func() { e.Lane(-1) })
 	mustPanic(t, "nil lane handler", func() { e.Lane(1).After(nil) })
-	mustPanic(t, "nil lane fence", func() { e.Lane(1).AfterFence(nil) })
+	mustPanic(t, "nil slotted-lane handler", func() { e.Lane(10).After(nil) })
 }
 
 func mustPanic(t *testing.T, what string, f func()) {

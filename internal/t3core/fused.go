@@ -612,7 +612,7 @@ func (r *fusedRun) writeStage(_, wgs int, _ units.Bytes, onDone sim.Handler) {
 		}
 		return
 	}
-	cb := r.getStageCB(local, onDone)
+	cb := getStageCB(&r.stageCBs, r, local, onDone)
 	for _, t := range updates {
 		if r.treatRemote(t) {
 			r.sendRemote(t)

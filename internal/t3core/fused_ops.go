@@ -6,15 +6,17 @@ import (
 	"t3sim/internal/units"
 )
 
-// This file holds the fused runner's pooled callback objects. The inner
-// loops of the run — production stores, tracker triggers, DMA forwards and
-// mirrored deliveries — used to capture their context in a fresh closure per
-// event, a steady allocation stream second only to the request path itself.
-// Each object below carries that context in pooled struct fields instead and
-// implements memory.Completion (or pre-builds its one link-delivery closure
-// at construction), so a steady-state burst allocates nothing. Objects are
-// returned to their freelist at the end of their final callback; the
-// callbacks run on the engine's single goroutine, so the freelists need no
+// This file holds the mirror runners' pooled callback objects; the
+// explicit multi-device runner (fusedmulti.go) shares stageCB and follows
+// the same pattern with its deliverOp. The inner loops of a run —
+// production stores, tracker triggers, DMA forwards and deliveries — used
+// to capture their context in a fresh closure per event, a steady
+// allocation stream second only to the request path itself. Each object
+// carries that context in pooled struct fields instead and implements
+// memory.Completion (or pre-builds its one link-delivery closure at
+// construction), so a steady-state burst allocates nothing. Objects are
+// returned to their freelist at the end of their final callback, and every
+// freelist is touched by one engine's goroutine only, so none needs
 // locking.
 
 // Complete implements memory.Completion for the runner itself: a full-tile
@@ -44,19 +46,26 @@ func (o *obsCB) Complete(tag memory.Tag) {
 	o.r.observeBytes(TileID{WG: tag.WG, WF: tag.WF}, o.bytes)
 }
 
+// tileObserver credits one completed tile update to a tracker: the mirror
+// runner and each explicit-run device.
+type tileObserver interface {
+	observe(id TileID)
+}
+
 // stageCB completes one GEMM stage's local production stores: each store
 // credits its tile and the stage fence; the kernel's stage callback fires
 // when the last store lands. The fence and its callback closure are built
 // once per pooled object and rearmed with Reset on reuse.
 type stageCB struct {
-	r      *fusedRun
+	obs    tileObserver
+	free   *[]*stageCB // the owner's freelist
 	fence  *sim.Fence
 	onDone sim.Handler // kernel stage completion, set per use
 }
 
 // Complete implements memory.Completion for one production store.
 func (s *stageCB) Complete(tag memory.Tag) {
-	s.r.observe(TileID{WG: tag.WG, WF: tag.WF})
+	s.obs.observe(TileID{WG: tag.WG, WF: tag.WF})
 	s.fence.Done()
 }
 
@@ -68,20 +77,21 @@ func (s *stageCB) fenceDone() {
 	onDone := s.onDone
 	s.onDone = nil
 	onDone()
-	s.r.stageCBs = append(s.r.stageCBs, s)
+	*s.free = append(*s.free, s)
 }
 
-// getStageCB returns a stage completion armed for n local stores (n > 0).
-func (r *fusedRun) getStageCB(n int, onDone sim.Handler) *stageCB {
-	if ln := len(r.stageCBs); ln > 0 {
-		s := r.stageCBs[ln-1]
-		r.stageCBs[ln-1] = nil
-		r.stageCBs = r.stageCBs[:ln-1]
+// getStageCB returns a stage completion from the freelist free, armed for n
+// local stores (n > 0) credited to obs.
+func getStageCB(free *[]*stageCB, obs tileObserver, n int, onDone sim.Handler) *stageCB {
+	if ln := len(*free); ln > 0 {
+		s := (*free)[ln-1]
+		(*free)[ln-1] = nil
+		*free = (*free)[:ln-1]
 		s.fence.Reset(n)
 		s.onDone = onDone
 		return s
 	}
-	s := &stageCB{r: r, onDone: onDone}
+	s := &stageCB{obs: obs, free: free, onDone: onDone}
 	s.fence = sim.NewFence(n, s.fenceDone)
 	return s
 }

@@ -73,6 +73,12 @@ type multiDevice struct {
 	prodOff      int // and the next tile's offset within that phase's chunk
 	ownedFence   *sim.Fence
 
+	// Pooled callbacks (see fused_ops.go): the freelist of local-store
+	// stage completions, and the freelist of tile deliveries this device
+	// issues or has received.
+	stageCBs []*stageCB
+	ops      []*deliverOp
+
 	gemmDone       units.Time
 	collectiveDone units.Time
 	err            error // first model error on this device (single-writer)
@@ -328,59 +334,65 @@ func (md *multiDevice) nextProdTile() (tile int, pm PhaseMap, ok bool) {
 }
 
 // writeStage routes one stage's production per the device's address map.
+// It walks the stage's tiles twice from the same production cursor: first
+// to count the local stores the stage fence waits for, then to issue them
+// and the remote sends. Replaying the cursor keeps no per-device list of
+// the stage's tiles alive for the whole run.
 func (md *multiDevice) writeStage(_, wgs int, _ units.Bytes, onDone sim.Handler) {
 	r := md.run
 	count := wgs * r.o.Grid.Tiling.WFPerWG
-
-	type job struct {
-		tile int
-		pm   PhaseMap
-	}
-	var jobs []job
-	for i := 0; i < count; i++ {
-		tile, pm, ok := md.nextProdTile()
-		if !ok {
-			continue
-		}
-		jobs = append(jobs, job{tile, pm})
-	}
+	phase, off := md.prodPhase, md.prodOff
 	local := 0
-	for _, j := range jobs {
-		if j.pm.Treatment != TreatRemote {
+	for i := 0; i < count; i++ {
+		_, pm, ok := md.nextProdTile()
+		if !ok {
+			break
+		}
+		if pm.Treatment != TreatRemote {
 			local++
 		}
 	}
-	fence := sim.NewFence(local, onDone)
-	for _, j := range jobs {
-		tile := j.tile
-		switch j.pm.Treatment {
-		case TreatRemote:
+	md.prodPhase, md.prodOff = phase, off
+	var cb *stageCB
+	if local == 0 {
+		// A stage with no local stores completes at once, before its
+		// remote sends are issued.
+		onDone()
+	} else {
+		cb = getStageCB(&md.stageCBs, md, local, onDone)
+	}
+	for i := 0; i < count; i++ {
+		tile, pm, ok := md.nextProdTile()
+		if !ok {
+			break
+		}
+		if pm.Treatment == TreatRemote {
 			// Peer store: over the interconnect into the next device's
 			// memory as an NMC update.
-			dest := r.devs[j.pm.Dest]
-			r.send(md.id, j.pm.Dest, r.tileBytes, func() {
-				dest.stageIncoming(tile)
-			})
-		default:
-			md.mem.Transfer(memory.Update, memory.StreamCompute, r.tileBytes,
-				memory.Tag{WG: tile / 8, WF: tile % 8}, func() {
-					md.observe(tile)
-					fence.Done()
-				})
+			op := md.getDeliverOp(r.devs[pm.Dest], tile, r.tileBytes)
+			r.send(md.id, pm.Dest, r.tileBytes, op.delivered)
+			continue
 		}
+		md.mem.TransferTo(memory.Update, memory.StreamCompute, r.tileBytes,
+			memory.Tag{WG: tile / 8, WF: tile % 8}, cb)
 	}
 }
 
 // stageIncoming applies an arriving update (peer store or DMA) to local
-// memory and lets the tracker count it.
+// memory; Complete lets the tracker count it.
 func (md *multiDevice) stageIncoming(tile int) {
-	r := md.run
-	md.mem.Transfer(memory.Update, memory.StreamComm, r.tileBytes,
-		memory.Tag{WG: tile / 8, WF: tile % 8}, func() { md.observe(tile) })
+	md.mem.TransferTo(memory.Update, memory.StreamComm, md.run.tileBytes,
+		memory.Tag{WG: tile / 8, WF: tile % 8}, md)
 }
 
-func (md *multiDevice) observe(tile int) {
-	if err := md.trk.Observe(tileIDFor(tile), md.run.tileBytes); err != nil && md.err == nil {
+// Complete implements memory.Completion for stageIncoming: the tag names
+// the tile the update landed on.
+func (md *multiDevice) Complete(tag memory.Tag) {
+	md.observe(TileID{WG: tag.WG, WF: tag.WF})
+}
+
+func (md *multiDevice) observe(id TileID) {
+	if err := md.trk.Observe(id, md.run.tileBytes); err != nil && md.err == nil {
 		md.err = err
 	}
 }
@@ -388,18 +400,56 @@ func (md *multiDevice) observe(tile int) {
 // onReady fires when a tile's local and incoming updates complete: forward
 // dma_mapped tiles, count owned ones.
 func (md *multiDevice) onReady(id TileID) {
-	r := md.run
 	cmd, ok := md.dma.MarkReady(id)
 	if !ok {
 		md.ownedFence.Done()
 		return
 	}
-	tile := id.WG*8 + id.WF
-	dest := r.devs[cmd.DestDevice]
-	md.mem.Transfer(memory.Read, memory.StreamComm, cmd.Bytes,
-		memory.Tag{WG: id.WG, WF: id.WF}, func() {
-			r.send(md.id, cmd.DestDevice, cmd.Bytes, func() {
-				dest.stageIncoming(tile)
-			})
-		})
+	op := md.getDeliverOp(md.run.devs[cmd.DestDevice], id.WG*8+id.WF, cmd.Bytes)
+	md.mem.TransferTo(memory.Read, memory.StreamComm, cmd.Bytes,
+		memory.Tag{WG: id.WG, WF: id.WF}, op)
+}
+
+// deliverOp carries one tile from the device that sends it to the device
+// that stages it: a remote production store goes straight onto the link; a
+// triggered DMA forward is first read from local memory (Complete), then
+// sent. On delivery the destination stages the tile as an incoming update.
+//
+// On the cluster the two ends run on different engines, so the pools are
+// split by engine: an op comes off the freelist of the device that issues
+// it and goes back onto the freelist of the device that receives it, inside
+// onDelivered. Every freelist is touched by its own device's engine only,
+// and the mailbox that carries the delivery orders the handoff.
+type deliverOp struct {
+	src, dest *multiDevice
+	tile      int
+	bytes     units.Bytes
+	delivered sim.Handler // prebuilt onDelivered
+}
+
+// Complete implements memory.Completion for a DMA forward's local read:
+// push the partially reduced tile onto the link.
+func (op *deliverOp) Complete(memory.Tag) {
+	op.src.run.send(op.src.id, op.dest.id, op.bytes, op.delivered)
+}
+
+func (op *deliverOp) onDelivered() {
+	dest := op.dest
+	dest.stageIncoming(op.tile)
+	dest.ops = append(dest.ops, op)
+}
+
+// getDeliverOp returns a delivery of tile, n bytes, from md to dest.
+func (md *multiDevice) getDeliverOp(dest *multiDevice, tile int, n units.Bytes) *deliverOp {
+	var op *deliverOp
+	if ln := len(md.ops); ln > 0 {
+		op = md.ops[ln-1]
+		md.ops[ln-1] = nil
+		md.ops = md.ops[:ln-1]
+	} else {
+		op = &deliverOp{}
+		op.delivered = op.onDelivered
+	}
+	op.src, op.dest, op.tile, op.bytes = md, dest, tile, n
+	return op
 }

@@ -268,22 +268,31 @@ func TestMultiDeviceTimelineMergeDeterministic(t *testing.T) {
 
 // TestMultiDeviceParallelStress hammers the window barrier and mailboxes
 // through the full model — many devices, maximal workers — and doubles as
-// the -race exercise for the whole t3core cluster path.
+// the -race exercise for the whole t3core cluster path. The hierarchical
+// case routes sends over two hops, so tile deliveries and their pooled ops
+// cross engines through a transit device as well as between neighbors.
 func TestMultiDeviceParallelStress(t *testing.T) {
-	o := parOptions(t, 512, 512, 128, 8)
-	want, err := RunFusedGEMMRSMultiDevice(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rep := 0; rep < 3; rep++ {
-		po := o
-		po.ParWorkers = 8
-		got, err := RunFusedGEMMRSMultiDevice(po)
+	link := interconnect.DefaultConfig()
+	inter := link
+	inter.LinkBandwidth = link.LinkBandwidth / 3
+	inter.LinkLatency = 4 * link.LinkLatency
+	for _, spec := range []interconnect.TopoSpec{{}, interconnect.HierarchicalTopo(2, 4, link, inter)} {
+		o := parOptions(t, 512, 512, 128, 8)
+		o.Topo = spec
+		want, err := RunFusedGEMMRSMultiDevice(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("rep %d: nondeterministic parallel result", rep)
+		for rep := 0; rep < 3; rep++ {
+			po := o
+			po.ParWorkers = 8
+			got, err := RunFusedGEMMRSMultiDevice(po)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("topology %v rep %d: nondeterministic parallel result", spec.Kind, rep)
+			}
 		}
 	}
 }

@@ -117,3 +117,47 @@ func TestMultiDeviceValidation(t *testing.T) {
 		t.Error("split-K multi: expected error")
 	}
 }
+
+// multiDeviceAllocs counts the objects one 8-device explicit run of an
+// m×1024×128 GEMM allocates, from setup to result, with its tile count and
+// stage count.
+func multiDeviceAllocs(t *testing.T, m int) (allocs float64, tiles, stages int) {
+	t.Helper()
+	o := parOptions(t, m, 1024, 128, 8)
+	// Few CUs make many small stages, so production is throttled and the
+	// pools reach their high-water marks early. Eight tracker sets are all
+	// touched at either size, so the tracker's rows grow only with the
+	// live-tile high-water mark, never with the tile count itself.
+	o.GEMMCUs = 4
+	o.Tracker = TrackerConfig{Sets: 8, Ways: 512, MaxWFsPerWG: 8}
+	allocs = testing.AllocsPerRun(2, func() {
+		if _, err := RunFusedGEMMRSMultiDevice(o); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return allocs, o.Grid.NumWFs(), len(o.Grid.Stages(o.GPU.StageWGs(o.GEMMCUs)))
+}
+
+// TestMultiDeviceSteadyStateAllocs pins that the explicit runner issues its
+// per-tile traffic — production stores, incoming updates, triggered DMA
+// forwards and link deliveries — through pooled, typed completions: doubling
+// the tile count adds no object per tile. What may grow is the GEMM kernel's
+// few closures and fences per stage on each device, plus the doublings of
+// pools, rings, tracker rows and the DMA table. A closure per tile on any
+// one of those paths alone would add thousands of objects here.
+func TestMultiDeviceSteadyStateAllocs(t *testing.T) {
+	const (
+		devices   = 8
+		perStage  = 8  // GEMM kernel objects per stage per device
+		perDevice = 64 // pool, ring, tracker and DMA-table doublings
+	)
+	small, tiles0, stages0 := multiDeviceAllocs(t, 2048)
+	large, tiles1, stages1 := multiDeviceAllocs(t, 4096)
+	t.Logf("%d tiles, %d stages: %.0f allocs; %d tiles, %d stages: %.0f allocs",
+		tiles0, stages0, small, tiles1, stages1, large)
+	limit := float64(devices * (perStage*(stages1-stages0) + perDevice))
+	if extra := large - small; extra > limit {
+		t.Fatalf("%d more tiles allocate %.0f more objects, want at most %.0f (%d more stages on %d devices)",
+			tiles1-tiles0, extra, limit, stages1-stages0, devices)
+	}
+}
