@@ -395,12 +395,13 @@ func runMultiDevice64Bench(b *testing.B, workers int) {
 	}
 	opts := multiDevice64Opts(b, workers)
 	var st t3sim.ClusterStats
-	opts.ClusterStats = &st
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := t3sim.RunFusedGEMMRSMultiDevice(opts); err != nil {
+		res, err := t3sim.RunFusedGEMMRSMultiDevice(opts)
+		if err != nil {
 			b.Fatal(err)
 		}
+		st = res.Cluster
 	}
 	if workers > 0 && st.Windows > 0 {
 		b.ReportMetric(float64(st.Windows), "windows/op")
@@ -445,12 +446,13 @@ func runMultiDeviceTopoBench(b *testing.B, topo string, devices, workers int) {
 		ParWorkers:  workers,
 	}
 	var st t3sim.ClusterStats
-	opts.ClusterStats = &st
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := t3sim.RunFusedGEMMRSMultiDevice(opts); err != nil {
+		res, err := t3sim.RunFusedGEMMRSMultiDevice(opts)
+		if err != nil {
 			b.Fatal(err)
 		}
+		st = res.Cluster
 	}
 	if workers > 0 && st.Windows > 0 {
 		b.ReportMetric(float64(st.Windows), "windows/op")

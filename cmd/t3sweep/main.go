@@ -12,11 +12,11 @@
 // gemm_us, collective_done_us, done_us, speedup_vs_sequential, dram_mib,
 // link_mib, tracker_high_water.
 //
-// Parallel multi-device rows (-collective multi -par N) are each followed by
-// a `#`-prefixed comment line reporting the cluster scheduler's coordination
+// Explicit multi-device rows (-collective multi) are each followed by a
+// `#`-prefixed comment line reporting the cluster scheduler's coordination
 // stats (rounds, average window width, stall time), so scaling regressions
-// are visible without a profiler. The data rows themselves are
-// byte-identical at any -par; only the comment reflects the coordinator.
+// are visible without a profiler. Both lines are byte-identical at any -par
+// and are served from the result cache like any other row.
 //
 // -serve switches to the serving capacity sweep (internal/serving): one CSV
 // row per (scheme, offered QPS) operating point with TTFT/TPOT percentiles,
@@ -477,8 +477,8 @@ func writeExport(path string, write func(io.Writer) error) error {
 // receives the run's instruments (spans, counters, gauges); a non-nil checker
 // audits the run's conservation/ordering/bound invariants. A non-nil memo
 // serves repeated configurations from the in-memory/persistent result cache;
-// nil (or an uncacheable configuration — live sink, -par cluster stats) runs
-// the simulation directly.
+// nil (or an uncacheable configuration — a live sink) runs the simulation
+// directly.
 func runOne(grid t3sim.GEMMGrid, devices int, linkGBps float64, cus int,
 	arb t3sim.Arbitration, coll t3sim.FusedCollective, arbName, collName, topoName string,
 	par int, sink t3sim.MetricsSink, checker *t3sim.Checker,
@@ -519,14 +519,9 @@ func runOne(grid t3sim.GEMMGrid, devices int, linkGBps float64, cus int,
 	switch {
 	case collName == "multi":
 		// Explicit N-device simulation (no mirroring) on the cluster; -par
-		// picks how many goroutines drive it, and the output is identical
-		// at every value. Requesting the cluster stats makes the run
-		// uncacheable (a hit couldn't report this run's windowing), so only
-		// -par runs report them and -par 0 rows stay memoizable.
-		var st t3sim.ClusterStats
-		if par > 0 {
-			opts.ClusterStats = &st
-		}
+		// picks how many goroutines drive it, and the output — the
+		// cluster's windowing stats included — is identical at every value,
+		// so a cache hit serves the whole row pair.
 		var multi t3sim.MultiDeviceResult
 		multi, err = memo.FusedMulti(opts)
 		if err == nil {
@@ -538,13 +533,12 @@ func runOne(grid t3sim.GEMMGrid, devices int, linkGBps float64, cus int,
 				LinkBytes:      multi.LinkBytes,
 				TrackerMaxLive: multi.TrackerMaxLive,
 			}
-			if st.Windows > 0 {
-				// The comment row surfaces the coordination-layer stats
-				// without touching the CSV data contract.
-				cluster = fmt.Sprintf("# cluster devices=%d windows=%d engine_windows=%d avg_window_ps=%d stall_windows=%d stall_ps=%d\n",
-					devices, st.Windows, st.EngineWindows, int64(st.AvgWindowWidth()),
-					st.StalledEngineWindows, int64(st.StallTime))
-			}
+			// The comment row surfaces the coordination-layer stats
+			// without touching the CSV data contract.
+			st := multi.Cluster
+			cluster = fmt.Sprintf("# cluster devices=%d windows=%d engine_windows=%d avg_window_ps=%d stall_windows=%d stall_ps=%d\n",
+				devices, st.Windows, st.EngineWindows, int64(st.AvgWindowWidth()),
+				st.StalledEngineWindows, int64(st.StallTime))
 		}
 	case coll == t3sim.RingAllGatherCollective:
 		res, err = memo.FusedAG(opts)

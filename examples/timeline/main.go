@@ -1,7 +1,8 @@
 // Timeline: visualize a fused GEMM→reduce-scatter as an ASCII timeline —
 // per-interval event density (stage completions, remote writes, DMA
 // triggers, owned-chunk completions), the paper's Figure 7/17 dynamics in
-// one view.
+// one view. The events are the instants the run records on its "t3core"
+// timeline track when given a metrics registry with the timeline enabled.
 //
 // Run with:
 //
@@ -23,7 +24,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	events := &t3sim.FusedEventLog{}
+	reg := t3sim.NewMetricsRegistry()
+	reg.EnableTimeline()
 	res, err := t3sim.RunFusedGEMMRS(t3sim.FusedOptions{
 		GPU:         t3sim.DefaultGPUConfig(),
 		Memory:      t3sim.DefaultMemoryConfig(),
@@ -33,7 +35,7 @@ func main() {
 		Grid:        grid,
 		Collective:  t3sim.RingReduceScatterCollective,
 		Arbitration: t3sim.ArbMCA,
-		Events:      events,
+		Metrics:     reg,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -53,15 +55,14 @@ func main() {
 		{name: "DMA trigger ", kind: t3sim.EventDMATriggered},
 		{name: "owned done  ", kind: t3sim.EventOwnedTileDone},
 	}
-	for _, e := range events.Events() {
-		for _, l := range lanes {
-			if e.Kind == l.kind {
-				idx := int(e.At / bucket)
-				if idx >= buckets {
-					idx = buckets - 1
-				}
-				l.hist[idx]++
+	events := reg.Track("t3core")
+	for _, l := range lanes {
+		for _, at := range events.Instants(l.kind.String()) {
+			idx := int(at / bucket)
+			if idx >= buckets {
+				idx = buckets - 1
 			}
+			l.hist[idx]++
 		}
 	}
 	glyph := func(n, max int) byte {
@@ -96,8 +97,8 @@ func main() {
 	fmt.Println("\nreading the lanes: remote writes track the first chunk's production;")
 	fmt.Println("DMA triggers follow each phase as local + incoming updates complete;")
 	fmt.Println("owned completions cluster at the end, closing the reduce-scatter.")
-	g, _ := events.First(t3sim.EventGEMMDone)
-	c, _ := events.First(t3sim.EventCollectiveDone)
+	g := events.Instants(t3sim.EventGEMMDone.String())[0]
+	c := events.Instants(t3sim.EventCollectiveDone.String())[0]
 	fmt.Printf("\nexposed communication after GEMM: %v (%.1f%% of the run)\n",
-		c.At-g.At, 100*float64(c.At-g.At)/float64(res.Done))
+		c-g, 100*float64(c-g)/float64(res.Done))
 }

@@ -291,6 +291,12 @@ func AblationLinkBandwidth(ev *Evaluator) (*AblationLinkResult, error) {
 		75 * units.GBps, 37.5 * units.GBps, 18.75 * units.GBps} {
 		s := ev.Setup
 		s.Link.LinkBandwidth = bw
+		// Each derived evaluator names its runs by case, as the shared
+		// one does; its own scope keeps their instruments apart (each has
+		// a single writer).
+		if m := s.Metrics; m != nil {
+			s.Metrics = m.Scope(fmt.Sprintf("ablation-link/%gGBps", float64(bw)/float64(units.GBps)))
+		}
 		sub, err := NewEvaluator(s)
 		if err != nil {
 			return nil, err

@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"t3sim/internal/memory"
+	"t3sim/internal/metrics"
 	"t3sim/internal/transformer"
+	"t3sim/internal/units"
 )
 
 // sharedEv memoizes sub-layer simulations across the test suite.
@@ -248,6 +252,62 @@ func TestFig17Traffic(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "Figure 17") {
 		t.Error("render missing title")
+	}
+}
+
+// TestFig17SinkIndependent: Figure 17 reads its timelines back from the
+// controllers' series on whichever sink the run records into, so a caller's
+// live registry and the private one a nil sink gets yield the same result.
+func TestFig17SinkIndependent(t *testing.T) {
+	plain, err := Fig17(DefaultSetup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := DefaultSetup()
+	reg := metrics.NewRegistry()
+	reg.EnableTimeline()
+	s.Metrics = reg
+	live, err := Fig17(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, live) {
+		t.Error("Fig17 with a live sink diverged from the nil-sink run")
+	}
+	if reg.Scope("fig17/t3").Series(memory.TraceSeriesName(memory.Read, memory.StreamComm), memory.TraceBucket).Len() == 0 {
+		t.Error("live sink holds no fig17/t3 comm-read series")
+	}
+}
+
+// TestFig17Samples pins the read-back: the four series zero-fill to the
+// longest, bucket i starts at i×TraceBucket, the peak is the busiest bucket,
+// and a sink with no traffic reads as no samples.
+func TestFig17Samples(t *testing.T) {
+	reg := metrics.NewRegistry()
+	if got, peak := samples(reg); got != nil || peak != (Sample{}) {
+		t.Errorf("empty sink: samples %v, peak %+v; want none", got, peak)
+	}
+	add := func(k memory.AccessKind, s memory.Stream, at units.Time, n int64) {
+		reg.Series(memory.TraceSeriesName(k, s), memory.TraceBucket).Add(at, n)
+	}
+	add(memory.Read, memory.StreamCompute, 0, 10)
+	add(memory.Write, memory.StreamCompute, 1, 20)
+	add(memory.Update, memory.StreamComm, memory.TraceBucket+1, 30)
+	add(memory.Read, memory.StreamComm, 5*memory.TraceBucket, 40)
+	got, peak := samples(reg)
+	want := []Sample{
+		{Start: 0, ComputeRead: 10, ComputeWrite: 20},
+		{Start: memory.TraceBucket, CommWrite: 30},
+		{Start: 2 * memory.TraceBucket},
+		{Start: 3 * memory.TraceBucket},
+		{Start: 4 * memory.TraceBucket},
+		{Start: 5 * memory.TraceBucket, CommRead: 40},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("samples = %+v\nwant %+v", got, want)
+	}
+	if peak != want[5] {
+		t.Errorf("peak = %+v, want %+v", peak, want[5])
 	}
 }
 

@@ -8,21 +8,40 @@ import (
 	"t3sim/internal/metrics"
 	"t3sim/internal/sim"
 	"t3sim/internal/t3core"
-	"t3sim/internal/trace"
 	"t3sim/internal/transformer"
 	"t3sim/internal/units"
 )
+
+// Sample is one time bucket of DRAM traffic, split the way Figure 17 plots
+// it: producer (compute-stream) reads and writes versus communication
+// (comm-stream) reads and updates.
+type Sample struct {
+	Start units.Time
+	// ComputeRead/ComputeWrite are the producer kernel's bytes (GEMM reads,
+	// GEMM writes or NMC updates).
+	ComputeRead  units.Bytes
+	ComputeWrite units.Bytes
+	// CommRead is collective/DMA read traffic; CommWrite is incoming
+	// staging/update traffic.
+	CommRead  units.Bytes
+	CommWrite units.Bytes
+}
+
+// Total returns all bytes in the bucket.
+func (s Sample) Total() units.Bytes {
+	return s.ComputeRead + s.ComputeWrite + s.CommRead + s.CommWrite
+}
 
 // Fig17Result is the Figure 17 reproduction: DRAM traffic timelines of the
 // isolated baseline GEMM versus the fused T3 run, for T-NLG FC-2 at TP=8.
 type Fig17Result struct {
 	Case     SubCase
 	Bucket   units.Time
-	Baseline []trace.Sample
-	T3       []trace.Sample
+	Baseline []Sample
+	T3       []Sample
 	// PeakBaseline/PeakT3 are the busiest buckets (the write bursts).
-	PeakBaseline trace.Sample
-	PeakT3       trace.Sample
+	PeakBaseline Sample
+	PeakT3       Sample
 }
 
 // Fig17 captures the two timelines.
@@ -49,23 +68,20 @@ func fig17(setup Setup) (*Fig17Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	bucket := 20 * units.Microsecond
-	res := &Fig17Result{Case: c, Bucket: bucket}
+	res := &Fig17Result{Case: c, Bucket: memory.TraceBucket}
 
-	// Both runs get their own metrics scope (nil sinks pass through), so the
-	// Figure 17 trace series ride along in a -metrics export and the runs
-	// appear as separate Perfetto processes.
-	var baseSink, t3Sink metrics.Sink
-	if m := setup.Metrics; m != nil {
-		baseSink = m.Scope("fig17/baseline")
-		t3Sink = m.Scope("fig17/t3")
+	// The timelines are the memory controllers' issue-time traffic series,
+	// so both runs record into a sink: the caller's, where the series ride
+	// along in a -metrics export and the runs appear as separate Perfetto
+	// processes, or else a private one with the timeline off.
+	sink := setup.Metrics
+	if sink == nil {
+		sink = metrics.NewRegistry()
 	}
+	baseSink := sink.Scope("fig17/baseline")
+	t3Sink := sink.Scope("fig17/t3")
 
 	// Baseline: isolated GEMM with plain local writes.
-	baseTrace, err := trace.NewRegistered(baseSink, bucket)
-	if err != nil {
-		return nil, err
-	}
 	eng := sim.NewEngine()
 	memCfg := setup.Memory
 	memCfg.Metrics = baseSink
@@ -73,39 +89,66 @@ func fig17(setup Setup) (*Fig17Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mc.SetObserver(baseTrace)
 	k := &gpu.GEMMKernel{Eng: eng, Mem: mc, GPU: setup.GPU, Grid: sl.Grid, Metrics: baseSink}
 	if err := k.Start(nil); err != nil {
 		return nil, err
 	}
 	eng.Run()
-	res.Baseline = baseTrace.Samples()
-	res.PeakBaseline = baseTrace.PeakBucket()
+	res.Baseline, res.PeakBaseline = samples(baseSink)
 
 	// T3: fused GEMM-RS with the overlapped communication traffic.
-	t3Trace, err := trace.NewRegistered(t3Sink, bucket)
-	if err != nil {
-		return nil, err
-	}
+	memCfg = setup.Memory
+	memCfg.Metrics = t3Sink
 	_, err = t3core.RunFusedGEMMRS(t3core.FusedOptions{
 		GPU:         setup.GPU,
-		Memory:      setup.Memory,
+		Memory:      memCfg,
 		Link:        setup.Link,
 		Tracker:     setup.Tracker,
 		Devices:     c.TP,
 		Grid:        sl.Grid,
 		Collective:  t3core.RingReduceScatter,
 		Arbitration: t3core.ArbRoundRobin,
-		Observer:    t3Trace,
 		Metrics:     t3Sink,
 		Check:       setup.Check,
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.T3 = t3Trace.Samples()
-	res.PeakT3 = t3Trace.PeakBucket()
+	res.T3, res.PeakT3 = samples(t3Sink)
 	return res, nil
+}
+
+// samples reads one run's timeline back from the four issue-time series its
+// memory controller kept on sink, zero-filled to the longest series, and
+// returns it with its busiest bucket (the zero Sample if the run issued
+// nothing).
+func samples(sink metrics.Sink) ([]Sample, Sample) {
+	series := func(k memory.AccessKind, s memory.Stream) *metrics.TimeSeries {
+		return sink.Series(memory.TraceSeriesName(k, s), memory.TraceBucket)
+	}
+	cRead := series(memory.Read, memory.StreamCompute)
+	cWrite := series(memory.Write, memory.StreamCompute)
+	xRead := series(memory.Read, memory.StreamComm)
+	xWrite := series(memory.Write, memory.StreamComm)
+	n := max(cRead.Len(), cWrite.Len(), xRead.Len(), xWrite.Len())
+	if n == 0 {
+		return nil, Sample{}
+	}
+	out := make([]Sample, n)
+	var peak Sample
+	for i := range out {
+		out[i] = Sample{
+			Start:        units.Time(i) * memory.TraceBucket,
+			ComputeRead:  units.Bytes(cRead.BucketValue(i)),
+			ComputeWrite: units.Bytes(cWrite.BucketValue(i)),
+			CommRead:     units.Bytes(xRead.BucketValue(i)),
+			CommWrite:    units.Bytes(xWrite.BucketValue(i)),
+		}
+		if out[i].Total() > peak.Total() {
+			peak = out[i]
+		}
+	}
+	return out, peak
 }
 
 // Render prints the two timelines side by side (bytes per bucket).
@@ -124,7 +167,7 @@ func (r *Fig17Result) Render() string {
 		step = n / 40 // keep the rendering compact
 	}
 	for i := 0; i < n; i += step {
-		var b, x trace.Sample
+		var b, x Sample
 		if i < len(r.Baseline) {
 			b = r.Baseline[i]
 		}

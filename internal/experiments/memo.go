@@ -41,19 +41,20 @@ import (
 //     TestMemoPolicyExhaustive fails the build's tests the moment
 //     FusedOptions, memory.Config or Setup grows a field the policy table
 //     does not name, so a new knob cannot silently alias two different runs.
-//   - Runs whose value is a side effect are never served from cache. Any
-//     non-nil observer hook (Observer, Events, Metrics, memory Metrics,
-//     ClusterStats) makes the options uncacheable: a cache hit would skip
-//     the recording the caller asked for. Whole-experiment entries follow
-//     the same rule through their Setup: an experiment is cached unless its
-//     Setup carries a live Metrics sink, so -metrics and -timeline runs
-//     always simulate. The invariant checker (Check) sits in between — it
-//     is a pure violation collector over a deterministic run, so in-memory
-//     replays within one process still share simulations (the golden
-//     harness attaches a checker to every run and must keep
-//     deduplicating), but it blocks the persistent tier: a -check run must
-//     actually simulate, not read a result some earlier, unchecked process
-//     wrote down.
+//   - Runs whose value is a side effect are never served from cache. A
+//     live metrics sink (FusedOptions.Metrics or memory Metrics) makes the
+//     options uncacheable: a cache hit would skip the recording the caller
+//     asked for. Everything else a run reports — the cluster's windowing
+//     stats included — is part of its result, so a hit serves it intact.
+//     Whole-experiment entries follow the same rule through their Setup:
+//     an experiment is cached unless its Setup carries a live Metrics sink,
+//     so -metrics and -timeline runs always simulate. The invariant checker
+//     (Check) sits in between — it is a pure violation collector over a
+//     deterministic run, so in-memory replays within one process still
+//     share simulations (the golden harness attaches a checker to every run
+//     and must keep deduplicating), but it blocks the persistent tier: a
+//     -check run must actually simulate, not read a result some earlier,
+//     unchecked process wrote down.
 //
 // Cached values are shared between callers; treat them as immutable (this
 // matters for FusedResult.StageReads, whose slice is aliased by every hit).
@@ -107,14 +108,8 @@ var hashPolicies = map[reflect.Type]map[string]fieldPolicy{
 		// multi-device cluster; results are byte-identical at every
 		// value, so it must not split the key.
 		"ParWorkers": policySkip,
-		"Observer":   policyBarrier,
-		"Events":     policyBarrier,
 		"Metrics":    policyBarrier,
 		"Check":      policyDiskBarrier,
-		// ClusterStats is an out-parameter recording scheduler windowing —
-		// like Events/Metrics, a caller asking for it wants this run's
-		// recording, so it must not be served from cache.
-		"ClusterStats": policyBarrier,
 	},
 	reflect.TypeOf(memory.Config{}): {
 		"Channels":           policyHash,
@@ -453,7 +448,7 @@ func (m *MemoCache) Store() *store.Store {
 
 // FusedRS runs the single-GPU fused GEMM→reduce-scatter simulation for o,
 // serving a cached result when an identical run already completed.
-// Uncacheable options (any live observer hook) always simulate. The
+// Uncacheable options (a live metrics sink) always simulate. The
 // returned result may be shared with other callers: treat it as immutable.
 func (m *MemoCache) FusedRS(o t3core.FusedOptions) (t3core.FusedResult, error) {
 	k, ok, diskOK := fusedKey(o, tagFusedRS)

@@ -176,7 +176,7 @@ func mustSublayerKey(t *testing.T, o t3core.FusedOptions, ar units.Bytes, cus in
 	return k
 }
 
-// TestMemoBarrierFields asserts every observer hook blocks caching — a hit
+// TestMemoBarrierFields asserts a live metrics sink blocks caching — a hit
 // would skip the recording the caller asked for — while a pinned MCA
 // threshold splits the key and the pure-collector checker neither blocks
 // caching nor perturbs the key.
@@ -190,14 +190,6 @@ func TestMemoBarrierFields(t *testing.T) {
 	cases := map[string]t3core.FusedOptions{}
 
 	o := base
-	o.Observer = memory.ObserverFunc(func(units.Time, memory.Request) {})
-	cases["Observer"] = o
-
-	o = base
-	o.Events = &t3core.EventLog{}
-	cases["Events"] = o
-
-	o = base
 	o.Metrics = metrics.NewRegistry()
 	cases["Metrics"] = o
 

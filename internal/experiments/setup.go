@@ -39,7 +39,8 @@ type Setup struct {
 	// Metrics, if non-nil, receives every experiment simulation's
 	// instruments, each run under its own scope (e.g. "fused-t3/<case>",
 	// "fig17/baseline"), so a single registry collects a whole experiment
-	// sweep deterministically at any -j. Nil costs nothing.
+	// sweep deterministically at any -j. Nil costs nothing, except in
+	// fig17, whose timelines are read back from a private registry.
 	Metrics metrics.Sink
 	// Check, if non-nil, is threaded into every simulation an experiment
 	// runs (fused runners, timed collectives, isolated kernels), collecting

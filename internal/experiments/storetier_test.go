@@ -4,10 +4,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"t3sim/internal/gemm"
 	"t3sim/internal/store"
+	"t3sim/internal/t3core"
 )
 
 // entryFiles returns every complete store entry under dir.
@@ -176,5 +179,66 @@ func TestStoreVersionShape(t *testing.T) {
 	}
 	if StoreVersion() != v {
 		t.Error("StoreVersion not stable within a process")
+	}
+}
+
+// TestMemoFusedMultiServesClusterStats: the explicit run's windowing stats
+// are part of its result, so a memory hit at another worker count and a
+// disk hit in a fresh cache both return the miss's stats intact.
+func TestMemoFusedMultiServesClusterStats(t *testing.T) {
+	grid, err := gemm.NewGrid(gemm.Shape{M: 1024, N: 1024, K: 256, ElemBytes: 2}, gemm.DefaultTiling())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := DefaultSetup()
+	opts := t3core.FusedOptions{
+		GPU: s.GPU, Memory: s.Memory, Link: s.Link, Tracker: s.Tracker,
+		Devices: 4, Grid: grid,
+		Collective: t3core.RingReduceScatter, Arbitration: t3core.ArbRoundRobin,
+		ParWorkers: 2,
+	}
+	dir := t.TempDir()
+	st1, err := OpenStore(dir, store.ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1 := NewMemoCache()
+	m1.AttachStore(st1)
+	miss, err := m1.FusedMulti(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1.Flush()
+	if miss.Cluster.Windows == 0 || miss.Cluster.EngineWindows == 0 {
+		t.Fatalf("miss recorded no cluster stats: %+v", miss.Cluster)
+	}
+
+	inline := opts
+	inline.ParWorkers = 0
+	memHit, err := m1.FusedMulti(inline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, _ := m1.Stats(); h != 1 {
+		t.Fatalf("ParWorkers 0 replay was not a memory hit (%d hits)", h)
+	}
+
+	st2, err := OpenStore(dir, store.ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2 := NewMemoCache()
+	m2.AttachStore(st2)
+	diskHit, err := m2.FusedMulti(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := st2.Stats(); s.Hits != 1 {
+		t.Fatalf("fresh cache did not read the run from disk (store stats %+v)", s)
+	}
+	for name, got := range map[string]t3core.MultiDeviceResult{"memory hit": memHit, "disk hit": diskHit} {
+		if !reflect.DeepEqual(got, miss) {
+			t.Errorf("%s diverged from the miss: cluster %+v, want %+v", name, got.Cluster, miss.Cluster)
+		}
 	}
 }

@@ -74,7 +74,9 @@ func (ch *channel) arbitrate() {
 			ch.ctrl.mSwitches.Inc()
 		}
 		ch.mIssued, ch.mAnyIssue = s, true
-		ch.ctrl.notifyEnqueue(r)
+		if c := ch.ctrl; c.cfg.Metrics != nil {
+			c.mTrace[c.xfers[r.xf].kind][s].Add(c.eng.Now(), int64(r.bytes))
+		}
 	}
 	ch.service()
 }

@@ -8,21 +8,6 @@ import (
 	"t3sim/internal/units"
 )
 
-// Observer is notified when a request is issued into a DRAM command queue.
-// The T3 tracker registers itself here: the paper checks the tracker "once
-// the accesses are enqueued in the memory controller queue" so the check is
-// off the critical path (§4.2.1). The DRAM traffic trace (Figure 17) is also
-// an observer. The request is passed by value; an observer may keep it.
-type Observer interface {
-	OnIssue(now units.Time, r Request)
-}
-
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(now units.Time, r Request)
-
-// OnIssue implements Observer.
-func (f ObserverFunc) OnIssue(now units.Time, r Request) { f(now, r) }
-
 // Controller is one GPU's HBM stack: a set of channels fed through a shared
 // arbitration policy. Transfers are striped across channels round-robin,
 // which models the address interleaving real stacks use.
@@ -32,7 +17,6 @@ type Controller struct {
 	arbiter  Arbiter
 	channels []*channel
 	counters Counters
-	observer Observer
 
 	nextChannel int // striping cursor
 
@@ -60,7 +44,27 @@ type Controller struct {
 	mIssues    [2]*metrics.Counter // per-stream DRAM-queue issues
 	mSwitches  *metrics.Counter    // arbitration stream switches
 	mThreshold *metrics.Gauge      // calibrated MCA occupancy threshold
+	// Issue-time traffic by [kind][stream]: Figure 17's four timelines.
+	mTrace [3][2]*metrics.TimeSeries
 }
+
+// TraceBucket is the bucket width of a controller's issue-time traffic
+// series (Figure 17's timeline resolution).
+const TraceBucket = 20 * units.Microsecond
+
+// traceSeriesName names the issue-time traffic series by [kind][stream].
+// Figure 17 plots four classes, so plain writes and NMC updates share a
+// series.
+var traceSeriesName = [3][2]string{
+	Read:   {StreamCompute: "trace.compute_read_bytes", StreamComm: "trace.comm_read_bytes"},
+	Write:  {StreamCompute: "trace.compute_write_bytes", StreamComm: "trace.comm_write_bytes"},
+	Update: {StreamCompute: "trace.compute_write_bytes", StreamComm: "trace.comm_write_bytes"},
+}
+
+// TraceSeriesName returns the name under which a controller with a metrics
+// sink accumulates the bytes of kind k it issues on stream s into its DRAM
+// command queues, in TraceBucket-wide buckets.
+func TraceSeriesName(k AccessKind, s Stream) string { return traceSeriesName[k][s] }
 
 // transferSpanName labels Transfer spans on the "memory" timeline track by
 // [kind][stream], e.g. "update/comm" for an incoming NMC reduction.
@@ -110,6 +114,11 @@ func NewController(eng *sim.Engine, cfg Config, arb Arbiter) (*Controller, error
 		c.mIssues[StreamComm] = m.Counter("memory.arb.comm_issues")
 		c.mSwitches = m.Counter("memory.arb.stream_switches")
 		c.mThreshold = m.Gauge("memory.mca.threshold")
+		for k := Read; k <= Update; k++ {
+			for s := StreamCompute; s < numStreams; s++ {
+				c.mTrace[k][s] = m.Series(traceSeriesName[k][s], TraceBucket)
+			}
+		}
 		for i, ch := range c.channels {
 			for k := Read; k <= Update; k++ {
 				for s := StreamCompute; s < numStreams; s++ {
@@ -144,9 +153,6 @@ func (c *Controller) Config() Config { return c.cfg }
 
 // Counters returns the accumulated traffic counters.
 func (c *Controller) Counters() *Counters { return &c.counters }
-
-// SetObserver installs the issue observer (nil clears it).
-func (c *Controller) SetObserver(o Observer) { c.observer = o }
 
 // Arbiter returns the installed arbitration policy.
 func (c *Controller) Arbiter() Arbiter { return c.arbiter }
@@ -264,13 +270,6 @@ func (c *Controller) EndMonitor() {
 	}
 	c.mThreshold.Set(int64(mca.Threshold()))
 	c.mtrack.Instant("mca-window-end", c.eng.Now())
-}
-
-func (c *Controller) notifyEnqueue(s slot) {
-	if c.observer != nil {
-		x := c.xfers[s.xf]
-		c.observer.OnIssue(c.eng.Now(), Request{Kind: x.kind, Stream: x.stream, Bytes: units.Bytes(s.bytes), Tag: x.tag})
-	}
 }
 
 func (c *Controller) streamBusy(s Stream) bool {

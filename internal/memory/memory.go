@@ -76,18 +76,6 @@ type Tag struct {
 	Region int
 }
 
-// Request describes one memory transaction as an Observer sees it. Transfers
-// are split into requests of at most Config.RequestGranularity bytes by
-// Controller.Transfer; inside the controller a queued request is an 8-byte
-// slot (its transfer's index and its size), and a Request value is built from
-// it only when an observer is installed.
-type Request struct {
-	Kind   AccessKind
-	Stream Stream
-	Bytes  units.Bytes
-	Tag    Tag
-}
-
 // Config describes an HBM stack.
 type Config struct {
 	// Channels is the number of independent channels; aggregate bandwidth is
@@ -115,8 +103,10 @@ type Config struct {
 	// Metrics, if non-nil, is where the controller registers its
 	// observability instruments: per-channel traffic counters
 	// ("memory.chan0.comm.read_bytes"), arbitration counters, the MCA
-	// threshold gauge, and a "memory" timeline track with one span per
-	// Transfer. A nil sink records nothing and costs nothing.
+	// threshold gauge, the four issue-time traffic series
+	// ("trace.comm_read_bytes", see TraceSeriesName), and a "memory"
+	// timeline track with one span per Transfer. A nil sink records nothing
+	// and costs nothing.
 	Metrics metrics.Sink
 	// Check, if non-nil, attaches the invariant checker: per-channel service
 	// windows must never overlap (the stage is serially reused) and DRAM

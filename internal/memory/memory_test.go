@@ -2,8 +2,10 @@ package memory
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"t3sim/internal/metrics"
 	"t3sim/internal/sim"
 	"t3sim/internal/units"
 )
@@ -168,25 +170,63 @@ func TestMCAThresholdBlocksComm(t *testing.T) {
 	if mca.Threshold() != 5 {
 		t.Fatalf("threshold = %d, want 5", mca.Threshold())
 	}
+	reg := metrics.NewRegistry()
+	cfg.Metrics = reg
 	eng, c := newTestController(t, cfg, mca)
-	issued := 0
-	c.SetObserver(ObserverFunc(func(now units.Time, r Request) {
-		if r.Stream == StreamComm {
-			issued++
-		}
-	}))
+	issued := func() int64 { return reg.CounterValue("memory.arb.comm_issues") }
 	for i := 0; i < 20; i++ {
 		c.Transfer(Write, StreamComm, 1024, Tag{}, nil)
 	}
 	// Immediately after submission, at most threshold requests may be in the
 	// DRAM queue (issue stops at occupancy 5); one more can issue each time
 	// the service stage pops the queue.
-	if issued > mca.Threshold()+1 {
-		t.Errorf("issued %d comm requests at t=0, want <= %d", issued, mca.Threshold()+1)
+	if got := issued(); got > int64(mca.Threshold()+1) {
+		t.Errorf("issued %d comm requests at t=0, want <= %d", got, mca.Threshold()+1)
 	}
 	eng.Run()
-	if issued != 20 {
-		t.Errorf("total issued = %d, want 20 (no request lost)", issued)
+	if got := issued(); got != 20 {
+		t.Errorf("total issued = %d, want 20 (no request lost)", got)
+	}
+}
+
+// TestTraceSeriesClassifyIssues pins the issue-time traffic series a
+// controller with a sink keeps: each request lands, at its issue time, in
+// its [kind][stream] class's TraceBucket-wide bucket, writes and NMC updates
+// share a class, and a class with no traffic is registered but empty.
+func TestTraceSeriesClassifyIssues(t *testing.T) {
+	reg := metrics.NewRegistry()
+	cfg := testConfig()
+	cfg.Metrics = reg
+	eng, c := newTestController(t, cfg, &RoundRobin{})
+	series := func(k AccessKind, s Stream) *metrics.TimeSeries {
+		return reg.Series(TraceSeriesName(k, s), TraceBucket)
+	}
+	c.Transfer(Read, StreamCompute, 3*units.KiB, Tag{}, nil)
+	c.Transfer(Write, StreamCompute, 1*units.KiB, Tag{}, nil)
+	eng.At(2*TraceBucket+5, func() {
+		c.Transfer(Update, StreamCompute, 2*units.KiB, Tag{}, nil)
+		c.Transfer(Read, StreamComm, 1*units.KiB, Tag{}, nil)
+	})
+	eng.Run()
+	for _, tc := range []struct {
+		k    AccessKind
+		s    Stream
+		want []int64
+	}{
+		{Read, StreamCompute, []int64{3 << 10}},
+		{Write, StreamCompute, []int64{1 << 10, 0, 2 << 10}},
+		{Update, StreamCompute, []int64{1 << 10, 0, 2 << 10}},
+		{Read, StreamComm, []int64{0, 0, 1 << 10}},
+		{Write, StreamComm, nil},
+	} {
+		ts := series(tc.k, tc.s)
+		var got []int64
+		for i := 0; i < ts.Len(); i++ {
+			got = append(got, ts.BucketValue(i))
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v/%v series = %v, want %v", tc.k, tc.s, got, tc.want)
+		}
 	}
 }
 
@@ -201,13 +241,6 @@ func TestMCAStarvationBound(t *testing.T) {
 	mca := NewMCA(mcfg)
 	mca.SetIntensity(0.9)
 	eng, c := newTestController(t, cfg, mca)
-
-	var commIssue units.Time
-	c.SetObserver(ObserverFunc(func(now units.Time, r Request) {
-		if r.Stream == StreamComm && commIssue == 0 {
-			commIssue = now
-		}
-	}))
 	// Feed compute continuously: each completion enqueues another.
 	var feed func()
 	remaining := 200
@@ -223,6 +256,9 @@ func TestMCAStarvationBound(t *testing.T) {
 	}
 	c.Transfer(Write, StreamComm, 1024, Tag{}, nil)
 	eng.Run()
+	// The single comm request is one granularity-sized request on the only
+	// channel, so the channel's last comm issue time is its first.
+	commIssue := c.channels[0].lastComm
 	if commIssue == 0 {
 		t.Fatal("comm request never issued")
 	}

@@ -234,6 +234,22 @@ func (t *Track) Events() int {
 	return len(t.events)
 }
 
+// Instants returns the times of the track's instant events with this name,
+// in recording order (nil for a nil track). Read it after the recording
+// simulation finishes.
+func (t *Track) Instants(name string) []units.Time {
+	if t == nil {
+		return nil
+	}
+	var at []units.Time
+	for _, e := range t.events {
+		if e.phase == phaseInstant && e.name == name {
+			at = append(at, e.start)
+		}
+	}
+	return at
+}
+
 // process groups the tracks of one scope — one Perfetto process.
 type process struct {
 	name   string

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestNilHandlesAreInert(t *testing.T) {
 	tr.Span("x", 0, 10)
 	tr.Instant("y", 5)
 	if c.Value() != 0 || g.Value() != 0 || s.Len() != 0 || s.Width() != 0 ||
-		s.BucketValue(0) != 0 || tr.Events() != 0 {
+		s.BucketValue(0) != 0 || tr.Events() != 0 || tr.Instants("y") != nil {
 		t.Error("nil handles must read as zero")
 	}
 }
@@ -144,8 +145,16 @@ func TestTrackRecording(t *testing.T) {
 	tr := r.Scope("run").Track("gpu")
 	tr.Span("stage0.compute", 10, 30)
 	tr.Instant("gemm-done", 30)
-	if tr.Events() != 2 {
-		t.Errorf("events = %d, want 2", tr.Events())
+	tr.Instant("dma-triggered", 12)
+	tr.Instant("gemm-done", 40)
+	if tr.Events() != 4 {
+		t.Errorf("events = %d, want 4", tr.Events())
+	}
+	if got := tr.Instants("gemm-done"); !reflect.DeepEqual(got, []units.Time{30, 40}) {
+		t.Errorf("Instants(gemm-done) = %v, want [30 40]", got)
+	}
+	if got := tr.Instants("stage0.compute"); got != nil {
+		t.Errorf("Instants must skip spans, got %v", got)
 	}
 	if got := r.Scope("run").Track("gpu"); got != tr {
 		t.Error("same scope+track name must return the same track")

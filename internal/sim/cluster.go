@@ -62,14 +62,10 @@ type Cluster struct {
 	chk       *check.Checker // retained so late-registered mailboxes get link handles
 
 	// Link topology, rebuilt lazily from boxes when Run starts. Each
-	// mailbox is one directed edge, identified by a dense edge id (eid) in
-	// mailbox registration order.
+	// mailbox is one directed edge.
 	builtBoxes int
-	nEdges     int
 	in         [][]edge // per-engine inbound links (peer = source)
 	out        [][]edge // per-engine outbound links (peer = destination)
-	edgeSrc    []int32  // per-eid endpoints, for diagnostics
-	edgeDst    []int32
 
 	// Per-round scratch, sized once and reused so steady-state rounds are
 	// allocation-free.
@@ -79,7 +75,6 @@ type Cluster struct {
 	dirtyIdx []int32
 	bound    []units.Time // B_j of the current round
 	horizons []units.Time // H_i of the current round
-	hsup     []int32      // inbound eid defining H_i; -1 none
 	heap     djHeap       // Dijkstra worklist
 	runnable []int32      // engines with base < horizon this round
 	// prevNow is each engine's clock at the start of the last round it ran:
@@ -94,13 +89,10 @@ type Cluster struct {
 	drainList  []int32
 	firstDrain bool
 
-	// Stall accounting: engines pending but not runnable, and the inbound
-	// edge whose bound pins them.
-	blockedMark     []bool
-	blockedPos      []int32
-	blockedList     []int32
-	edgeStallRounds []uint64
-	edgeStallTime   []units.Time
+	// Stall accounting: engines pending but not runnable.
+	blockedMark []bool
+	blockedPos  []int32
+	blockedList []int32
 
 	stats ClusterStats
 
@@ -125,7 +117,6 @@ type Cluster struct {
 // edge is one link endpoint adjacency entry.
 type edge struct {
 	peer int32
-	eid  int32 // dense edge id, indexing edgeStall*
 	lat  units.Time
 }
 
@@ -156,35 +147,6 @@ func (s ClusterStats) AvgWindowWidth() units.Time {
 		return 0
 	}
 	return s.Advance / units.Time(s.EngineWindows)
-}
-
-// EdgeStall reports one directed link's stall account: how many blocked
-// engine-rounds it was the limiting inbound edge for, and the summed
-// base-minus-horizon gap over those rounds. On an exact tie the blame goes
-// to the first inbound edge in registration order.
-type EdgeStall struct {
-	Src, Dst     int
-	StallWindows uint64
-	StallTime    units.Time
-}
-
-// EdgeStalls returns the per-edge stall accounts accumulated by Run so far,
-// in canonical edge (mailbox registration) order, omitting edges that never
-// stalled anyone. Diagnostic: allocates, call it after Run.
-func (c *Cluster) EdgeStalls() []EdgeStall {
-	var out []EdgeStall
-	for eid := 0; eid < c.nEdges; eid++ {
-		if c.edgeStallRounds[eid] == 0 {
-			continue
-		}
-		out = append(out, EdgeStall{
-			Src:          int(c.edgeSrc[eid]),
-			Dst:          int(c.edgeDst[eid]),
-			StallWindows: c.edgeStallRounds[eid],
-			StallTime:    c.edgeStallTime[eid],
-		})
-	}
-	return out
 }
 
 // NewCluster returns a coordinator owning n fresh engines. The lookahead is
@@ -411,7 +373,6 @@ func (c *Cluster) prepare() {
 		c.base = make([]units.Time, n)
 		c.bound = make([]units.Time, n)
 		c.horizons = make([]units.Time, n)
-		c.hsup = make([]int32, n)
 		c.prevNow = make([]units.Time, n)
 		c.dirty = make([]bool, n)
 		c.dirtyIdx = make([]int32, 0, n)
@@ -429,19 +390,10 @@ func (c *Cluster) prepare() {
 			c.in[i] = c.in[i][:0]
 			c.out[i] = c.out[i][:0]
 		}
-		c.edgeSrc = c.edgeSrc[:0]
-		c.edgeDst = c.edgeDst[:0]
-		eid := int32(0)
 		for _, b := range c.boxes {
-			c.in[b.dstIdx] = append(c.in[b.dstIdx], edge{peer: b.src, eid: eid, lat: b.lat})
-			c.out[b.src] = append(c.out[b.src], edge{peer: b.dstIdx, eid: eid, lat: b.lat})
-			c.edgeSrc = append(c.edgeSrc, b.src)
-			c.edgeDst = append(c.edgeDst, b.dstIdx)
-			eid++
+			c.in[b.dstIdx] = append(c.in[b.dstIdx], edge{peer: b.src, lat: b.lat})
+			c.out[b.src] = append(c.out[b.src], edge{peer: b.dstIdx, lat: b.lat})
 		}
-		c.nEdges = int(eid)
-		c.edgeStallRounds = make([]uint64, c.nEdges)
-		c.edgeStallTime = make([]units.Time, c.nEdges)
 		c.drainList = make([]int32, 0, len(c.boxes))
 		for i := 0; i < n; i++ {
 			if cap(c.postedBy[i]) < len(c.out[i]) {
@@ -461,7 +413,6 @@ func (c *Cluster) prepare() {
 	c.blockedList = c.blockedList[:0]
 	for i := 0; i < n; i++ {
 		c.base[i] = -1
-		c.hsup[i] = -1
 		c.prevNow[i] = c.engines[i].Now()
 		c.markDirty(int32(i))
 	}
@@ -525,15 +476,12 @@ func (c *Cluster) computeWindows() {
 	c.runnable = c.runnable[:0]
 	for i := 0; i < n; i++ {
 		h := never
-		hs := int32(-1)
 		for _, e := range c.in[i] {
 			if b := c.bound[e.peer]; b != never && b+e.lat < h {
 				h = b + e.lat
-				hs = e.eid
 			}
 		}
 		c.horizons[i] = h
-		c.hsup[i] = hs
 		if c.base[i] < h {
 			c.runnable = append(c.runnable, int32(i))
 			c.prevNow[i] = c.engines[i].Now()
@@ -582,14 +530,9 @@ func (c *Cluster) accountRound() {
 		c.markDirty(i)
 		c.stats.Advance += c.engines[i].Now() - c.prevNow[i]
 	}
+	c.stats.StalledEngineWindows += uint64(len(c.blockedList))
 	for _, i := range c.blockedList {
-		gap := c.base[i] - c.horizons[i]
-		c.stats.StalledEngineWindows++
-		c.stats.StallTime += gap
-		if eid := c.hsup[i]; eid >= 0 {
-			c.edgeStallRounds[eid]++
-			c.edgeStallTime[eid] += gap
-		}
+		c.stats.StallTime += c.base[i] - c.horizons[i]
 	}
 }
 

@@ -197,10 +197,9 @@ func TestClusterPromiseLawViolationDetected(t *testing.T) {
 	}
 }
 
-// TestClusterEdgeStalls sanity-checks the per-edge stall attribution: on a
-// two-device chain where the receiver is persistently blocked on its single
-// slow inbound link, all stall time lands on that edge, and the aggregate
-// matches ClusterStats.
+// TestClusterEdgeStalls sanity-checks the stall accounting: on a two-device
+// chain where the receiver is persistently blocked on its single slow
+// inbound link, ClusterStats records blocked engine-rounds and stall time.
 func TestClusterEdgeStalls(t *testing.T) {
 	cl := NewCluster(2, 10)
 	box := cl.LinkMailbox(0, 1, 50)
@@ -221,18 +220,6 @@ func TestClusterEdgeStalls(t *testing.T) {
 	st := cl.Stats()
 	if st.StalledEngineWindows == 0 || st.StallTime == 0 {
 		t.Fatalf("no stalls recorded: %+v", st)
-	}
-	edges := cl.EdgeStalls()
-	if len(edges) != 1 {
-		t.Fatalf("EdgeStalls = %+v, want exactly the 0->1 edge", edges)
-	}
-	e := edges[0]
-	if e.Src != 0 || e.Dst != 1 {
-		t.Errorf("stall attributed to edge %d->%d, want 0->1", e.Src, e.Dst)
-	}
-	if e.StallWindows != st.StalledEngineWindows || e.StallTime != st.StallTime {
-		t.Errorf("per-edge stalls (%d, %v) disagree with aggregate (%d, %v)",
-			e.StallWindows, e.StallTime, st.StalledEngineWindows, st.StallTime)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // triggerHarness wires the §4 datapath the fused runner exercises per
-// produced tile — NMC store bursts observed at the memory controller, the
-// tracker counting them, the DMA table firing, the triggered block read,
+// produced tile — NMC store bursts, the tracker counting each completed
+// store (as stageCB does in the runners), the DMA table firing, the triggered block read,
 // the ring send, and the mirrored remote update — with every callback
 // prebuilt, so a steady-state burst through the whole chain can be pinned
 // at zero allocations.
@@ -31,11 +31,6 @@ type triggerHarness struct {
 	readDone func()      // triggered block read complete → ring send
 	sent     sim.Handler // ring delivery → mirrored NMC update
 }
-
-// mirrorWGBase offsets the mirrored updates' tile identities out of the
-// tracked domain, so the harness models the arriving neighbor traffic
-// without retriggering itself.
-const mirrorWGBase = 1 << 16
 
 func newTriggerHarness(tb testing.TB, tiles int) *triggerHarness {
 	tb.Helper()
@@ -67,10 +62,11 @@ func newTriggerHarness(tb testing.TB, tiles int) *triggerHarness {
 		}
 	}
 	h.readDone = func() { h.link.Send(h.tileBytes, h.sent) }
+	// The mirrored neighbor update carries no completion, so it never
+	// reaches the tracker and the harness does not retrigger itself.
 	h.sent = func() {
 		h.mirrored++
-		h.mem.Transfer(memory.Update, memory.StreamComm, h.tileBytes,
-			memory.Tag{WG: mirrorWGBase, WF: 0}, nil)
+		h.mem.Transfer(memory.Update, memory.StreamComm, h.tileBytes, memory.Tag{}, nil)
 	}
 	if err := h.trk.SetProgram(Program{
 		WFTileBytes:       h.tileBytes,
@@ -91,22 +87,22 @@ func newTriggerHarness(tb testing.TB, tiles int) *triggerHarness {
 	}); err != nil {
 		tb.Fatal(err)
 	}
-	mc.SetObserver(memory.ObserverFunc(func(_ units.Time, r memory.Request) {
-		if r.Kind != memory.Update || r.Tag.WG >= mirrorWGBase {
-			return
-		}
-		if err := h.trk.Observe(TileID{WG: r.Tag.WG, WF: r.Tag.WF}, r.Bytes); err != nil {
-			h.err = err
-		}
-	}))
 	return h
+}
+
+// Complete implements memory.Completion for one produced tile's store: the
+// tracker counts the whole tile.
+func (h *triggerHarness) Complete(tag memory.Tag) {
+	if err := h.trk.Observe(TileID{WG: tag.WG, WF: tag.WF}, h.tileBytes); err != nil {
+		h.err = err
+	}
 }
 
 // burst produces every tile once and services the whole chain to quiescence.
 func (h *triggerHarness) burst() {
 	for g := 0; g < h.tiles; g++ {
-		h.mem.Transfer(memory.Update, memory.StreamCompute, h.tileBytes,
-			memory.Tag{WG: g / 8, WF: g % 8}, nil)
+		h.mem.TransferTo(memory.Update, memory.StreamCompute, h.tileBytes,
+			memory.Tag{WG: g / 8, WF: g % 8}, h)
 	}
 	h.eng.Run()
 }

@@ -1,12 +1,10 @@
 package t3core
 
-import (
-	"fmt"
+import "fmt"
 
-	"t3sim/internal/units"
-)
-
-// EventKind classifies fused-run events for observability.
+// EventKind classifies fused-run events. A run with a metrics sink records
+// each event as an instant on its "t3core" timeline track, named by the
+// kind's String.
 type EventKind int
 
 // Event kinds, in the rough order they occur per phase.
@@ -43,57 +41,4 @@ func (k EventKind) String() string {
 	default:
 		return fmt.Sprintf("EventKind(%d)", int(k))
 	}
-}
-
-// Event is one observability record from a fused run.
-type Event struct {
-	At   units.Time
-	Kind EventKind
-	// Stage is the GEMM stage (EventStageComputed only).
-	Stage int
-	// Tile identifies the wavefront tile (tile-scoped events).
-	Tile TileID
-}
-
-// EventLog collects fused-run events. It implements the FusedOptions
-// EventSink contract and offers simple summaries.
-type EventLog struct {
-	events []Event
-}
-
-// Record appends one event.
-func (l *EventLog) Record(e Event) { l.events = append(l.events, e) }
-
-// Events returns the recorded sequence.
-func (l *EventLog) Events() []Event { return l.events }
-
-// Count returns how many events of a kind were recorded.
-func (l *EventLog) Count(kind EventKind) int {
-	n := 0
-	for _, e := range l.events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
-// First returns the earliest event of a kind (ok=false if none).
-func (l *EventLog) First(kind EventKind) (Event, bool) {
-	for _, e := range l.events {
-		if e.Kind == kind {
-			return e, true
-		}
-	}
-	return Event{}, false
-}
-
-// Last returns the latest event of a kind (ok=false if none).
-func (l *EventLog) Last(kind EventKind) (Event, bool) {
-	for i := len(l.events) - 1; i >= 0; i-- {
-		if l.events[i].Kind == kind {
-			return l.events[i], true
-		}
-	}
-	return Event{}, false
 }

@@ -1,35 +1,13 @@
 package t3core
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
+	"t3sim/internal/metrics"
 	"t3sim/internal/units"
 )
-
-func TestEventLogBasics(t *testing.T) {
-	l := &EventLog{}
-	l.Record(Event{At: 10, Kind: EventStageComputed, Stage: 0})
-	l.Record(Event{At: 20, Kind: EventDMATriggered, Tile: TileID{WG: 1}})
-	l.Record(Event{At: 30, Kind: EventDMATriggered, Tile: TileID{WG: 2}})
-	if l.Count(EventDMATriggered) != 2 || l.Count(EventGEMMDone) != 0 {
-		t.Error("Count wrong")
-	}
-	if e, ok := l.First(EventDMATriggered); !ok || e.At != 20 {
-		t.Errorf("First = %+v %v", e, ok)
-	}
-	if e, ok := l.Last(EventDMATriggered); !ok || e.At != 30 {
-		t.Errorf("Last = %+v %v", e, ok)
-	}
-	if _, ok := l.First(EventGEMMDone); ok {
-		t.Error("First should miss")
-	}
-	if _, ok := l.Last(EventGEMMDone); ok {
-		t.Error("Last should miss")
-	}
-	if len(l.Events()) != 3 {
-		t.Error("Events wrong")
-	}
-}
 
 func TestEventKindStrings(t *testing.T) {
 	kinds := []EventKind{EventStageComputed, EventRemoteWrite, EventDMATriggered,
@@ -42,53 +20,87 @@ func TestEventKindStrings(t *testing.T) {
 }
 
 func TestFusedRunEmitsCoherentEvents(t *testing.T) {
+	reg := metrics.NewRegistry()
+	reg.EnableTimeline()
 	o := fusedOpts(t, 4)
-	log := &EventLog{}
-	o.Events = log
+	o.Metrics = reg
 	res, err := RunFusedGEMMRS(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tiles := o.Grid.NumWFs()
+	track := reg.Track("t3core")
+	count := func(k EventKind) int { return len(track.Instants(k.String())) }
+	first := func(k EventKind) units.Time {
+		at := track.Instants(k.String())
+		if len(at) == 0 {
+			t.Fatalf("no %v instant recorded", k)
+		}
+		return at[0]
+	}
 
 	// Structural counts: one stage event per stage, remote writes for phase
 	// 0's tiles, DMA triggers for phases 1..n-2, owned completions for the
 	// last phase, and exactly one GEMM/collective completion each.
-	if got := log.Count(EventRemoteWrite); got != tiles/4 {
+	if got := count(EventRemoteWrite); got != tiles/4 {
 		t.Errorf("remote writes = %d, want %d", got, tiles/4)
 	}
-	if got := log.Count(EventDMATriggered); got != tiles/2 {
+	if got := count(EventDMATriggered); got != tiles/2 {
 		t.Errorf("DMA triggers = %d, want %d", got, tiles/2)
 	}
-	if got := log.Count(EventOwnedTileDone); got != tiles/4 {
+	if got := count(EventOwnedTileDone); got != tiles/4 {
 		t.Errorf("owned completions = %d, want %d", got, tiles/4)
 	}
-	if log.Count(EventGEMMDone) != 1 || log.Count(EventCollectiveDone) != 1 {
+	if count(EventGEMMDone) != 1 || count(EventCollectiveDone) != 1 {
 		t.Error("completion events wrong")
 	}
 
-	// Temporal coherence: events are monotone; the first remote write
-	// precedes the first DMA; completions match the result times.
-	var prev units.Time
-	for i, e := range log.Events() {
-		if e.At < prev {
-			t.Fatalf("event %d went back in time: %v < %v", i, e.At, prev)
+	// Temporal coherence: the track's instants, in recording order across
+	// every kind, are monotone; the first remote write precedes the first
+	// DMA; completions match the result times.
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string  `json:"ph"`
+			Ts   float64 `json:"ts"`
+			Name string  `json:"name"`
+		} `json:"traceEvents"`
+	}
+	var trace strings.Builder
+	if err := reg.WriteTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(trace.String()), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	kinds := map[string]bool{}
+	for k := EventStageComputed; k <= EventCollectiveDone; k++ {
+		kinds[k.String()] = true
+	}
+	prev, n := -1.0, 0
+	for _, e := range doc.TraceEvents {
+		if e.Ph != "i" || !kinds[e.Name] {
+			continue
 		}
-		prev = e.At
+		if e.Ts < prev {
+			t.Fatalf("event %d (%s) went back in time: %v < %v µs", n, e.Name, e.Ts, prev)
+		}
+		prev = e.Ts
+		n++
 	}
-	fw, _ := log.First(EventRemoteWrite)
-	fd, ok := log.First(EventDMATriggered)
-	if !ok || fw.At > fd.At {
-		t.Errorf("first remote write %v after first DMA %v", fw.At, fd.At)
+	if n == 0 {
+		t.Fatal("trace holds no fused-run instants")
 	}
-	if g, _ := log.First(EventGEMMDone); g.At != res.GEMMDone {
-		t.Errorf("GEMM event at %v, result says %v", g.At, res.GEMMDone)
+	if fw, fd := first(EventRemoteWrite), first(EventDMATriggered); fw > fd {
+		t.Errorf("first remote write %v after first DMA %v", fw, fd)
 	}
-	if c, _ := log.First(EventCollectiveDone); c.At != res.CollectiveDone {
-		t.Errorf("collective event at %v, result says %v", c.At, res.CollectiveDone)
+	if g := first(EventGEMMDone); g != res.GEMMDone {
+		t.Errorf("GEMM event at %v, result says %v", g, res.GEMMDone)
+	}
+	if c := first(EventCollectiveDone); c != res.CollectiveDone {
+		t.Errorf("collective event at %v, result says %v", c, res.CollectiveDone)
 	}
 	// DMA trigger count matches the result's counter.
-	if int64(log.Count(EventDMATriggered)) != res.DMATriggered {
+	if int64(count(EventDMATriggered)) != res.DMATriggered {
 		t.Error("event count disagrees with result counter")
 	}
 }

@@ -72,9 +72,6 @@ type FusedOptions struct {
 	// GEMMCUs restricts the producer's CU allocation (0 = all). T3 itself
 	// never steals CUs; this exists for ablations.
 	GEMMCUs int
-	// Observer, if non-nil, receives every memory-controller issue (used to
-	// capture the Figure 17 DRAM traffic timeline).
-	Observer memory.Observer
 	// FixedMCAThreshold pins the MCA's DRAM-queue occupancy limit for
 	// communication instead of calibrating it from the monitor window (the
 	// §6.1.3 fixed-threshold ablation). 0 keeps the dynamic MCA, n > 0 pins
@@ -86,8 +83,6 @@ type FusedOptions struct {
 	// equal to or larger than the Tracker granularity"). 0 or 1 means one
 	// tile per DMA; larger blocks make communication burstier.
 	DMATilesPerBlock int
-	// Events, if non-nil, receives the run's observability events.
-	Events *EventLog
 	// DoubleBufferedGEMM runs the producer with operand prefetching
 	// (software pipelining) instead of the conservative read-then-compute
 	// stage schedule.
@@ -95,9 +90,10 @@ type FusedOptions struct {
 	// Metrics, if non-nil, is threaded through every model in the run: the
 	// memory controller, the producer kernel, and the ring links register
 	// their instruments on it, and the run adds a "t3core" timeline track
-	// with gemm/reduce-scatter/drain spans plus one instant per EventLog
-	// event. A nil sink records nothing and costs nothing. If
-	// Memory.Metrics is already set it wins for the controller.
+	// with gemm/reduce-scatter/drain spans plus one instant per fused-run
+	// event, named by its EventKind (read back with Track.Instants). A nil
+	// sink records nothing and costs nothing. If Memory.Metrics is already
+	// set it wins for the controller.
 	Metrics metrics.Sink
 	// ParWorkers is the worker-goroutine budget of the explicit
 	// multi-device run (RunFusedGEMMRSMultiDevice only; single-GPU mirror
@@ -108,15 +104,6 @@ type FusedOptions struct {
 	// byte-identical at every value — the knob trades wall-clock time only —
 	// so it is excluded from the experiment memo key (policySkip).
 	ParWorkers int
-	// ClusterStats, if non-nil, receives the scheduler's windowing summary
-	// after an explicit multi-device run, at every ParWorkers value: round
-	// count, engine-window executions, and total simulated time advanced,
-	// from which the benchmark harness derives the average window width —
-	// the lookahead-quality metric tracked across PRs. The stats describe
-	// the coordination layer, not the model, and are deliberately not part
-	// of MultiDeviceResult, even though they are identical at every worker
-	// count.
-	ClusterStats *sim.ClusterStats
 	// Check, if non-nil, is threaded through every model the same way
 	// Metrics is: the engine witnesses event-time monotonicity, the memory
 	// channels witness service non-overlap and queue-depth bounds, the ring
@@ -129,13 +116,6 @@ type FusedOptions struct {
 	// (pinned by the nil-cost integration test). If Memory.Check is already
 	// set it wins for the controller.
 	Check *check.Checker
-}
-
-// emit records an observability event when a log is attached.
-func (o FusedOptions) emit(at units.Time, kind EventKind, stage int, tile TileID) {
-	if o.Events != nil {
-		o.Events.Record(Event{At: at, Kind: kind, Stage: stage, Tile: tile})
-	}
 }
 
 // Validate reports whether the options are usable.
@@ -267,14 +247,11 @@ type fusedRun struct {
 	testDropIncoming int
 }
 
-// emit records an observability event to the attached EventLog and mirrors
-// it onto the "t3core" timeline as a thread-scoped instant, so tracker fires
-// and DMA triggers show up in Perfetto next to the model spans.
-func (r *fusedRun) emit(kind EventKind, stage int, tile TileID) {
-	at := r.eng.Now()
-	r.o.emit(at, kind, stage, tile)
+// emit records a fused-run event as an instant on the "t3core" timeline, so
+// tracker fires and DMA triggers show up in Perfetto next to the model spans.
+func (r *fusedRun) emit(kind EventKind) {
 	if r.mtrack != nil {
-		r.mtrack.Instant(kind.String(), at)
+		r.mtrack.Instant(kind.String(), r.eng.Now())
 	}
 }
 
@@ -325,9 +302,6 @@ func newFusedRun(o FusedOptions) (*fusedRun, error) {
 		return nil, err
 	}
 	r.mem = mc
-	if o.Observer != nil {
-		mc.SetObserver(o.Observer)
-	}
 	nLinks := 1
 	if o.Collective == DirectReduceScatter {
 		nLinks = o.Devices - 1 // fully-connected: a dedicated link per peer
@@ -368,8 +342,8 @@ func newFusedRun(o FusedOptions) (*fusedRun, error) {
 		WriteStage:        r.writeStage,
 		DoubleBuffered:    o.DoubleBufferedGEMM,
 		Metrics:           o.Metrics,
-		OnStageComputed: func(stage, _ int) {
-			r.emit(EventStageComputed, stage, TileID{})
+		OnStageComputed: func(int, int) {
+			r.emit(EventStageComputed)
 		},
 	}
 	return r, nil
@@ -381,7 +355,7 @@ func (r *fusedRun) run() (FusedResult, error) {
 	o := r.o
 	if err := r.kernel.Start(func() {
 		r.result.GEMMDone = r.eng.Now()
-		r.emit(EventGEMMDone, 0, TileID{})
+		r.emit(EventGEMMDone)
 		if r.mtrack != nil {
 			r.mtrack.Span("gemm", 0, r.eng.Now())
 		}
@@ -536,7 +510,7 @@ func (r *fusedRun) setupTracker() error {
 	}
 	r.ownedFence = sim.NewFence(r.ownedTiles(), func() {
 		r.result.CollectiveDone = r.eng.Now()
-		r.emit(EventCollectiveDone, 0, TileID{})
+		r.emit(EventCollectiveDone)
 		if r.mtrack != nil {
 			r.mtrack.Span("reduce-scatter", 0, r.eng.Now())
 		}
@@ -643,7 +617,7 @@ func (r *fusedRun) sendRemote(t int) {
 		return
 	}
 	r.mRemote.Inc()
-	r.emit(EventRemoteWrite, 0, r.tileIDOf(t))
+	r.emit(EventRemoteWrite)
 	r.chkRing.Add(int64(r.tileBytes))
 	op := r.getRemoteOp(t)
 	r.links[0].Send(r.tileBytes, op.delivered)
@@ -722,7 +696,7 @@ func (r *fusedRun) onTileReady(id TileID) {
 	}
 	p := r.phaseOf(t)
 	if p == r.o.Devices-1 {
-		r.emit(EventOwnedTileDone, 0, id)
+		r.emit(EventOwnedTileDone)
 		r.ownedFence.Done()
 		return
 	}
@@ -733,7 +707,7 @@ func (r *fusedRun) onTileReady(id TileID) {
 	}
 	r.chkDMA.Mark(r.eng.Now(), t)
 	r.mTrigger.Inc()
-	r.emit(EventDMATriggered, 0, id)
+	r.emit(EventDMATriggered)
 	k := r.o.DMATilesPerBlock
 	if k <= 1 {
 		r.dmaSend(p, t, 1, cmd.Bytes)

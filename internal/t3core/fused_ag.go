@@ -236,9 +236,6 @@ func (r *agRun) run() (FusedResult, error) {
 		return FusedResult{}, err
 	}
 	r.mem = mc
-	if o.Observer != nil {
-		mc.SetObserver(o.Observer)
-	}
 	link, err := interconnect.NewLink(r.eng, o.Link)
 	if err != nil {
 		return FusedResult{}, err
@@ -492,9 +489,6 @@ func (r *a2aRun) run() (FusedResult, error) {
 		return FusedResult{}, err
 	}
 	r.mem = mc
-	if o.Observer != nil {
-		mc.SetObserver(o.Observer)
-	}
 	link, err := interconnect.NewLink(r.eng, o.Link)
 	if err != nil {
 		return FusedResult{}, err

@@ -34,6 +34,11 @@ type MultiDeviceResult struct {
 	// MCAThreshold is device 0's MCA occupancy limit at the end of the run
 	// (0 if not MCA; -1 if unlimited).
 	MCAThreshold int
+	// Cluster is the scheduler's windowing summary: rounds, engine-window
+	// executions, simulated time advanced and stall accounting. It
+	// describes how the cluster synchronized, not what the model computed,
+	// and is identical at every ParWorkers value.
+	Cluster sim.ClusterStats
 }
 
 // Skew returns the spread between the earliest and latest device
@@ -191,9 +196,6 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 	}
 	r.cl.Run(o.ParWorkers)
 	st := r.cl.Stats()
-	if o.ClusterStats != nil {
-		*o.ClusterStats = st
-	}
 	if o.Metrics != nil {
 		// Coordination-layer summary for the -metrics JSON: how the cluster
 		// synchronized, not what the model computed. Values are identical at
@@ -241,6 +243,7 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 		res.MCAThreshold = mca.Threshold()
 	}
 	res.LinkBytes = r.topo.SentBytes()
+	res.Cluster = st
 	return *res, nil
 }
 

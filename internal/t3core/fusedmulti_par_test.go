@@ -13,7 +13,6 @@ import (
 	"t3sim/internal/interconnect"
 	"t3sim/internal/memory"
 	"t3sim/internal/metrics"
-	"t3sim/internal/sim"
 )
 
 // parOptions builds a multi-device configuration for the parallel-DES tests.
@@ -110,8 +109,8 @@ func TestPropertyParallelWorkersInvariant(t *testing.T) {
 // TestMultiDevice64ParallelMatchesSequential extends the byte-identity proof
 // to the Fig-20 scale regime: 64 explicit devices, per-device horizons doing
 // real work (devices run far past the global window between ring phases),
-// and still every field of the result must DeepEqual the sequential
-// (ParWorkers 0) reference at every worker count. Skipped under -short: it simulates 64
+// and still every field of the result, the cluster stats included, must
+// DeepEqual the sequential (ParWorkers 0) reference at every worker count. Skipped under -short: it simulates 64
 // devices five times over.
 func TestMultiDevice64ParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
@@ -127,15 +126,16 @@ func TestMultiDevice64ParallelMatchesSequential(t *testing.T) {
 		po.ParWorkers = workers
 		chk := check.New()
 		po.Check = chk
-		var st sim.ClusterStats
-		po.ClusterStats = &st
 		got, err := RunFusedGEMMRSMultiDevice(po)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		// The DeepEqual covers the cluster stats too: they are identical
+		// at every worker count.
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: 64-device parallel result diverged from sequential", workers)
 		}
+		st := got.Cluster
 		if !chk.Ok() {
 			t.Errorf("workers=%d: violations: %v", workers, chk.Violations())
 		}

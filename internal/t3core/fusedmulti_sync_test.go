@@ -29,22 +29,18 @@ func TestMultiDeviceSyncModesMatch(t *testing.T) {
 	for _, spec := range specs {
 		o := fusedOpts(t, 8)
 		o.Topo = spec
-		var wantStats sim.ClusterStats
-		o.ClusterStats = &wantStats
 		want, err := RunFusedGEMMRSMultiDevice(o)
 		if err != nil {
 			t.Fatalf("%v: %v", spec.Kind, err)
 		}
-		if wantStats.Windows == 0 {
-			t.Fatalf("%v: reference run recorded no windows: %+v", spec.Kind, wantStats)
+		if want.Cluster.Windows == 0 {
+			t.Fatalf("%v: reference run recorded no windows: %+v", spec.Kind, want.Cluster)
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			po := o
 			po.ParWorkers = workers
 			chk := check.New()
 			po.Check = chk
-			var st sim.ClusterStats
-			po.ClusterStats = &st
 			got, err := RunFusedGEMMRSMultiDevice(po)
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", spec.Kind, workers, err)
@@ -55,9 +51,9 @@ func TestMultiDeviceSyncModesMatch(t *testing.T) {
 			if !chk.Ok() {
 				t.Errorf("%v workers=%d: violations: %v", spec.Kind, workers, chk.Violations())
 			}
-			if st != wantStats {
+			if got.Cluster != want.Cluster {
 				t.Errorf("%v workers=%d: coordination stats diverged\n got: %+v\nwant: %+v",
-					spec.Kind, workers, st, wantStats)
+					spec.Kind, workers, got.Cluster, want.Cluster)
 			}
 		}
 	}
@@ -73,12 +69,11 @@ func TestMultiDeviceSyncStatsAgree(t *testing.T) {
 	stats := func(workers int) sim.ClusterStats {
 		po := o
 		po.ParWorkers = workers
-		var st sim.ClusterStats
-		po.ClusterStats = &st
-		if _, err := RunFusedGEMMRSMultiDevice(po); err != nil {
+		res, err := RunFusedGEMMRSMultiDevice(po)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return st
+		return res.Cluster
 	}
 	want := stats(1)
 	if want.Windows == 0 || want.EngineWindows == 0 {

@@ -180,16 +180,11 @@ const (
 	AllToAllCollective = t3core.AllToAll
 )
 
-// Fused-run observability.
-type (
-	// FusedEvent is one observability record from a fused run.
-	FusedEvent = t3core.Event
-	// FusedEventKind classifies fused-run events.
-	FusedEventKind = t3core.EventKind
-	// FusedEventLog collects fused-run events (attach via
-	// FusedOptions.Events).
-	FusedEventLog = t3core.EventLog
-)
+// FusedEventKind classifies fused-run events. A run given a metrics sink
+// (FusedOptions.Metrics) with the timeline enabled records each event as an
+// instant on its "t3core" track, named by the kind's String; read the times
+// back with Track("t3core").Instants(kind.String()).
+type FusedEventKind = t3core.EventKind
 
 // Fused event kinds.
 const (
@@ -304,15 +299,9 @@ type MultiDeviceResult = t3core.MultiDeviceResult
 // ClusterStats summarizes the cluster scheduler's windowing behaviour for
 // one explicit multi-device run: coordinator rounds, per-engine window
 // executions, and total simulated time advanced (AvgWindowWidth derives the
-// mean advance per window). Request it by pointing FusedOptions.ClusterStats
-// at a value before RunFusedGEMMRSMultiDevice; it is filled at every
-// ParWorkers value, and is identical across them.
+// mean advance per window). RunFusedGEMMRSMultiDevice reports it as
+// MultiDeviceResult.Cluster; it is identical at every ParWorkers value.
 type ClusterStats = sim.ClusterStats
-
-// EdgeStall attributes blocked engine-rounds to the inbound link whose
-// bound limited the stalled engine's horizon; sim.Cluster.EdgeStalls
-// reports them in canonical edge order.
-type EdgeStall = sim.EdgeStall
 
 // RunFusedGEMMRSMultiDevice executes the fused GEMM→reduce-scatter with
 // every device simulated explicitly (no mirroring); it validates the

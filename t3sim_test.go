@@ -163,14 +163,16 @@ func TestPublicAPIOtherCollectives(t *testing.T) {
 	}
 }
 
-// TestPublicAPIEventLog attaches the observability log through the facade.
+// TestPublicAPIEventLog reads the fused-run events back through the facade:
+// a timeline-enabled registry records them as "t3core" instants.
 func TestPublicAPIEventLog(t *testing.T) {
 	grid, err := t3sim.NewGrid(
 		t3sim.GEMMShape{M: 1024, N: 1024, K: 256, ElemBytes: 2}, t3sim.DefaultTiling())
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := &t3sim.FusedEventLog{}
+	reg := t3sim.NewMetricsRegistry()
+	reg.EnableTimeline()
 	_, err = t3sim.RunFusedGEMMRS(t3sim.FusedOptions{
 		GPU:         t3sim.DefaultGPUConfig(),
 		Memory:      t3sim.DefaultMemoryConfig(),
@@ -180,13 +182,15 @@ func TestPublicAPIEventLog(t *testing.T) {
 		Grid:        grid,
 		Collective:  t3sim.RingReduceScatterCollective,
 		Arbitration: t3sim.ArbRoundRobin,
-		Events:      log,
+		Metrics:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Count(t3sim.EventGEMMDone) != 1 || log.Count(t3sim.EventDMATriggered) == 0 {
-		t.Error("event log incomplete")
+	events := reg.Track("t3core")
+	if len(events.Instants(t3sim.EventGEMMDone.String())) != 1 ||
+		len(events.Instants(t3sim.EventDMATriggered.String())) == 0 {
+		t.Error("event instants incomplete")
 	}
 }
 
