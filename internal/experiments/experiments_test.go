@@ -279,14 +279,19 @@ func TestFig17SinkIndependent(t *testing.T) {
 	}
 }
 
-// TestFig17Samples pins the read-back: the four series zero-fill to the
-// longest, bucket i starts at i×TraceBucket, the peak is the busiest bucket,
-// and a sink with no traffic reads as no samples.
-func TestFig17Samples(t *testing.T) {
-	reg := metrics.NewRegistry()
-	if got, peak := samples(reg); got != nil || peak != (Sample{}) {
+// TestFig17SamplesEmpty pins the empty read-back: a sink with no traffic
+// reads as no samples and a zero peak.
+func TestFig17SamplesEmpty(t *testing.T) {
+	if got, peak := samples(metrics.NewRegistry()); got != nil || peak != (Sample{}) {
 		t.Errorf("empty sink: samples %v, peak %+v; want none", got, peak)
 	}
+}
+
+// TestFig17SamplesGapsAreZeroFilled pins the read-back: the four series
+// zero-fill to the longest, bucket i starts at i×TraceBucket, and the peak is
+// the busiest bucket.
+func TestFig17SamplesGapsAreZeroFilled(t *testing.T) {
+	reg := metrics.NewRegistry()
 	add := func(k memory.AccessKind, s memory.Stream, at units.Time, n int64) {
 		reg.Series(memory.TraceSeriesName(k, s), memory.TraceBucket).Add(at, n)
 	}
