@@ -10,8 +10,9 @@ import (
 // count is deterministic — the same at any worker count and on any host —
 // so it gates the simulator's work exactly where wall-clock time cannot: a
 // change that adds, drops or merges events moves it, while a change to how
-// the calendar stores them (heap or fixed-delay lanes) must not.
-const fig14Events = 2298240
+// the calendar stores them (heap or fixed-delay lanes) must not. A
+// same-instant run of DRAM service completions counts as one event.
+const fig14Events = 336344
 
 func TestEventsDispatchedFig14(t *testing.T) {
 	runner := t3sim.NewExperimentRunner(t3sim.DefaultExperimentSetup(), 2)

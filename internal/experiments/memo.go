@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"sync"
 
+	"t3sim/internal/gemm"
+	"t3sim/internal/gpu"
 	"t3sim/internal/memory"
 	"t3sim/internal/metrics"
 	"t3sim/internal/store"
@@ -121,6 +123,15 @@ var hashPolicies = map[reflect.Type]map[string]fieldPolicy{
 		"Banks":              policyHash,
 		"Metrics":            policyBarrier,
 		"Check":              policyDiskBarrier,
+	},
+	// An isolated GEMM reads nothing else; its metrics sink and checker
+	// ride in Memory, under the memory.Config policy.
+	reflect.TypeOf(gemmInputs{}): {
+		"GPU":       policyHash,
+		"Memory":    policyHash,
+		"Grid":      policyHash,
+		"BypassLLC": policyHash,
+		"CUs":       policyHash,
 	},
 	// Setup keys whole-experiment results (coarse-overlap, layer, fig14,
 	// fig6, fig17, generation, topo-sweep, serve-sweep, serve-tenants):
@@ -310,6 +321,41 @@ func setupKey(s Setup) (memoKey, bool, bool) {
 	return m.sum()
 }
 
+// gemmInputs is everything an isolated GEMM run reads, and so its memo key:
+// the GPU, the memory system (with the run's metrics sink and checker), the
+// launch grid, whether output stores bypass the LLC, and the CU count it is
+// confined to (0 = the whole GPU).
+type gemmInputs struct {
+	GPU       gpu.Config
+	Memory    memory.Config
+	Grid      gemm.Grid
+	BypassLLC bool
+	CUs       int
+}
+
+// gemmResult is an isolated GEMM run's duration and DRAM read bytes.
+type gemmResult struct {
+	Time  units.Time
+	Reads units.Bytes
+}
+
+// isolatedGEMM runs (or serves the cached) isolated GEMM of in. The table
+// is memory-only: an isolated GEMM is a part of the sub-layer and serving
+// entries the store already holds, so a warm pass never asks for one. A
+// nil cache or a live metrics sink always simulates.
+func (m *MemoCache) isolatedGEMM(in gemmInputs) (gemmResult, error) {
+	if m == nil {
+		return runIsolatedGEMM(in)
+	}
+	h := newMemoHasher()
+	h.value(reflect.ValueOf(in))
+	k, ok, _ := h.sum()
+	if !ok {
+		return runIsolatedGEMM(in)
+	}
+	return m.gemm.do(k, false, func() (gemmResult, error) { return runIsolatedGEMM(in) })
+}
+
 // memoCall is one in-flight computation waiters block on.
 type memoCall[V any] struct {
 	done chan struct{}
@@ -407,6 +453,7 @@ type MemoCache struct {
 	topo     memoTable[TopoSweepResult]
 	sweep    memoTable[ServeSweepResult]
 	tenants  memoTable[ServeTenantsResult]
+	gemm     memoTable[gemmResult] // memory-only: never attached to the store
 
 	disk *store.Store
 }
@@ -505,6 +552,7 @@ func (m *MemoCache) Stats() (hits, misses int64) {
 		m.fused.stats, m.multi.stats, m.sublayer.stats, m.coarse.stats,
 		m.layer.stats, m.fig6.stats, m.fig14.stats, m.fig17.stats,
 		m.gen.stats, m.topo.stats, m.sweep.stats, m.tenants.stats,
+		m.gemm.stats,
 	} {
 		h, mi := s()
 		hits += h

@@ -9,6 +9,7 @@ import (
 	"t3sim/internal/memory"
 	"t3sim/internal/metrics"
 	"t3sim/internal/t3core"
+	"t3sim/internal/transformer"
 	"t3sim/internal/units"
 )
 
@@ -406,5 +407,43 @@ func TestMemoSublayerCrossEvaluator(t *testing.T) {
 	}
 	if sims != 3 {
 		t.Fatalf("metrics-recording setup was served from cache (%d sims)", sims)
+	}
+}
+
+// TestMemoIsolatedGEMMAcrossLinkSweep pins how many isolated GEMMs the link
+// sweep simulates: the GEMM never reads the link, so its five derived
+// evaluators share one run through the setup's memo (before the GEMM had a
+// memo of its own, each bandwidth ran it again).
+func TestMemoIsolatedGEMMAcrossLinkSweep(t *testing.T) {
+	s := DefaultSetup()
+	s.Memo = NewMemoCache()
+	ev, err := NewEvaluator(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := AblationLinkBandwidth(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := s.Memo.gemm.stats(); hits != 4 || misses != 1 {
+		t.Fatalf("isolated GEMM memo: %d hits, %d misses; want 4 hits, 1 miss (one simulation)", hits, misses)
+	}
+	for _, row := range res.Rows[1:] {
+		if row.GEMM != res.Rows[0].GEMM {
+			t.Fatalf("GEMM time %v at %v, %v at %v", row.GEMM, row.LinkBandwidth, res.Rows[0].GEMM, res.Rows[0].LinkBandwidth)
+		}
+	}
+
+	// A live metrics sink is the side effect the caller asked for: that
+	// run simulates and leaves the table alone.
+	sl, err := transformer.SubLayerGEMM(res.Case.Model, res.Case.Kind, res.Case.TP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ev.isolatedGEMM(sl, false, metrics.NewRegistry()); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := s.Memo.gemm.stats(); hits != 4 || misses != 1 {
+		t.Fatalf("a metrics run touched the GEMM memo: %d hits, %d misses", hits, misses)
 	}
 }

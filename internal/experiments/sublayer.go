@@ -374,31 +374,48 @@ func (e *Evaluator) isolatedGEMM(sl transformer.SubLayer, bypassLLC bool, m metr
 	return e.isolatedGEMMOnCUs(sl, bypassLLC, 0, m)
 }
 
+// isolatedGEMMOnCUs is isolatedGEMM confined to cus CUs (0 = the whole
+// GPU). Runs with equal inputs share one simulation through the setup's
+// memo, whichever evaluator asks: the link sweep's derived evaluators and
+// the serving experiments repeat GEMMs that never read the link.
 func (e *Evaluator) isolatedGEMMOnCUs(sl transformer.SubLayer, bypassLLC bool, cus int, m metrics.Sink) (units.Time, units.Bytes, error) {
 	s := e.Setup
-	eng := sim.NewEngine()
-	eng.AttachChecker(s.Check)
 	memCfg := s.Memory
 	memCfg.Metrics = m
 	memCfg.Check = s.Check
-	mc, err := memory.NewController(eng, memCfg, memory.ComputeFirst{})
+	r, err := s.Memo.isolatedGEMM(gemmInputs{
+		GPU:       s.GPU,
+		Memory:    memCfg,
+		Grid:      sl.Grid,
+		BypassLLC: bypassLLC,
+		CUs:       cus,
+	})
+	return r.Time, r.Reads, err
+}
+
+// runIsolatedGEMM simulates the GEMM of in alone, on a compute-first
+// controller.
+func runIsolatedGEMM(in gemmInputs) (gemmResult, error) {
+	eng := sim.NewEngine()
+	eng.AttachChecker(in.Memory.Check)
+	mc, err := memory.NewController(eng, in.Memory, memory.ComputeFirst{})
 	if err != nil {
-		return 0, 0, err
+		return gemmResult{}, err
 	}
 	k := &gpu.GEMMKernel{
 		Eng:               eng,
 		Mem:               mc,
-		GPU:               s.GPU,
-		Grid:              sl.Grid,
-		CUs:               cus,
-		OutputBypassesLLC: bypassLLC,
-		Metrics:           m,
+		GPU:               in.GPU,
+		Grid:              in.Grid,
+		CUs:               in.CUs,
+		OutputBypassesLLC: in.BypassLLC,
+		Metrics:           in.Memory.Metrics,
 	}
 	if err := k.Start(nil); err != nil {
-		return 0, 0, err
+		return gemmResult{}, err
 	}
 	eng.Run()
-	return k.Finished(), mc.Counters().KindBytes(memory.Read), nil
+	return gemmResult{Time: k.Finished(), Reads: mc.Counters().KindBytes(memory.Read)}, nil
 }
 
 func maxTime(ts ...units.Time) units.Time {

@@ -27,7 +27,14 @@ type channel struct {
 	occSamples int64
 	occSum     int64
 
-	// Per-channel instrument handles (nil-safe; nil without a metrics sink).
+	obs *chanObs // nil without a metrics sink and a checker
+}
+
+// chanObs holds a channel's instrument and checker handles. A controller
+// with neither Config.Metrics nor Config.Check leaves it nil, so an
+// unobserved request tests one pointer instead of loading every handle.
+type chanObs struct {
+	// Instrument handles (nil-safe; nil without a metrics sink).
 	mBytes    [3][2]*metrics.Counter // serviced bytes by [kind][stream]
 	mBusy     *metrics.Counter       // picoseconds the service stage was occupied
 	mIssued   Stream                 // stream of the last DRAM-queue issue
@@ -41,13 +48,34 @@ type channel struct {
 // enqueue places a request on stream s's queue and kicks arbitration —
 // unless the service stage is busy and the DRAM queue full, when
 // arbitration could neither issue nor start service.
+//
+// A request that finds both stream queues empty and room in the DRAM queue
+// skips the stream queue: the arbiter is consulted once with the view
+// arbitrate would have shown it (this request pending, nothing else), and a
+// grant issues the request straight into the DRAM queue. Pushing and at
+// once popping it, as arbitrate would, changes nothing else.
 func (ch *channel) enqueue(r slot, s Stream) {
-	ch.streams[s].push(r)
 	ch.inflightByStream[s]++
-	if ch.busy && ch.dramq.len() >= ch.ctrl.cfg.QueueDepth {
+	depth := ch.ctrl.cfg.QueueDepth
+	if ch.streams[StreamCompute].len()+ch.streams[StreamComm].len() > 0 || ch.dramq.len() >= depth {
+		ch.streams[s].push(r)
+		if !ch.busy || ch.dramq.len() < depth {
+			ch.arbitrate()
+		}
 		return
 	}
-	ch.arbitrate()
+	compute, comm := 1, 0
+	if s == StreamComm {
+		compute, comm = 0, 1
+	}
+	if got, ok := ch.ctrl.arbiter.Next(ch.view(compute, comm)); !ok {
+		ch.streams[s].push(r)
+	} else if got != s {
+		panic("memory: arbiter selected empty stream")
+	} else {
+		ch.issue(r, s)
+	}
+	ch.service()
 }
 
 // arbitrate moves requests from stream queues into the DRAM queue while the
@@ -56,29 +84,40 @@ func (ch *channel) enqueue(r slot, s Stream) {
 func (ch *channel) arbitrate() {
 	for ch.dramq.len() < ch.ctrl.cfg.QueueDepth &&
 		ch.streams[StreamCompute].len()+ch.streams[StreamComm].len() > 0 {
-		s, ok := ch.ctrl.arbiter.Next(ch.view())
+		s, ok := ch.ctrl.arbiter.Next(ch.view(ch.streams[StreamCompute].len(), ch.streams[StreamComm].len()))
 		if !ok {
 			break
 		}
 		if ch.streams[s].len() == 0 {
 			panic("memory: arbiter selected empty stream")
 		}
-		r := ch.streams[s].pop()
-		ch.dramq.push(r)
-		ch.chkDepth.Observe(ch.ctrl.eng.Now(), int64(ch.dramq.len()))
-		if s == StreamComm {
-			ch.lastComm = ch.ctrl.eng.Now()
-		}
-		ch.ctrl.mIssues[s].Inc()
-		if ch.mAnyIssue && ch.mIssued != s {
-			ch.ctrl.mSwitches.Inc()
-		}
-		ch.mIssued, ch.mAnyIssue = s, true
-		if c := ch.ctrl; c.cfg.Metrics != nil {
-			c.mTrace[c.xfers[r.xf].kind][s].Add(c.eng.Now(), int64(r.bytes))
-		}
+		ch.issue(ch.streams[s].pop(), s)
 	}
 	ch.service()
+}
+
+// issue moves request r of stream s into the DRAM queue, with every side
+// effect of an arbitration grant: the queue-depth witness, the starvation
+// clock, and the issue counters and traffic series.
+func (ch *channel) issue(r slot, s Stream) {
+	c := ch.ctrl
+	ch.dramq.push(r)
+	if s == StreamComm {
+		ch.lastComm = c.eng.Now()
+	}
+	o := ch.obs
+	if o == nil {
+		return
+	}
+	o.chkDepth.Observe(c.eng.Now(), int64(ch.dramq.len()))
+	c.mIssues[s].Inc()
+	if o.mAnyIssue && o.mIssued != s {
+		c.mSwitches.Inc()
+	}
+	o.mIssued, o.mAnyIssue = s, true
+	if c.cfg.Metrics != nil {
+		c.mTrace[c.xfers[r.xf].kind][s].Add(c.eng.Now(), int64(r.bytes))
+	}
 }
 
 // service drains the DRAM queue head if the stage is free.
@@ -95,8 +134,9 @@ func (ch *channel) service() {
 	bytes := units.Bytes(r.bytes)
 	now := c.eng.Now()
 	// A full-granularity request under the flat model — nearly every
-	// request — takes its kind's precomputed time and completes through
-	// that time's lane; partial tails and the bank model use the heap.
+	// request — takes its kind's precomputed time and completes in a
+	// same-instant run on that time's lane (see svcRun); partial tails and
+	// the bank model schedule their own completion on the heap.
 	var t units.Time
 	full := ch.banks == nil && bytes == c.cfg.RequestGranularity
 	switch {
@@ -108,22 +148,22 @@ func (ch *channel) service() {
 		t = c.flatService(x.kind, bytes)
 	}
 	ch.sampleOccupancy()
-	if ch.chkServe != nil {
-		ch.chkServe.Window(now, now+t)
-	}
 	c.counters.add(x.kind, x.stream, bytes, now-x.start)
-	ch.mBytes[x.kind][x.stream].Add(int64(bytes))
-	ch.mBusy.Add(int64(t))
+	if o := ch.obs; o != nil {
+		o.chkServe.Window(now, now+t)
+		o.mBytes[x.kind][x.stream].Add(int64(bytes))
+		o.mBusy.Add(int64(t))
+	}
 	if full {
-		c.svcLane[x.kind].After(ch.svcDone)
+		c.completeAt(now+t, x.kind, ch.id)
 	} else {
 		c.eng.After(t, ch.svcDone)
 	}
 }
 
-// serviceDone is the single completion handler behind svcDone: the channel
-// services one request at a time, so the request it applies to is always
-// inService's and no per-service closure is needed.
+// serviceDone ends the service in progress, behind svcDone or as a member
+// of a svcRun: the channel services one request at a time, so the request
+// it applies to is always inService's and no per-service closure is needed.
 func (ch *channel) serviceDone() {
 	x := ch.inService
 	ch.inService = nil
@@ -142,9 +182,8 @@ func (ch *channel) serviceDone() {
 // constant, so per-request latency events would fire in service-completion
 // order and the last one — the only one that does more than decrement —
 // sits exactly where the single event is scheduled: same time, same place
-// in the insertion order. A transfer of n read requests therefore costs n+1
-// events instead of 2n. Completing a transfer with nothing outstanding
-// panics.
+// in the insertion order. A read transfer therefore adds one event, not one
+// per request. Completing a transfer with nothing outstanding panics.
 func (ch *channel) complete(x *xfer) {
 	if x.left <= 0 {
 		panic("memory: transfer over-completed")
@@ -154,7 +193,9 @@ func (ch *channel) complete(x *xfer) {
 		return
 	}
 	if x.kind == Read && ch.ctrl.cfg.ReadLatency > 0 {
-		ch.ctrl.readLane.After(x.done)
+		c := ch.ctrl
+		c.readq.push(slot{xf: x.id})
+		c.readLane.After(c.readFinish)
 	} else {
 		x.finish()
 	}
@@ -171,14 +212,17 @@ func (ch *channel) sampleOccupancy() {
 	ch.occSum += int64(ch.dramq.len())
 }
 
-// view builds the arbiter's snapshot of this channel.
-func (ch *channel) view() ChannelView {
+// view builds the arbiter's snapshot of this channel with compute and comm
+// requests pending. The caller passes the counts so that the snapshot is
+// one literal: patching a field of a copied view measured as a
+// store-forwarding stall on the hottest path.
+func (ch *channel) view(compute, comm int) ChannelView {
 	return ChannelView{
 		Now:            ch.ctrl.eng.Now(),
 		DRAMOccupancy:  ch.dramq.len(),
 		QueueDepth:     ch.ctrl.cfg.QueueDepth,
-		ComputePending: ch.streams[StreamCompute].len(),
-		CommPending:    ch.streams[StreamComm].len(),
+		ComputePending: compute,
+		CommPending:    comm,
 		LastCommIssue:  ch.lastComm,
 	}
 }

@@ -29,12 +29,29 @@ type Controller struct {
 	svcLane  [3]sim.Lane
 	readLane sim.Lane
 
+	// The open run of same-instant full-granularity completions (see
+	// svcRun): it accepts joins at runAt while the engine's Scheduled count
+	// is still runMark. Dispatched runs return to runFree. solo makes every
+	// completion its own run; tests set it to replay the same traffic with
+	// one event per completion.
+	run     *svcRun
+	runAt   units.Time
+	runMark uint64
+	runFree []*svcRun
+	solo    bool
+
 	// Every per-transfer record ever built, indexed by xfer.id (queue slots
 	// name their transfer by that index), and the freelist of those not in
 	// use (see pool.go). Requests themselves are queue slots, not objects,
 	// so steady-state traffic allocates nothing.
 	xfers  []*xfer
 	xfFree []*xfer
+	xfSlab []xfer // records not yet handed out
+
+	// Read transfers waiting out ReadLatency, oldest first, and the handler
+	// bound once to readDone that finishes them.
+	readq      reqRing
+	readFinish sim.Handler
 
 	idleWaiters   []idleWaiter
 	monitorActive bool
@@ -74,6 +91,9 @@ var transferSpanName = [3][2]string{
 	Update: {StreamCompute: "update/compute", StreamComm: "update/comm"},
 }
 
+// maxDRAMRing bounds the DRAM-queue ring a controller allocates up front.
+const maxDRAMRing = 1024
+
 type idleWaiter struct {
 	stream Stream
 	all    bool
@@ -98,11 +118,16 @@ func NewController(eng *sim.Engine, cfg Config, arb Arbiter) (*Controller, error
 	}
 	if cfg.ReadLatency > 0 {
 		c.readLane = eng.Lane(cfg.ReadLatency)
+		c.readFinish = c.readDone
 	}
 	c.channels = make([]*channel, cfg.Channels)
 	for i := range c.channels {
 		ch := &channel{ctrl: c, id: i}
 		ch.svcDone = ch.serviceDone // one closure per channel, reused forever
+		// The DRAM queue never holds more than QueueDepth requests, so its
+		// ring is sized once (up to maxDRAMRing; a deeper queue grows on
+		// demand) instead of doubling up from 8 on every channel.
+		ch.dramq.reserve(min(cfg.QueueDepth, maxDRAMRing))
 		if cfg.Banks != nil {
 			ch.banks = newBankTimer(*cfg.Banks)
 		}
@@ -119,19 +144,24 @@ func NewController(eng *sim.Engine, cfg Config, arb Arbiter) (*Controller, error
 				c.mTrace[k][s] = m.Series(traceSeriesName[k][s], TraceBucket)
 			}
 		}
-		for i, ch := range c.channels {
+	}
+	if cfg.Metrics == nil && cfg.Check == nil {
+		return c, nil
+	}
+	for i, ch := range c.channels {
+		o := &chanObs{}
+		ch.obs = o
+		if m := cfg.Metrics; m != nil {
 			for k := Read; k <= Update; k++ {
 				for s := StreamCompute; s < numStreams; s++ {
-					ch.mBytes[k][s] = m.Counter(fmt.Sprintf("memory.chan%d.%s.%s_bytes", i, s, k))
+					o.mBytes[k][s] = m.Counter(fmt.Sprintf("memory.chan%d.%s.%s_bytes", i, s, k))
 				}
 			}
-			ch.mBusy = m.Counter(fmt.Sprintf("memory.chan%d.busy_ps", i))
+			o.mBusy = m.Counter(fmt.Sprintf("memory.chan%d.busy_ps", i))
 		}
-	}
-	if ck := cfg.Check; ck != nil {
-		for i, ch := range c.channels {
-			ch.chkServe = ck.NonOverlap(fmt.Sprintf("memory.chan%d.service", i))
-			ch.chkDepth = ck.Bound(fmt.Sprintf("memory.chan%d.dramq", i), int64(cfg.QueueDepth))
+		if ck := cfg.Check; ck != nil {
+			o.chkServe = ck.NonOverlap(fmt.Sprintf("memory.chan%d.service", i))
+			o.chkDepth = ck.Bound(fmt.Sprintf("memory.chan%d.dramq", i), int64(cfg.QueueDepth))
 		}
 	}
 	return c, nil

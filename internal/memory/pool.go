@@ -1,9 +1,6 @@
 package memory
 
-import (
-	"t3sim/internal/sim"
-	"t3sim/internal/units"
-)
+import "t3sim/internal/units"
 
 // Completion receives a transfer's completion together with the transfer's
 // tag. It is the allocation-free alternative to Transfer's func() callback:
@@ -20,13 +17,12 @@ type Completion interface {
 // one transfer share — kind, stream, tag and the time they were enqueued —
 // so a queued request is only a slot{xfer index, bytes}; the count of
 // requests still outstanding; and the completion to deliver when that count
-// drains. The done handler is bound to finish once per xfer object, so a
-// steady-state transfer costs zero allocations.
+// drains. Records are carved from slabs and reused, so a steady-state
+// transfer costs zero allocations.
 type xfer struct {
 	ctrl   *Controller
 	id     uint32 // index in ctrl.xfers
 	left   int    // requests not yet serviced
-	done   sim.Handler
 	kind   AccessKind
 	stream Stream
 	tag    Tag
@@ -69,8 +65,22 @@ func (c *Controller) getXfer(n int) *xfer {
 		x.left = n
 		return x
 	}
-	x := &xfer{ctrl: c, id: uint32(len(c.xfers)), left: n}
-	x.done = x.finish
+	if len(c.xfSlab) == 0 {
+		c.xfSlab = make([]xfer, xferSlab)
+	}
+	x := &c.xfSlab[0]
+	c.xfSlab = c.xfSlab[1:]
+	x.ctrl, x.id, x.left = c, uint32(len(c.xfers)), n
 	c.xfers = append(c.xfers, x)
 	return x
+}
+
+// xferSlab is how many transfer records a controller allocates at once.
+const xferSlab = 32
+
+// readDone finishes the oldest read transfer waiting out ReadLatency. Every
+// such wait is one event on the ReadLatency lane, which dispatches in the
+// order the waits were scheduled, so the oldest is always the event's own.
+func (c *Controller) readDone() {
+	c.xfers[c.readq.pop().xf].finish()
 }

@@ -275,12 +275,29 @@ func TestPropertyReadFenceCollapseExact(t *testing.T) {
 }
 
 // TestTransferEventCount pins the calendar cost of one transfer on an idle
-// controller exactly: n service completions, plus a single ReadLatency event
-// for a read when the latency is positive — never one per request.
+// controller exactly. The channels serve in lockstep, so each round of
+// full-granularity completions is one same-instant run (one event, see
+// svcRun); a partial tail completes through its own heap event, and a read
+// adds a single ReadLatency event when the latency is positive — never one
+// per request.
 func TestTransferEventCount(t *testing.T) {
-	for _, lat := range []units.Time{0, 60 * units.Nanosecond} {
-		for _, kind := range []AccessKind{Read, Write, Update} {
-			for _, total := range []units.Bytes{1, 2048, 2049, 64 * units.KiB, 64*units.KiB + 7} {
+	const g = 2 * units.KiB // DefaultConfig's granularity; 32 channels
+	for _, tc := range []struct {
+		total units.Bytes
+		runs  uint64 // rounds of full requests: ceil(full / 32)
+		tails uint64
+	}{
+		{1, 0, 1},
+		{g, 1, 0},
+		{g + 1, 1, 1},
+		{32 * g, 1, 0},
+		{32*g + 7, 1, 1},
+		{33 * g, 2, 0},
+		{128 * g, 4, 0},
+		{128*g + 7, 4, 1},
+	} {
+		for _, lat := range []units.Time{0, 60 * units.Nanosecond} {
+			for _, kind := range []AccessKind{Read, Write, Update} {
 				eng := sim.NewEngine()
 				cfg := DefaultConfig()
 				cfg.ReadLatency = lat
@@ -289,16 +306,15 @@ func TestTransferEventCount(t *testing.T) {
 					t.Fatal(err)
 				}
 				fired := 0
-				c.Transfer(kind, StreamCompute, total, Tag{}, func() { fired++ })
+				c.Transfer(kind, StreamCompute, tc.total, Tag{}, func() { fired++ })
 				eng.Run()
-				n := uint64(c.RequestsFor(total))
-				want := n
+				want := tc.runs + tc.tails
 				if kind == Read && lat > 0 {
-					want = n + 1
+					want++
 				}
 				if got := eng.Processed(); got != want || fired != 1 {
 					t.Errorf("%v of %v at latency %v: %d events, %d callbacks; want %d events, 1 callback",
-						kind, total, lat, got, fired, want)
+						kind, tc.total, lat, got, fired, want)
 				}
 			}
 		}

@@ -47,6 +47,16 @@ func (q *reqRing) pop() slot {
 	return s
 }
 
+// reserve sizes an empty ring to hold n slots before it first grows: the
+// smallest power of two, at least 8, that is at least n.
+func (q *reqRing) reserve(n int) {
+	size := 8
+	for size < n {
+		size *= 2
+	}
+	q.buf = make([]slot, size)
+}
+
 // grow doubles the buffer, unwrapping the live window to the front.
 func (q *reqRing) grow() {
 	cap2 := len(q.buf) * 2

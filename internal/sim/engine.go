@@ -118,7 +118,9 @@ func EnginesBuilt() int64 { return enginesBuilt.Load() }
 // EventsDispatched returns how many events every engine in this process
 // has dispatched, counted when each Run, RunUntil or RunBefore returns. It
 // is a deterministic work counter: a given piece of work dispatches the
-// same number of events on every run, at any worker count.
+// same number of events on every run, at any worker count. An event that
+// stands for a batch of work, such as a same-instant run of DRAM service
+// completions, counts once.
 func EventsDispatched() uint64 { return eventsDispatched.Load() }
 
 // AttachChecker registers an invariant checker that witnesses every
@@ -135,8 +137,18 @@ func (e *Engine) Now() units.Time { return e.now }
 // Processed returns the number of events executed so far. The count is
 // advanced before a handler runs, so inside a handler it includes the event
 // currently executing; after Run or RunUntil returns it equals exactly the
-// number of handlers that fired.
+// number of handlers that fired. A model that batches work into one event
+// (internal/memory's same-instant run of service completions) counts once.
 func (e *Engine) Processed() uint64 { return e.processed }
+
+// Scheduled returns how many events have been scheduled on the engine so
+// far, through At, After and every Lane alike. Two equal readings mean
+// nothing was scheduled in between: an event scheduled at the first reading
+// holds the latest insertion seq, so a second event for the same time would
+// have taken the very next seq and dispatched right after it, with no event
+// able to fall between them. internal/memory relies on exactly that to merge
+// such same-instant completions into one event without changing any order.
+func (e *Engine) Scheduled() uint64 { return e.seq }
 
 // Pending returns the number of scheduled events not yet executed.
 func (e *Engine) Pending() int { return len(e.queue) + e.laneLen }

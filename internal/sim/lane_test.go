@@ -183,3 +183,97 @@ func mustPanic(t *testing.T, what string, f func()) {
 	}()
 	f()
 }
+
+// TestScheduledMarksConsecutiveEvents pins the primitive behind
+// internal/memory's same-instant runs. Scheduled counts every scheduling
+// call — At, After, a slotted Lane.After and a heap-forwarded one, from
+// outside the engine and from handlers — and nothing else, through
+// RunBefore windows and Run. And two events for one time whose calls leave
+// Scheduled one apart dispatch back to back, whatever else is pending.
+func TestScheduledMarksConsecutiveEvents(t *testing.T) {
+	type sched struct {
+		at   units.Time
+		mark uint64 // Scheduled() right after the call
+	}
+	for seed := int64(1); seed <= 100; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		lanes := make([]Lane, laneSlots+1) // the last one forwards to the heap
+		for i := range lanes {
+			lanes[i] = e.Lane(units.Time(i))
+		}
+		if lanes[laneSlots].slot >= 0 {
+			t.Fatal("expected the last lane to forward to the heap")
+		}
+		var evs []sched // by id
+		var order []int // ids in dispatch order
+		budget := 400
+		var schedule func()
+		schedule = func() {
+			id := len(evs)
+			fn := func() {
+				order = append(order, id)
+				for n := r.Intn(3); n > 0 && budget > 0; n-- {
+					budget--
+					schedule()
+				}
+			}
+			before := e.Scheduled()
+			var at units.Time
+			switch op := r.Intn(4); op {
+			case 0:
+				at = e.Now() + units.Time(r.Intn(4))
+				e.At(at, fn)
+			case 1:
+				d := units.Time(r.Intn(4))
+				at = e.Now() + d
+				e.After(d, fn)
+			default:
+				l := lanes[r.Intn(len(lanes))]
+				at = e.Now() + l.d
+				l.After(fn)
+			}
+			if got := e.Scheduled(); got != before+1 {
+				t.Fatalf("seed %d: a scheduling call moved Scheduled from %d to %d", seed, before, got)
+			}
+			evs = append(evs, sched{at, e.Scheduled()})
+		}
+		for round := 0; round < 20; round++ {
+			for n := r.Intn(5); n > 0; n-- {
+				schedule()
+			}
+			e.RunBefore(e.Now() + units.Time(r.Intn(6)))
+			if e.Scheduled() != uint64(len(evs)) {
+				t.Fatalf("seed %d: Scheduled = %d after a window of %d calls", seed, e.Scheduled(), len(evs))
+			}
+		}
+		e.Run()
+		if e.Scheduled() != uint64(len(evs)) || len(order) != len(evs) {
+			t.Fatalf("seed %d: Scheduled = %d, %d events scheduled, %d dispatched",
+				seed, e.Scheduled(), len(evs), len(order))
+		}
+		pos := make([]int, len(evs))
+		byMark := make(map[uint64]int, len(evs))
+		for i, id := range order {
+			pos[id] = i
+		}
+		for id, s := range evs {
+			byMark[s.mark] = id
+		}
+		pairs := 0
+		for a, s := range evs {
+			b, ok := byMark[s.mark+1]
+			if !ok || evs[b].at != s.at {
+				continue
+			}
+			pairs++
+			if pos[b] != pos[a]+1 {
+				t.Fatalf("seed %d: events %d and %d at %v were scheduled back to back but dispatched at %d and %d",
+					seed, a, b, s.at, pos[a], pos[b])
+			}
+		}
+		if pairs == 0 {
+			t.Fatalf("seed %d: no back-to-back same-time pair to check", seed)
+		}
+	}
+}

@@ -54,7 +54,7 @@ func newTriggerHarness(tb testing.TB, tiles int) *triggerHarness {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	h.table = NewDMATable()
+	h.table = NewDMATable(tiles)
 	for g := 0; g < tiles; g++ {
 		if err := h.table.Program(TileID{WG: g / 8, WF: g % 8},
 			DMACommand{DestDevice: 1, Op: memory.Update, Bytes: h.tileBytes}); err != nil {
@@ -175,9 +175,9 @@ func BenchmarkTrackerObserveFire(b *testing.B) {
 // BenchmarkDMATableSetGet measures the dense command table's program/trigger
 // cycle on the trigger path's probe pattern.
 func BenchmarkDMATableSetGet(b *testing.B) {
-	table := NewDMATable()
-	cmd := DMACommand{DestDevice: 1, Op: memory.Update, Bytes: 4 * units.KiB}
 	id := TileID{WG: 37, WF: 5}
+	table := NewDMATable(id.WG*8 + id.WF + 1)
+	cmd := DMACommand{DestDevice: 1, Op: memory.Update, Bytes: 4 * units.KiB}
 	if err := table.Program(id, cmd); err != nil {
 		b.Fatal(err)
 	}

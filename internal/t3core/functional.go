@@ -155,7 +155,6 @@ func newFuncDevice(d, n int, bounds [][2]int, tileElems int) (*funcDevice, error
 		id:           d,
 		amap:         amap,
 		tracker:      tr,
-		dma:          NewDMATable(),
 		buffer:       make([]float32, length),
 		phaseOfChunk: make([]int, n),
 		tileBase:     make([]int, n+1),
@@ -180,6 +179,7 @@ func newFuncDevice(d, n int, bounds [][2]int, tileElems int) (*funcDevice, error
 		fd.tileBase[p+1] = fd.tileBase[p] + fd.tilesInPhase(p, bounds, tileElems)
 	}
 	// Pre-program the DMA commands for dma_mapped phases (§4.4 setup).
+	fd.dma = NewDMATable(fd.tileBase[n])
 	for _, pm := range amap.Phases {
 		if pm.Treatment != TreatDMA {
 			continue

@@ -84,9 +84,10 @@ func RunFunctionalFusedAllGather(shards [][]float32, tileElems int, seed int64) 
 		if err != nil {
 			return nil, err
 		}
-		dev := &agDevice{id: d, tracker: tr, dma: NewDMATable(), buffer: make([]float32, total)}
+		dev := &agDevice{id: d, tracker: tr, dma: NewDMATable((n - 1) * n * tilesPerShard), buffer: make([]float32, total)}
 		devs[d] = dev
-		// Program the forwarding DMAs: hops 1..n-2 of every foreign shard.
+		// Program the forwarding DMAs: hops 1..n-2 of every foreign shard,
+		// all below hop n-1 in the table.
 		for hop := 1; hop < n-1; hop++ {
 			shard := mod(d-hop, n) // the shard arriving at d after `hop` hops
 			for tile := 0; tile < tilesPerShard; tile++ {

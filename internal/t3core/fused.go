@@ -475,8 +475,14 @@ func (r *fusedRun) setupTracker() error {
 		return err
 	}
 	r.tracker = tr
-	r.dma = NewDMATable()
 	n := r.o.Devices
+	// Only ring-RS programs commands: phases 1..n-2, which end where
+	// phase n-1 begins.
+	dmaTiles := 0
+	if r.o.Collective == RingReduceScatter && n > 2 {
+		dmaTiles = r.phaseStart[n-1]
+	}
+	r.dma = NewDMATable(dmaTiles)
 	updates := 1 + r.o.Grid.Tiling.SplitK // incoming + one local per K-slice (§7.7)
 	if r.o.Collective == DirectReduceScatter {
 		// Direct-RS: only the owned 1/n slice of each tile lands in local

@@ -255,9 +255,14 @@ func (r *agRun) run() (FusedResult, error) {
 		return FusedResult{}, err
 	}
 	r.trk = trk
-	r.dma = NewDMATable()
-	// Hops 1..n-2 forward onward; hop n-1 is final. All stores are writes
-	// with one expected update per element (§7.1).
+	// Hops 1..n-2 forward onward; hop n-1 is final, so every command sits
+	// below hop n-1's tiles. All stores are writes with one expected update
+	// per element (§7.1).
+	dmaTiles := 0
+	if n > 2 {
+		dmaTiles = (n - 1) * r.shardTiles
+	}
+	r.dma = NewDMATable(dmaTiles)
 	for h := 1; h < n-1; h++ {
 		for t := 0; t < r.shardTiles; t++ {
 			id := r.tileID(t, h)

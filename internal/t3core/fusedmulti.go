@@ -281,7 +281,7 @@ func (r *multiRun) newDevice(d int) (*multiDevice, error) {
 		return nil, err
 	}
 	md.trk = trk
-	md.dma = NewDMATable()
+	md.dma = NewDMATable(r.chunkStart[o.Devices])
 	// Program DMA commands for dma_mapped phases.
 	next := (d + 1) % o.Devices
 	for _, pm := range md.amap.Phases {

@@ -199,7 +199,7 @@ func TestTrackerCapacity(t *testing.T) {
 }
 
 func TestDMATable(t *testing.T) {
-	tbl := NewDMATable()
+	tbl := NewDMATable(32)
 	id := TileID{WG: 3, WF: 2}
 	cmd := DMACommand{DestDevice: 1, Op: memory.Update, Bytes: 8192}
 	if err := tbl.Program(id, cmd); err != nil {
@@ -224,11 +224,48 @@ func TestDMATable(t *testing.T) {
 }
 
 func TestDMATableProgramValidation(t *testing.T) {
-	tbl := NewDMATable()
+	tbl := NewDMATable(16)
 	if err := tbl.Program(TileID{}, DMACommand{Op: memory.Update, Bytes: 0}); err == nil {
 		t.Error("zero bytes: expected error")
 	}
 	if err := tbl.Program(TileID{}, DMACommand{Op: memory.Read, Bytes: 10}); err == nil {
 		t.Error("read op: expected error")
+	}
+	cmd := DMACommand{Op: memory.Update, Bytes: 10}
+	for _, id := range []TileID{{WG: 2, WF: 0}, {WG: -1}, {WF: 8}} {
+		if err := tbl.Program(id, cmd); err == nil {
+			t.Errorf("tile %+v outside a 16-tile table: expected error", id)
+		}
+		if _, ok := tbl.MarkReady(id); ok {
+			t.Errorf("tile %+v outside a 16-tile table: MarkReady found a command", id)
+		}
+	}
+	if err := tbl.Program(TileID{WG: 1, WF: 7}, cmd); err != nil {
+		t.Errorf("last tile of the domain: %v", err)
+	}
+}
+
+// TestDMATableSizedOnce pins the table's setup cost: programming every tile
+// of its domain allocates at most the table and its command array, once,
+// however many tiles there are — never a growth step per command — and the
+// array is exactly the domain.
+func TestDMATableSizedOnce(t *testing.T) {
+	const tiles = 4096
+	cmd := DMACommand{DestDevice: 1, Op: memory.Update, Bytes: 4 * units.KiB}
+	var tbl *DMATable
+	allocs := testing.AllocsPerRun(20, func() {
+		tbl = NewDMATable(tiles)
+		for g := 0; g < tiles; g++ {
+			if err := tbl.Program(TileID{WG: g / 8, WF: g % 8}, cmd); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("programming %d tiles allocates %.0f objects, want 2 (table and commands)", tiles, allocs)
+	}
+	if len(tbl.commands) != tiles || cap(tbl.commands) != tiles || tbl.Pending() != tiles {
+		t.Fatalf("table of %d tiles holds %d slots (cap %d), %d pending",
+			tiles, len(tbl.commands), cap(tbl.commands), tbl.Pending())
 	}
 }

@@ -32,16 +32,19 @@ const dmaWFStride = 8
 // The table is a dense array indexed by the flattened (WG, WF) identity —
 // the trigger check runs once per produced tile on the simulator's hottest
 // path, and an array probe is both allocation-free and an order of magnitude
-// cheaper than the map lookup it replaces.
+// cheaper than the map lookup it replaces. The array is sized once, from the
+// tile domain the driver programs, so setup allocates it exactly once.
 type DMATable struct {
 	commands []DMACommand // slot per tile; Bytes == 0 marks an empty slot
 	pending  int
 	ready    int64
 }
 
-// NewDMATable returns an empty table.
-func NewDMATable() *DMATable {
-	return &DMATable{}
+// NewDMATable returns an empty table for the tiles whose flattened identity
+// WG*8+WF is below tiles. Programming a tile outside that domain is an
+// error; triggering one finds no command.
+func NewDMATable(tiles int) *DMATable {
+	return &DMATable{commands: make([]DMACommand, max(tiles, 0))}
 }
 
 // slot flattens a tile identity to its table index, or -1 when the identity
@@ -63,13 +66,8 @@ func (t *DMATable) Program(id TileID, cmd DMACommand) error {
 		return fmt.Errorf("t3core: DMA command op %v", cmd.Op)
 	}
 	i := t.slot(id)
-	if i < 0 {
-		return fmt.Errorf("t3core: DMA command for out-of-domain tile %+v", id)
-	}
-	for i >= len(t.commands) {
-		// Grown only during setup (Program), with append's amortized
-		// doubling; the trigger path never grows.
-		t.commands = append(t.commands, DMACommand{})
+	if i < 0 || i >= len(t.commands) {
+		return fmt.Errorf("t3core: DMA command for out-of-domain tile %+v (table of %d tiles)", id, len(t.commands))
 	}
 	if t.commands[i].Bytes != 0 {
 		return fmt.Errorf("t3core: duplicate DMA command for %+v", id)

@@ -254,8 +254,9 @@ const (
 // NewTracker builds an empty tracker.
 func NewTracker(cfg TrackerConfig) (*Tracker, error) { return t3core.NewTracker(cfg) }
 
-// NewDMATable returns an empty DMA command table.
-func NewDMATable() *DMATable { return t3core.NewDMATable() }
+// NewDMATable returns an empty DMA command table for the tiles whose
+// flattened identity WG*8+WF is below tiles.
+func NewDMATable(tiles int) *DMATable { return t3core.NewDMATable(tiles) }
 
 // RingReduceScatterMap builds the §4.4 address map for a fused ring
 // reduce-scatter.

@@ -260,7 +260,7 @@ func TestPublicAPITracker(t *testing.T) {
 	if fired != 1 {
 		t.Errorf("fired = %d, want 1", fired)
 	}
-	tbl := t3sim.NewDMATable()
+	tbl := t3sim.NewDMATable(16)
 	if err := tbl.Program(id, t3sim.DMACommand{DestDevice: 1, Op: t3sim.MemoryUpdate, Bytes: 1024}); err != nil {
 		t.Fatal(err)
 	}
