@@ -394,7 +394,7 @@ func ScheduleStats(algo Algorithm, op Op, n int, total, block units.Bytes, nmc b
 				continue
 			}
 			wireOps++
-			blocks += len(splitBlocks(sop.bytes, block))
+			blocks += blockCount(sop.bytes, block)
 		}
 	}
 	return rounds, wireOps, blocks, nil
@@ -406,7 +406,7 @@ func (s *schedule) incomingBlocks(d, r int, blockBytes units.Bytes) int {
 	total := 0
 	for _, op := range s.rounds[r] {
 		if op.dst == d {
-			total += len(splitBlocks(op.bytes, blockBytes))
+			total += blockCount(op.bytes, blockBytes)
 		}
 	}
 	return total
@@ -437,16 +437,11 @@ func chunkSizes(total units.Bytes, n int) []units.Bytes {
 	return out
 }
 
-// splitBlocks splits a chunk into pipeline blocks of at most blockBytes.
-func splitBlocks(c, blockBytes units.Bytes) []units.Bytes {
-	var out []units.Bytes
-	for c > 0 {
-		b := blockBytes
-		if c < b {
-			b = c
-		}
-		out = append(out, b)
-		c -= b
+// blockCount is how many pipeline blocks of at most blockBytes a chunk of c
+// bytes splits into.
+func blockCount(c, blockBytes units.Bytes) int {
+	if c <= 0 {
+		return 0
 	}
-	return out
+	return int(units.CeilDiv(int64(c), int64(blockBytes)))
 }

@@ -110,6 +110,11 @@ type graphRun struct {
 	// wrong device pushes that device past its bound.
 	bounds []*check.Bound
 	staged []int64
+
+	// Freelists of the pooled per-block ops; one engine drives the run, so
+	// neither needs locking.
+	sendFree []*sendBlock
+	foldFree []*foldBlock
 }
 
 func newGraphRun(eng *sim.Engine, algo Algorithm, op Op, o TopoOptions, onDone sim.Handler) (*graphRun, error) {
@@ -200,7 +205,9 @@ func (r *graphRun) issueRound(d, rd int) {
 		if op.src != d {
 			continue
 		}
-		for _, b := range splitBlocks(op.bytes, r.o.BlockBytes) {
+		for rem := op.bytes; rem > 0; {
+			b := min(rem, r.o.BlockBytes)
+			rem -= b
 			if op.dst == d {
 				r.fold(d, rd, b)
 			} else {
@@ -220,72 +227,151 @@ func (r *graphRun) pace(d int, touches int, n units.Bytes) units.Time {
 	return r.cuFree[d]
 }
 
-// send moves one block of a wire op: read the sender's inputs, pace the
-// kernel, route through the topology (store-and-forward per hop), and stage
-// at the destination.
+// sendBlock carries one block of a wire op through its life: read the
+// sender's inputs, pace the kernel, route through the topology
+// (store-and-forward per hop), and stage at the destination — a plain write,
+// or an op-and-store update when NMC absorbs the reduction — then fold it if
+// the schedule asks, and credit the round fence. It is pooled, its handlers
+// are bound once, and it is its own memory.Completion for both the source
+// reads and the staging write, so a block allocates nothing in steady state.
+type sendBlock struct {
+	r     *graphRun
+	rd    int
+	op    sendOp
+	block units.Bytes
+	start units.Time
+	// left counts source reads outstanding; once it is zero the next
+	// completion is the staging write.
+	left      int
+	inject    sim.Handler // prebuilt: paced send time reached → onto the wire
+	delivered sim.Handler // prebuilt: last hop delivered → stage
+}
+
+// send starts one block of a wire op.
 func (r *graphRun) send(rd int, op sendOp, block units.Bytes) {
-	o := r.o
-	mem := o.Devices[op.src].Mem
-	start := r.eng.Now()
-	fence := sim.NewFence(op.srcReads, func() {
-		at := r.pace(op.src, op.srcReads+1, block)
-		r.eng.At(at, func() {
-			r.ledger.Add(int64(block))
-			o.Topo.Send(op.src, op.dst, block, func() {
-				r.mBlocks.Inc()
-				r.mLinkBytes.Add(int64(block))
-				if r.mtrack != nil {
-					r.mtrack.Span(fmt.Sprintf("dev%d.round%d.block", op.src, rd), start, r.eng.Now())
-				}
-				r.stage(rd, op, block)
-			})
-		})
-	})
+	var b *sendBlock
+	if ln := len(r.sendFree); ln > 0 {
+		b = r.sendFree[ln-1]
+		r.sendFree[ln-1] = nil
+		r.sendFree = r.sendFree[:ln-1]
+	} else {
+		b = &sendBlock{r: r}
+		b.inject = b.onInject
+		b.delivered = b.onDelivered
+	}
+	b.rd, b.op, b.block, b.start, b.left = rd, op, block, r.eng.Now(), op.srcReads
+	if op.srcReads == 0 {
+		b.readsDone()
+		return
+	}
+	mem := r.o.Devices[op.src].Mem
 	for i := 0; i < op.srcReads; i++ {
-		mem.Transfer(memory.Read, o.Stream, block, memory.Tag{}, fence.Done)
+		mem.TransferTo(memory.Read, r.o.Stream, block, memory.Tag{}, b)
 	}
 }
 
-// stage lands one delivered block in the destination's memory — a plain
-// write, or an op-and-store update when NMC absorbs the reduction — then
-// folds it if the schedule asks, and credits the round fence.
-func (r *graphRun) stage(rd int, op sendOp, block units.Bytes) {
-	o := r.o
-	d := op.dst
+// Complete implements memory.Completion: one source read, or the staging
+// write once every read has landed.
+func (b *sendBlock) Complete(memory.Tag) {
+	if b.left > 0 {
+		if b.left--; b.left == 0 {
+			b.readsDone()
+		}
+		return
+	}
+	b.onStaged()
+}
+
+func (b *sendBlock) readsDone() {
+	b.r.eng.At(b.r.pace(b.op.src, b.op.srcReads+1, b.block), b.inject)
+}
+
+func (b *sendBlock) onInject() {
+	r := b.r
+	r.ledger.Add(int64(b.block))
+	r.o.Topo.Send(b.op.src, b.op.dst, b.block, b.delivered)
+}
+
+func (b *sendBlock) onDelivered() {
+	r := b.r
+	r.mBlocks.Inc()
+	r.mLinkBytes.Add(int64(b.block))
+	if r.mtrack != nil {
+		r.mtrack.Span(fmt.Sprintf("dev%d.round%d.block", b.op.src, b.rd), b.start, r.eng.Now())
+	}
 	kind := memory.Write
-	if op.reduce && o.NMC {
+	if b.op.reduce && r.o.NMC {
 		kind = memory.Update
 	}
-	o.Devices[d].Mem.Transfer(kind, o.Stream, block, memory.Tag{}, func() {
-		r.ledger.Sub(r.eng.Now(), int64(block))
-		if r.bounds != nil {
-			r.staged[d] += int64(block)
-			r.bounds[d].Observe(r.eng.Now(), r.staged[d])
-		}
-		if op.fold && op.reduce && !o.NMC {
-			r.fold(d, rd, block)
-			return
-		}
-		r.credit(d, rd)
-	})
+	r.o.Devices[b.op.dst].Mem.TransferTo(kind, r.o.Stream, b.block, memory.Tag{}, b)
 }
 
-// fold runs one block of a read-modify-write kernel on device d — 2 reads +
-// 1 write on the CUs — and credits round rd's fence. It is both the eager
-// fold of a staged reduction block into the local accumulator and the
-// ring's final merge kernel (a local op, src == dst, crediting the round's
-// own fence).
+// onStaged runs when the block has landed in the destination's memory. The
+// block returns to the freelist before the fold or credit, which may issue
+// new blocks.
+func (b *sendBlock) onStaged() {
+	r, d, rd, block := b.r, b.op.dst, b.rd, b.block
+	fold := b.op.fold && b.op.reduce && !r.o.NMC
+	r.sendFree = append(r.sendFree, b)
+	r.ledger.Sub(r.eng.Now(), int64(block))
+	if r.bounds != nil {
+		r.staged[d] += int64(block)
+		r.bounds[d].Observe(r.eng.Now(), r.staged[d])
+	}
+	if fold {
+		r.fold(d, rd, block)
+		return
+	}
+	r.credit(d, rd)
+}
+
+// foldBlock carries one block of a read-modify-write kernel on device d —
+// 2 reads + 1 write on the CUs — that credits round rd's fence. It is both
+// the eager fold of a staged reduction block into the local accumulator and
+// the ring's final merge kernel (a local op, src == dst, crediting the
+// round's own fence). Pooled like sendBlock, and its own Completion for the
+// reads and the write.
+type foldBlock struct {
+	r     *graphRun
+	d, rd int
+	block units.Bytes
+	left  int         // reads outstanding; zero while the write is in flight
+	write sim.Handler // prebuilt: paced write time reached → write back
+}
+
+// fold starts one fold block.
 func (r *graphRun) fold(d, rd int, block units.Bytes) {
-	o := r.o
-	mem := o.Devices[d].Mem
-	reads := sim.NewFence(2, func() {
-		at := r.pace(d, 3, block)
-		r.eng.At(at, func() {
-			mem.Transfer(memory.Write, o.Stream, block, memory.Tag{}, func() { r.credit(d, rd) })
-		})
-	})
-	mem.Transfer(memory.Read, o.Stream, block, memory.Tag{}, reads.Done)
-	mem.Transfer(memory.Read, o.Stream, block, memory.Tag{}, reads.Done)
+	var f *foldBlock
+	if ln := len(r.foldFree); ln > 0 {
+		f = r.foldFree[ln-1]
+		r.foldFree[ln-1] = nil
+		r.foldFree = r.foldFree[:ln-1]
+	} else {
+		f = &foldBlock{r: r}
+		f.write = f.onWrite
+	}
+	f.d, f.rd, f.block, f.left = d, rd, block, 2
+	mem := r.o.Devices[d].Mem
+	mem.TransferTo(memory.Read, r.o.Stream, block, memory.Tag{}, f)
+	mem.TransferTo(memory.Read, r.o.Stream, block, memory.Tag{}, f)
+}
+
+// Complete implements memory.Completion: one of the two reads, or the write.
+func (f *foldBlock) Complete(memory.Tag) {
+	r := f.r
+	if f.left > 0 {
+		if f.left--; f.left == 0 {
+			r.eng.At(r.pace(f.d, 3, f.block), f.write)
+		}
+		return
+	}
+	d, rd := f.d, f.rd
+	r.foldFree = append(r.foldFree, f)
+	r.credit(d, rd)
+}
+
+func (f *foldBlock) onWrite() {
+	f.r.o.Devices[f.d].Mem.TransferTo(memory.Write, f.r.o.Stream, f.block, memory.Tag{}, f)
 }
 
 // credit marks one round-rd block landed at device d. A block the schedule

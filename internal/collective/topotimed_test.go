@@ -185,3 +185,22 @@ func TestTopoMisroutedChunkTripsBound(t *testing.T) {
 		t.Errorf("expected a dev2 incoming-bound violation, got %v", chk.Violations())
 	}
 }
+
+// TestTopoCollectiveAllocs pins what one timed collective allocates once its
+// memory controllers are warm: the run's schedule and fences, plus one pooled
+// block op (and its bound handlers) per block in flight at the peak — not a
+// fence and closures per block. The ring on a ring topology routes every
+// block over one hop, so the topology adds nothing either. Its 1,792 blocks
+// cost 14,775 allocations when each block built its own fence and closures.
+func TestTopoCollectiveAllocs(t *testing.T) {
+	spec := interconnect.RingTopo(8, interconnect.DefaultConfig())
+	eng, o := topoHarness(t, spec)
+	runTopo(t, eng, AlgoRing, ReduceScatterOp, o) // warm the controllers' queues
+	allocs := testing.AllocsPerRun(3, func() { runTopo(t, eng, AlgoRing, ReduceScatterOp, o) })
+	if _, _, blocks, _ := ScheduleStats(AlgoRing, ReduceScatterOp, 8, o.TotalBytes, o.BlockBytes, false); blocks != 1792 {
+		t.Fatalf("harness schedules %d blocks, want 1792", blocks)
+	}
+	if want := 1480.0; allocs != want {
+		t.Errorf("ring reduce-scatter on an 8-ring: %v allocs per run, want %v", allocs, want)
+	}
+}

@@ -292,12 +292,8 @@ func AblationLinkBandwidth(ev *Evaluator) (*AblationLinkResult, error) {
 		s := ev.Setup
 		s.Link.LinkBandwidth = bw
 		// Each derived evaluator names its runs by case, as the shared
-		// one does; its own scope keeps their instruments apart (each has
-		// a single writer).
-		if m := s.Metrics; m != nil {
-			s.Metrics = m.Scope(fmt.Sprintf("ablation-link/%gGBps", float64(bw)/float64(units.GBps)))
-		}
-		sub, err := NewEvaluator(s)
+		// one does, under its own scope.
+		sub, err := ev.derive(s, fmt.Sprintf("ablation-link/%gGBps", float64(bw)/float64(units.GBps)))
 		if err != nil {
 			return nil, err
 		}

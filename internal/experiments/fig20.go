@@ -27,18 +27,11 @@ type Fig20Result struct {
 func Fig20(ev1 *Evaluator) (*Fig20Result, error) {
 	setup2x := ev1.Setup
 	setup2x.GPU.CUs = 2 * ev1.Setup.GPU.CUs
-	// The twin names its runs by case, as ev1 does; its own scope keeps the
-	// two evaluators' instruments apart (each has a single writer).
-	if m := setup2x.Metrics; m != nil {
-		setup2x.Metrics = m.Scope("fig20-2x")
-	}
-	ev2, err := NewEvaluator(setup2x)
+	// The twin names its runs by case, as ev1 does, under its own scope.
+	ev2, err := ev1.derive(setup2x, "fig20-2x")
 	if err != nil {
 		return nil, err
 	}
-
-	// ev2 is private to this driver, so its parallelism mirrors ev1's.
-	ev2.Parallelism = ev1.Parallelism
 
 	var cases []SubCase
 	for _, name := range []string{"Mega-GPT-2", "T-NLG", "GPT-3", "PALM", "MT-NLG"} {

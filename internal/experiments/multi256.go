@@ -5,6 +5,7 @@ import (
 
 	"t3sim/internal/gemm"
 	"t3sim/internal/interconnect"
+	"t3sim/internal/sim"
 	"t3sim/internal/t3core"
 	"t3sim/internal/units"
 )
@@ -50,6 +51,10 @@ type Multi256Row struct {
 	LinkBytes      units.Bytes
 	DRAMBytes      units.Bytes
 	TrackerMaxLive int
+
+	// Cluster is the coordinator's work count for the run. It is not
+	// rendered; it is carried so that comparing two results compares it.
+	Cluster sim.ClusterStats
 }
 
 // Multi256Result is the 256-device explicit fused GEMM→reduce-scatter run
@@ -99,6 +104,7 @@ func Multi256(setup Setup) (*Multi256Result, error) {
 			LinkBytes:      multi.LinkBytes,
 			DRAMBytes:      multi.DRAM.TotalBytes(),
 			TrackerMaxLive: multi.TrackerMaxLive,
+			Cluster:        multi.Cluster,
 		}
 		row.GEMMFirst, row.GEMMLast = timeSpread(multi.GEMMDone)
 		row.CollectiveFirst, row.CollectiveLast = timeSpread(multi.CollectiveDone)

@@ -69,11 +69,33 @@ func TestMulti256RendersAllTopologies(t *testing.T) {
 	}
 }
 
+// TestMulti256ClusterWork pins the coordinator's work on the shared
+// reference: rounds, engine-window executions and stalled engine-windows per
+// topology. They are pure functions of the model, so a change that moves
+// them changed how the cluster windows the run, not just how fast it does.
+// TestMulti256ByteIdentity holds every worker count to the same values.
+func TestMulti256ClusterWork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("256-device run is long; run without -short")
+	}
+	want := map[string][3]uint64{
+		"ring-256":    {421, 107_776, 0},
+		"torus-16x16": {483, 121_648, 320},
+		"hier-4x64":   {697, 170_188, 588},
+	}
+	for _, row := range checkedMulti256Ref(t).Rows {
+		c := row.Cluster
+		if got := [3]uint64{c.Windows, c.EngineWindows, c.StalledEngineWindows}; got != want[row.Topo] {
+			t.Errorf("%s: windows/engine windows/stalled = %v, want %v", row.Topo, got, want[row.Topo])
+		}
+	}
+}
+
 // TestMulti256ByteIdentity is the scale oracle for the cluster coordinator:
-// the 256-device result — all three topology variants — must DeepEqual the
-// checked sequential reference at workers 2/4/8, with the invariant checker
-// clean. Skipped under -short (it simulates 256 devices three times over,
-// plus the shared reference).
+// the 256-device result — all three topology variants, the cluster's work
+// counters included — must DeepEqual the checked sequential reference at
+// workers 2/4/8, with the invariant checker clean. Skipped under -short (it
+// simulates 256 devices three times over, plus the shared reference).
 func TestMulti256ByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-device equivalence sweep is long; run without -short")

@@ -103,3 +103,31 @@ func TestEvaluateAllDuplicates(t *testing.T) {
 		t.Error("duplicate cases returned different results")
 	}
 }
+
+// TestDerivedEvaluatorKeepsParallelism pins that an evaluator a driver
+// derives for a setup variant (fig20's 2x-CU twin, ablation-link's
+// bandwidths) inherits its parent's Parallelism: a child of a fully serial
+// parent simulates its schemes back-to-back on one goroutine, and a child of
+// a default parent keeps the GOMAXPROCS default.
+func TestDerivedEvaluatorKeepsParallelism(t *testing.T) {
+	for _, par := range []int{1, 0, 3} {
+		parent, err := NewEvaluator(DefaultSetup())
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent.Parallelism = par
+		s := parent.Setup
+		s.Link.LinkBandwidth /= 2
+		child, err := parent.derive(s, "variant")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if child.Parallelism != par || child.workers() != parent.workers() {
+			t.Errorf("parent Parallelism %d: child Parallelism %d, %d workers; parent %d workers",
+				par, child.Parallelism, child.workers(), parent.workers())
+		}
+		if child.Setup.Link.LinkBandwidth != s.Link.LinkBandwidth {
+			t.Errorf("parent Parallelism %d: child dropped the setup variant", par)
+		}
+	}
+}

@@ -123,6 +123,22 @@ func NewEvaluator(s Setup) (*Evaluator, error) {
 	}, nil
 }
 
+// derive returns a private evaluator for s, a variant of e's setup: it keeps
+// e's Parallelism, so a fully serial parent gets fully serial children, and
+// records under its own metrics scope, so its instruments never share a
+// writer with e's.
+func (e *Evaluator) derive(s Setup, scope string) (*Evaluator, error) {
+	if m := s.Metrics; m != nil {
+		s.Metrics = m.Scope(scope)
+	}
+	d, err := NewEvaluator(s)
+	if err != nil {
+		return nil, err
+	}
+	d.Parallelism = e.Parallelism
+	return d, nil
+}
+
 // workers resolves the effective worker count.
 func (e *Evaluator) workers() int {
 	if e.Parallelism > 0 {

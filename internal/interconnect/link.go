@@ -185,6 +185,10 @@ func (l *Link) SendWith(n units.Bytes, onPacket func(units.Bytes), onDelivered s
 // (e.g. "fwd0"): serialization windows must never overlap. A nil checker
 // detaches.
 func (l *Link) AttachChecker(c *check.Checker, name string) {
+	if c == nil {
+		l.chkSerial = nil
+		return
+	}
 	l.chkSerial = c.NonOverlap("interconnect." + name + ".serialize")
 }
 

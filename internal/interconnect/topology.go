@@ -426,16 +426,29 @@ func (t *Topology) Send(src, dst int, n units.Bytes, onDelivered sim.Handler) {
 }
 
 // AttachMetrics registers every link's instruments on m, named
-// "e<i>.<src>-<dst>" in canonical edge order. A nil sink detaches.
+// "e<i>.<src>-<dst>" in canonical edge order. A nil sink detaches without
+// naming a single edge.
 func (t *Topology) AttachMetrics(m metrics.Sink) {
+	if m == nil {
+		for _, l := range t.links {
+			l.AttachMetrics(nil, "")
+		}
+		return
+	}
 	for i, e := range t.edges {
 		t.links[i].AttachMetrics(m, fmt.Sprintf("e%d.%d-%d", i, e.src, e.dst))
 	}
 }
 
 // AttachChecker registers every link's serialization witness on c, named
-// like AttachMetrics. A nil checker detaches.
+// like AttachMetrics. A nil checker detaches without naming a single edge.
 func (t *Topology) AttachChecker(c *check.Checker) {
+	if c == nil {
+		for _, l := range t.links {
+			l.AttachChecker(nil, "")
+		}
+		return
+	}
 	for i, e := range t.edges {
 		t.links[i].AttachChecker(c, fmt.Sprintf("e%d.%d-%d", i, e.src, e.dst))
 	}

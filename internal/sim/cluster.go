@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"t3sim/internal/check"
 	"t3sim/internal/units"
@@ -96,22 +95,14 @@ type Cluster struct {
 
 	stats ClusterStats
 
-	// Persistent worker pool (workers > 1). Workers park on parCond between
-	// rounds; the coordinator publishes a round under parMu and then waits on
-	// idleCond until every worker is parked again and every claimed engine
-	// has finished — the all-parked barrier that makes the shared scratch
-	// slices safe to rebuild.
-	parMu    sync.Mutex
-	parCond  *sync.Cond
-	idleCond *sync.Cond
-	round    uint64
-	parked   int
-	done     int
-	nworkers int
-	stopping bool
-	wg       sync.WaitGroup
-	claim    atomic.Int64
-	left     atomic.Int64
+	// Engine-affine workers (workers > 1): worker w owns the engine block
+	// [owner[w], owner[w+1]) for the whole Run. Each round the coordinator
+	// hands w its slice of the runnable set on wake[w] and collects one
+	// token per woken worker from done.
+	owner []int32
+	share [][]int32
+	wake  []chan struct{}
+	done  chan struct{}
 }
 
 // edge is one link endpoint adjacency entry.
@@ -550,23 +541,19 @@ func (c *Cluster) horizon() units.Time {
 }
 
 // Run advances every engine to quiescence — no pending events, no held
-// messages — using up to workers goroutines per round, and returns the
-// furthest engine clock. workers <= 1 runs every round inline on the calling
-// goroutine; either way the event order, and therefore the result, is
-// identical: worker count only changes which goroutine drives an engine,
-// never what the engine observes. Each round the effective parallelism is
-// clamped to min(runnable engines, GOMAXPROCS), so idle workers stay parked
-// instead of spinning on the round barrier and over-provisioned pools cost
-// the same as right-sized ones.
+// messages — and returns the furthest engine clock. workers <= 1 runs every
+// round inline on the calling goroutine. Otherwise Run starts
+// min(workers, GOMAXPROCS, engines) workers, each owning a fixed contiguous
+// block of engines for the whole Run, so a device's state stays with one
+// goroutine (and, as far as the scheduler allows, one core) from round to
+// round. Either way the event order, and therefore the result, is identical:
+// worker count only changes which goroutine drives an engine, never what the
+// engine observes.
 func (c *Cluster) Run(workers int) units.Time {
 	n := len(c.engines)
-	if workers > n {
-		workers = n
-	}
 	c.prepare()
-	parallel := workers > 1
-	if parallel {
-		c.startWorkers(workers)
+	if parts := min(workers, runtime.GOMAXPROCS(0), n); parts > 1 {
+		c.startWorkers(parts)
 		defer c.stopWorkers()
 	}
 	for {
@@ -583,7 +570,7 @@ func (c *Cluster) Run(workers int) units.Time {
 			// loudly instead of spinning.
 			panic("sim: cluster stalled with pending events")
 		}
-		if !parallel || len(c.runnable) == 1 {
+		if c.wake == nil || len(c.runnable) == 1 {
 			for _, i := range c.runnable {
 				c.runEngine(int(i))
 			}
@@ -594,115 +581,77 @@ func (c *Cluster) Run(workers int) units.Time {
 	}
 }
 
-// startWorkers launches the persistent worker pool and blocks until every
-// worker is parked, establishing the all-parked precondition dispatch relies
-// on.
-func (c *Cluster) startWorkers(workers int) {
-	if c.parCond == nil {
-		c.parCond = sync.NewCond(&c.parMu)
-		c.idleCond = sync.NewCond(&c.parMu)
+// ownerBlocks cuts n engines into parts contiguous blocks of near-equal size:
+// block w is [b[w], b[w+1]).
+func ownerBlocks(n, parts int) []int32 {
+	b := make([]int32, parts+1)
+	for w := range b {
+		b[w] = int32(w * n / parts)
 	}
-	c.nworkers = workers
-	c.stopping = false
-	c.parked = 0
-	c.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go c.workerLoop()
-	}
-	c.parMu.Lock()
-	for c.parked != c.nworkers {
-		c.idleCond.Wait()
-	}
-	c.parMu.Unlock()
+	return b
 }
 
-// stopWorkers wakes every parked worker into the exit path and joins them.
+// startWorkers launches one worker per engine block. done holds one token
+// per worker, so no worker ever blocks answering.
+func (c *Cluster) startWorkers(parts int) {
+	c.owner = ownerBlocks(len(c.engines), parts)
+	c.share = make([][]int32, parts)
+	c.wake = make([]chan struct{}, parts)
+	c.done = make(chan struct{}, parts)
+	for w := range c.wake {
+		c.wake[w] = make(chan struct{}, 1)
+		go c.workerLoop(w)
+	}
+}
+
+// stopWorkers closes every wake channel and joins the workers.
 func (c *Cluster) stopWorkers() {
-	c.parMu.Lock()
-	c.stopping = true
-	c.parCond.Broadcast()
-	c.parMu.Unlock()
-	c.wg.Wait()
+	for _, ch := range c.wake {
+		close(ch)
+	}
+	for range c.wake {
+		<-c.done
+	}
+	c.wake = nil
 }
 
-// workerLoop is one pool worker: park on parCond until the coordinator
-// publishes a new round, claim runnable engines off the shared counter, and
-// park again. A worker never touches an engine outside a claimed slot, and
-// the coordinator never touches scratch state until every woken worker has
-// re-entered Wait, so the only shared mutable state on the hot path is the
-// two atomics.
-func (c *Cluster) workerLoop() {
-	defer c.wg.Done()
-	c.parMu.Lock()
-	c.parked++
-	if c.parked == c.nworkers {
-		c.idleCond.Signal()
+// workerLoop is worker w: each wake token runs w's share of the round — only
+// engines in its own block — and answers with one done token. The channel
+// handoffs order the coordinator's writes to the round's scratch state before
+// the worker reads it, and the worker's engine writes before the coordinator
+// reads them at the round boundary. A closed wake channel ends the loop with
+// a final done token.
+func (c *Cluster) workerLoop(w int) {
+	for range c.wake[w] {
+		for _, i := range c.share[w] {
+			c.runEngine(int(i))
+		}
+		c.done <- struct{}{}
 	}
-	seen := c.round
-	for {
-		for c.round == seen && !c.stopping {
-			c.parCond.Wait()
-		}
-		if c.stopping {
-			c.parMu.Unlock()
-			return
-		}
-		seen = c.round
-		c.parMu.Unlock()
-
-		nr := int64(len(c.runnable))
-		for {
-			slot := c.claim.Add(1) - 1
-			if slot >= nr {
-				break
-			}
-			c.runEngine(int(c.runnable[slot]))
-			c.left.Add(-1)
-		}
-
-		// Holding parMu from here until parCond.Wait releases it guarantees
-		// the coordinator cannot observe this round's done count until this
-		// worker is parked again with a fresh wait ticket.
-		c.parMu.Lock()
-		c.done++
-		c.idleCond.Signal()
-	}
+	c.done <- struct{}{}
 }
 
-// dispatch publishes the current runnable set to the pool, waking only as
-// many workers as can do useful work — min(runnable, pool size, GOMAXPROCS);
-// a wake beyond the processor count can never run concurrently, and the
-// claim counter lets any awake worker drain every remaining slot — and waits
-// until every woken worker has finished the round and re-parked. The
-// completion predicate counts round completions (done) against the number of
-// workers actually woken — not the parked count, which would be satisfied
-// while a signaled worker is still on its way out of Wait and about to read
-// the runnable set the coordinator is ready to overwrite.
+// dispatch splits the index-sorted runnable set at the block boundaries,
+// wakes only the owners with runnable engines, and waits for each of them to
+// finish the round.
 func (c *Cluster) dispatch() {
-	nr := len(c.runnable)
-	c.claim.Store(0)
-	c.left.Store(int64(nr))
-	wake := nr
-	if wake > c.nworkers {
-		wake = c.nworkers
-	}
-	if p := runtime.GOMAXPROCS(0); wake > p {
-		wake = p
-	}
-	c.parMu.Lock()
-	c.done = 0
-	c.round++
-	if wake == c.nworkers {
-		c.parCond.Broadcast()
-	} else {
-		for i := 0; i < wake; i++ {
-			c.parCond.Signal()
+	r := c.runnable
+	woken, k := 0, 0
+	for w, ch := range c.wake {
+		j := k
+		for j < len(r) && r[j] < c.owner[w+1] {
+			j++
 		}
+		if j > k {
+			c.share[w] = r[k:j]
+			ch <- struct{}{}
+			woken++
+		}
+		k = j
 	}
-	for c.done != wake || c.left.Load() != 0 {
-		c.idleCond.Wait()
+	for ; woken > 0; woken-- {
+		<-c.done
 	}
-	c.parMu.Unlock()
 }
 
 // minTree is a flat bottom-up segment tree over the per-engine base times:

@@ -530,11 +530,11 @@ func TestClusterDrainAllocs(t *testing.T) {
 	}
 }
 
-// TestClusterPersistentWorkersStress hammers the condition-variable worker
-// pool: many engines, many rounds, sparse runnable sets (so the wake clamp
-// exercises partial signals), across repeated Runs reusing the pool state.
-// Under -race this is the synchronization stress for the persistent-worker
-// redesign; determinism rides along.
+// TestClusterPersistentWorkersStress hammers the engine-affine workers: many
+// engines, many rounds, sparse runnable sets (so most rounds wake only some
+// owners), worker counts above and below the engine count. Under -race this
+// is the synchronization stress for the wake/done handoff; determinism rides
+// along.
 func TestClusterPersistentWorkersStress(t *testing.T) {
 	const devs = 32
 	run := func(workers int) string {
@@ -566,6 +566,34 @@ func TestClusterPersistentWorkersStress(t *testing.T) {
 	for _, workers := range []int{2, 7, 16, devs} {
 		if got := run(workers); got != want {
 			t.Errorf("workers=%d diverged under persistent-worker stress", workers)
+		}
+	}
+}
+
+// TestOwnerBlocksPartition pins the engine-affine ownership: for every block
+// count the blocks are contiguous, non-empty and cover every engine exactly
+// once, in index order.
+func TestOwnerBlocksPartition(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 64, 256} {
+		for parts := 1; parts <= n; parts++ {
+			b := ownerBlocks(n, parts)
+			if len(b) != parts+1 || b[0] != 0 || int(b[parts]) != n {
+				t.Fatalf("n=%d parts=%d: blocks %v do not span [0, %d)", n, parts, b, n)
+			}
+			owners := make([]int, n)
+			for w := 0; w < parts; w++ {
+				if b[w+1] <= b[w] {
+					t.Fatalf("n=%d parts=%d: block %d is [%d, %d)", n, parts, w, b[w], b[w+1])
+				}
+				for i := b[w]; i < b[w+1]; i++ {
+					owners[i]++
+				}
+			}
+			for i, k := range owners {
+				if k != 1 {
+					t.Fatalf("n=%d parts=%d: engine %d owned %d times", n, parts, i, k)
+				}
+			}
 		}
 	}
 }

@@ -101,6 +101,7 @@ type Tracker struct {
 	cfg  TrackerConfig
 	prog Program
 	sets [][]entry
+	slab []entry // uncarved first ways (see carve)
 
 	live     int
 	maxLive  int
@@ -165,6 +166,9 @@ func (t *Tracker) Observe(id TileID, bytes units.Bytes) error {
 			if len(set) >= t.cfg.Ways {
 				return fmt.Errorf("t3core: tracker set %d over capacity (%d ways)", setIdx, t.cfg.Ways)
 			}
+			if cap(set) == 0 {
+				set = t.carve()
+			}
 			set = append(set, entry{tag: tag})
 			t.sets[setIdx] = set
 			slot = len(set) - 1
@@ -189,6 +193,24 @@ func (t *Tracker) Observe(id TileID, bytes units.Bytes) error {
 		}
 	}
 	return nil
+}
+
+// slabSets is how many sets' first ways one slab allocation holds.
+const slabSets = 32
+
+// carve returns an empty way slice for a set's first ways — one per
+// wavefront id, so one live workgroup fits — cut from the tracker's slab. A
+// touched set then allocates nothing of its own until it outgrows them, and
+// an untouched set costs nothing: the slab grows a chunk at a time instead
+// of reserving Sets×Ways up front.
+func (t *Tracker) carve() []entry {
+	w := min(t.cfg.Ways, t.cfg.MaxWFsPerWG)
+	if len(t.slab) < w {
+		t.slab = make([]entry, slabSets*w)
+	}
+	set := t.slab[:0:w]
+	t.slab = t.slab[w:]
+	return set
 }
 
 // Live returns the number of currently tracked (incomplete) tiles.

@@ -133,8 +133,37 @@ func TestTrackerSetOverflow(t *testing.T) {
 	if err := tr.Observe(TileID{WG: 4, WF: 0}, 50); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Observe(TileID{WG: 8, WF: 0}, 50); err == nil {
-		t.Error("expected set-capacity error")
+	err = tr.Observe(TileID{WG: 8, WF: 0}, 50)
+	if want := "t3core: tracker set 0 over capacity (2 ways)"; err == nil || err.Error() != want {
+		t.Errorf("third tile in a 2-way set: error %v, want %q", err, want)
+	}
+}
+
+// TestTrackerObserveAllocs pins the slab: a fresh catalogue-shaped tracker
+// (64 ways) with one live workgroup in every set allocates the tracker, its
+// set table and one slab chunk per slabSets sets — not one growing slice per
+// set, and not Sets×Ways entries up front.
+func TestTrackerObserveAllocs(t *testing.T) {
+	cfg := TrackerConfig{Sets: 256, Ways: 64, MaxWFsPerWG: 8}
+	var tr *Tracker // outlives the closure, so the tracker itself is on the heap
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if tr, err = NewTracker(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.SetProgram(Program{WFTileBytes: 100, UpdatesPerElement: 2}); err != nil {
+			t.Fatal(err)
+		}
+		for wg := 0; wg < cfg.Sets; wg++ {
+			for wf := 0; wf < cfg.MaxWFsPerWG; wf++ {
+				if err := tr.Observe(TileID{WG: wg, WF: wf}, 50); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	if want := float64(2 + cfg.Sets/slabSets); allocs != want {
+		t.Errorf("fresh tracker with one live workgroup per set: %v allocs, want %v", allocs, want)
 	}
 }
 
