@@ -310,7 +310,7 @@ func BenchmarkFusedGEMMRSRun(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := t3sim.RunFusedGEMMRS(opts); err != nil {
+		if _, err := t3sim.RunFused(opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -516,8 +516,8 @@ func runOne(grid t3sim.GEMMGrid, devices int, linkGBps float64, cus int,
 		err     error
 		cluster string
 	)
-	switch {
-	case collName == "multi":
+	switch collName {
+	case "multi":
 		// Explicit N-device simulation (no mirroring) on the cluster; -par
 		// picks how many goroutines drive it, and the output — the
 		// cluster's windowing stats included — is identical at every value,
@@ -540,12 +540,8 @@ func runOne(grid t3sim.GEMMGrid, devices int, linkGBps float64, cus int,
 				devices, st.Windows, st.EngineWindows, int64(st.AvgWindowWidth()),
 				st.StalledEngineWindows, int64(st.StallTime))
 		}
-	case coll == t3sim.RingAllGatherCollective:
-		res, err = memo.FusedAG(opts)
-	case coll == t3sim.AllToAllCollective:
-		res, err = memo.FusedAllToAll(opts)
 	default:
-		res, err = memo.FusedRS(opts)
+		res, err = memo.Fused(opts)
 	}
 	if err != nil {
 		return "", err

@@ -31,7 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := t3sim.RunFusedGEMMAllToAll(t3sim.FusedOptions{
+	res, err := t3sim.RunFused(t3sim.FusedOptions{
 		GPU:         t3sim.DefaultGPUConfig(),
 		Memory:      t3sim.DefaultMemoryConfig(),
 		Link:        t3sim.DefaultLinkConfig(),

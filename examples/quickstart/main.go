@@ -36,7 +36,7 @@ func main() {
 		Collective:  t3sim.RingReduceScatterCollective,
 		Arbitration: t3sim.ArbMCA, // the paper's T3-MCA configuration
 	}
-	fused, err := t3sim.RunFusedGEMMRS(opts)
+	fused, err := t3sim.RunFused(opts)
 	if err != nil {
 		log.Fatal(err)
 	}

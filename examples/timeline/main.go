@@ -26,7 +26,7 @@ func main() {
 	}
 	reg := t3sim.NewMetricsRegistry()
 	reg.EnableTimeline()
-	res, err := t3sim.RunFusedGEMMRS(t3sim.FusedOptions{
+	res, err := t3sim.RunFused(t3sim.FusedOptions{
 		GPU:         t3sim.DefaultGPUConfig(),
 		Memory:      t3sim.DefaultMemoryConfig(),
 		Link:        t3sim.DefaultLinkConfig(),

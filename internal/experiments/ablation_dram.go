@@ -55,7 +55,7 @@ func AblationDRAMModel(ev *Evaluator) (*AblationDRAMResult, error) {
 		}
 		opts.Arbitration = t3core.ArbMCA
 		opts.Memory.Banks = cfg.banks
-		run, err := memoFusedRS(ev.Setup.Memo, opts)
+		run, err := memoFused(ev.Setup.Memo, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -120,7 +120,7 @@ func AblationGEMMPipeline(ev *Evaluator) (*AblationPipelineResult, error) {
 		}
 		opts.Arbitration = t3core.ArbMCA
 		opts.DoubleBufferedGEMM = db
-		run, err := memoFusedRS(ev.Setup.Memo, opts)
+		run, err := memoFused(ev.Setup.Memo, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -71,7 +71,7 @@ func AblationArbitration(ev *Evaluator) (*AblationArbResult, error) {
 	}
 	res := &AblationArbResult{Case: c}
 	add := func(policy string, opts t3core.FusedOptions) error {
-		run, err := memoFusedRS(ev.Setup.Memo, opts)
+		run, err := memoFused(ev.Setup.Memo, opts)
 		if err != nil {
 			return err
 		}
@@ -172,7 +172,7 @@ func AblationNMCCost(ev *Evaluator) (*AblationNMCResult, error) {
 		}
 		opts.Memory.UpdateFactor = factor
 		opts.Arbitration = t3core.ArbMCA
-		run, err := memoFusedRS(ev.Setup.Memo, opts)
+		run, err := memoFused(ev.Setup.Memo, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -232,7 +232,7 @@ func AblationDMABlock(ev *Evaluator) (*AblationDMAResult, error) {
 		}
 		opts.Arbitration = t3core.ArbMCA
 		opts.DMATilesPerBlock = k
-		run, err := memoFusedRS(ev.Setup.Memo, opts)
+		run, err := memoFused(ev.Setup.Memo, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -99,7 +99,7 @@ func fig17(setup Setup) (*Fig17Result, error) {
 	// T3: fused GEMM-RS with the overlapped communication traffic.
 	memCfg = setup.Memory
 	memCfg.Metrics = t3Sink
-	_, err = t3core.RunFusedGEMMRS(t3core.FusedOptions{
+	_, err = t3core.RunFused(t3core.FusedOptions{
 		GPU:         setup.GPU,
 		Memory:      memCfg,
 		Link:        setup.Link,

@@ -93,7 +93,7 @@ func (res *GenerationResult) addModel(ev *Evaluator, hw transformer.HW, m transf
 			if err != nil {
 				return err
 			}
-			fusedRun, err := memoFusedRS(s.Memo, t3core.FusedOptions{
+			fusedRun, err := memoFused(s.Memo, t3core.FusedOptions{
 				GPU:         s.GPU,
 				Memory:      s.Memory,
 				Link:        s.Link,

@@ -279,22 +279,12 @@ func normalizeFused(o t3core.FusedOptions) t3core.FusedOptions {
 	return o
 }
 
-// Entry-point tags fold the simulated datapath into the key. RunFusedGEMMRS,
-// RunFusedGEMMAG and RunFusedGEMMAllToAll are distinct functions a caller
-// could invoke with identical option structs, so the options alone are not a
-// sound key across them.
-const (
-	tagFusedRS uint64 = iota
-	tagFusedAG
-	tagFusedAllToAll
-)
-
-// fusedKey returns the canonical key of one fused run through the given
-// entry point, whether the run may be served from the in-memory cache at
-// all, and whether the persistent tier may serve or absorb it.
-func fusedKey(o t3core.FusedOptions, tag uint64) (memoKey, bool, bool) {
+// fusedKey returns the canonical key of one fused run, whether the run may
+// be served from the in-memory cache at all, and whether the persistent
+// tier may serve or absorb it. o.Collective picks the simulated datapath,
+// so distinct collectives never share a key.
+func fusedKey(o t3core.FusedOptions) (memoKey, bool, bool) {
 	m := newMemoHasher()
-	m.word(tag)
 	m.value(reflect.ValueOf(normalizeFused(o)))
 	return m.sum()
 }
@@ -493,39 +483,18 @@ func (m *MemoCache) Store() *store.Store {
 	return m.disk
 }
 
-// FusedRS runs the single-GPU fused GEMM→reduce-scatter simulation for o,
-// serving a cached result when an identical run already completed.
-// Uncacheable options (a live metrics sink) always simulate. The
-// returned result may be shared with other callers: treat it as immutable.
-func (m *MemoCache) FusedRS(o t3core.FusedOptions) (t3core.FusedResult, error) {
-	k, ok, diskOK := fusedKey(o, tagFusedRS)
+// Fused runs the single-GPU fused GEMM→collective simulation for o (the
+// collective is o.Collective), serving a cached result when an identical
+// run already completed. Uncacheable options (a live metrics sink) always
+// simulate. The returned result may be shared with other callers: treat it
+// as immutable.
+func (m *MemoCache) Fused(o t3core.FusedOptions) (t3core.FusedResult, error) {
+	k, ok, diskOK := fusedKey(o)
 	if m == nil || !ok {
-		return t3core.RunFusedGEMMRS(o)
+		return t3core.RunFused(o)
 	}
 	return m.fused.do(k, diskOK, func() (t3core.FusedResult, error) {
-		return t3core.RunFusedGEMMRS(o)
-	})
-}
-
-// FusedAG is FusedRS for the fused GEMM→all-gather datapath.
-func (m *MemoCache) FusedAG(o t3core.FusedOptions) (t3core.FusedResult, error) {
-	k, ok, diskOK := fusedKey(o, tagFusedAG)
-	if m == nil || !ok {
-		return t3core.RunFusedGEMMAG(o)
-	}
-	return m.fused.do(k, diskOK, func() (t3core.FusedResult, error) {
-		return t3core.RunFusedGEMMAG(o)
-	})
-}
-
-// FusedAllToAll is FusedRS for the fused GEMM→all-to-all datapath.
-func (m *MemoCache) FusedAllToAll(o t3core.FusedOptions) (t3core.FusedResult, error) {
-	k, ok, diskOK := fusedKey(o, tagFusedAllToAll)
-	if m == nil || !ok {
-		return t3core.RunFusedGEMMAllToAll(o)
-	}
-	return m.fused.do(k, diskOK, func() (t3core.FusedResult, error) {
-		return t3core.RunFusedGEMMAllToAll(o)
+		return t3core.RunFused(o)
 	})
 }
 
@@ -533,7 +502,7 @@ func (m *MemoCache) FusedAllToAll(o t3core.FusedOptions) (t3core.FusedResult, er
 // simulation for o under its own key space (the result type differs from
 // the single-GPU mirror run with identical options).
 func (m *MemoCache) FusedMulti(o t3core.FusedOptions) (t3core.MultiDeviceResult, error) {
-	k, ok, diskOK := fusedKey(o, tagFusedRS)
+	k, ok, diskOK := fusedKey(o)
 	if m == nil || !ok {
 		return t3core.RunFusedGEMMRSMultiDevice(o)
 	}
@@ -584,13 +553,13 @@ func (m *MemoCache) PublishMetrics(sink metrics.Sink) {
 	sink.Counter("store/bytes_written").Add(s.BytesWritten)
 }
 
-// memoFusedRS is FusedRS tolerant of a nil cache, for call sites whose
-// Setup may not carry one.
-func memoFusedRS(m *MemoCache, o t3core.FusedOptions) (t3core.FusedResult, error) {
+// memoFused is Fused tolerant of a nil cache, for call sites whose Setup
+// may not carry one.
+func memoFused(m *MemoCache, o t3core.FusedOptions) (t3core.FusedResult, error) {
 	if m == nil {
-		return t3core.RunFusedGEMMRS(o)
+		return t3core.RunFused(o)
 	}
-	return m.FusedRS(o)
+	return m.Fused(o)
 }
 
 // memoFusedMulti is FusedMulti tolerant of a nil cache.

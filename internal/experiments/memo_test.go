@@ -100,14 +100,14 @@ func perturbLeaves(t *testing.T, v reflect.Value, path string, visit func(path s
 // asserts each flip changes the key: no timing-relevant knob may alias.
 func TestMemoKeyPerturbation(t *testing.T) {
 	opts := memoTestOptions(t)
-	base, ok, _ := fusedKey(opts, tagFusedRS)
+	base, ok, _ := fusedKey(opts)
 	if !ok {
 		t.Fatal("baseline options must be cacheable")
 	}
 	leaves := 0
 	perturbLeaves(t, reflect.ValueOf(&opts).Elem(), "FusedOptions", func(path string) {
 		leaves++
-		k, ok, _ := fusedKey(opts, tagFusedRS)
+		k, ok, _ := fusedKey(opts)
 		if !ok {
 			t.Fatalf("%s: perturbed options became uncacheable", path)
 		}
@@ -120,7 +120,7 @@ func TestMemoKeyPerturbation(t *testing.T) {
 	if leaves < 30 {
 		t.Fatalf("perturbed only %d leaves; the reflection walk lost coverage", leaves)
 	}
-	if k, _, _ := fusedKey(opts, tagFusedRS); k != base {
+	if k, _, _ := fusedKey(opts); k != base {
 		t.Fatal("perturbation walk did not restore the options")
 	}
 }
@@ -134,21 +134,21 @@ func TestMemoKeyNormalization(t *testing.T) {
 	a.DMATilesPerBlock = 0
 	b := opts
 	b.DMATilesPerBlock = 1
-	ka, _, _ := fusedKey(a, tagFusedRS)
-	kb, _, _ := fusedKey(b, tagFusedRS)
+	ka, _, _ := fusedKey(a)
+	kb, _, _ := fusedKey(b)
 	if ka != kb {
 		t.Error("DMATilesPerBlock 0 and 1 mean the same schedule but key differently")
 	}
 	c := opts
 	c.DMATilesPerBlock = 2
-	if kc, _, _ := fusedKey(c, tagFusedRS); kc == kb {
+	if kc, _, _ := fusedKey(c); kc == kb {
 		t.Error("DMATilesPerBlock 2 aliases 1")
 	}
 
 	flat := opts
 	flat.Memory.Banks = nil
-	kFlat, _, _ := fusedKey(flat, tagFusedRS)
-	kBanks, _, _ := fusedKey(opts, tagFusedRS)
+	kFlat, _, _ := fusedKey(flat)
+	kBanks, _, _ := fusedKey(opts)
 	if kFlat == kBanks {
 		t.Error("flat and bank-group DRAM models share a key")
 	}
@@ -183,7 +183,7 @@ func mustSublayerKey(t *testing.T, o t3core.FusedOptions, ar units.Bytes, cus in
 // caching nor perturbs the key.
 func TestMemoBarrierFields(t *testing.T) {
 	base := memoTestOptions(t)
-	baseKey, ok, baseDisk := fusedKey(base, tagFusedRS)
+	baseKey, ok, baseDisk := fusedKey(base)
 	if !ok {
 		t.Fatal("baseline options must be cacheable")
 	}
@@ -199,7 +199,7 @@ func TestMemoBarrierFields(t *testing.T) {
 	cases["Memory.Metrics"] = o
 
 	for name, opts := range cases {
-		if _, ok, _ := fusedKey(opts, tagFusedRS); ok {
+		if _, ok, _ := fusedKey(opts); ok {
 			t.Errorf("%s set: options must be uncacheable", name)
 		}
 	}
@@ -211,7 +211,7 @@ func TestMemoBarrierFields(t *testing.T) {
 		o := base
 		o.Arbitration = t3core.ArbMCA
 		o.FixedMCAThreshold = th
-		k, ok, diskOK := fusedKey(o, tagFusedRS)
+		k, ok, diskOK := fusedKey(o)
 		if !ok || !diskOK {
 			t.Errorf("FixedMCAThreshold %d: options must be cacheable on both tiers", th)
 		}
@@ -223,7 +223,7 @@ func TestMemoBarrierFields(t *testing.T) {
 
 	withCheck := base
 	withCheck.Check = check.New()
-	k, ok, diskOK := fusedKey(withCheck, tagFusedRS)
+	k, ok, diskOK := fusedKey(withCheck)
 	if !ok {
 		t.Fatal("a checker must not block caching: golden runs attach one to every simulation")
 	}
@@ -239,20 +239,23 @@ func TestMemoBarrierFields(t *testing.T) {
 	}
 }
 
-// TestMemoEntryPointTags pins that the three fused entry points never share
-// a key for identical option structs: they simulate different datapaths.
-func TestMemoEntryPointTags(t *testing.T) {
+// TestMemoDistinctCollectiveKeys pins that distinct collectives give
+// distinct keys for otherwise identical options: o.Collective picks the
+// simulated datapath.
+func TestMemoDistinctCollectiveKeys(t *testing.T) {
 	opts := memoTestOptions(t)
-	seen := map[memoKey]uint64{}
-	for _, tag := range []uint64{tagFusedRS, tagFusedAG, tagFusedAllToAll} {
-		k, ok, _ := fusedKey(opts, tag)
+	seen := map[memoKey]t3core.Collective{}
+	for _, c := range []t3core.Collective{t3core.RingReduceScatter, t3core.DirectReduceScatter,
+		t3core.RingAllGather, t3core.AllToAll} {
+		opts.Collective = c
+		k, ok, _ := fusedKey(opts)
 		if !ok {
 			t.Fatal("baseline options must be cacheable")
 		}
 		if prev, dup := seen[k]; dup {
-			t.Fatalf("entry-point tags %d and %d share a key", prev, tag)
+			t.Fatalf("collectives %v and %v share a key", prev, c)
 		}
-		seen[k] = tag
+		seen[k] = c
 	}
 }
 
@@ -317,11 +320,11 @@ func TestMemoFusedReuse(t *testing.T) {
 	opts := memoTestOptions(t)
 	opts.Memory.Banks = nil // keep the run cheap
 	m := NewMemoCache()
-	r1, err := m.FusedRS(opts)
+	r1, err := m.Fused(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := m.FusedRS(opts)
+	r2, err := m.Fused(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +338,7 @@ func TestMemoFusedReuse(t *testing.T) {
 		t.Errorf("stats = %d hits / %d misses, want 1/1", hits, misses)
 	}
 
-	rNil, err := memoFusedRS(nil, opts)
+	rNil, err := memoFused(nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

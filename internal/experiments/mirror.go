@@ -53,7 +53,7 @@ func MirrorValidation(setup Setup) (*MirrorResult, error) {
 			Arbitration: t3core.ArbRoundRobin,
 			Check:       setup.Check,
 		}
-		mirror, err := memoFusedRS(setup.Memo, opts)
+		mirror, err := memoFused(setup.Memo, opts)
 		if err != nil {
 			return nil, err
 		}

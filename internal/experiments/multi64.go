@@ -68,7 +68,7 @@ func Multi64(setup Setup) (*Multi64Result, error) {
 		Arbitration: t3core.ArbRoundRobin,
 		Check:       setup.Check,
 	}
-	mirror, err := memoFusedRS(setup.Memo, opts)
+	mirror, err := memoFused(setup.Memo, opts)
 	if err != nil {
 		return nil, err
 	}

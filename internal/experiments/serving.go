@@ -162,7 +162,7 @@ func serveFusedRatio(ev *Evaluator, m transformer.Model, kind transformer.SubLay
 	if err != nil {
 		return 0, err
 	}
-	fusedRun, err := memoFusedRS(s.Memo, t3core.FusedOptions{
+	fusedRun, err := memoFused(s.Memo, t3core.FusedOptions{
 		GPU:         s.GPU,
 		Memory:      s.Memory,
 		Link:        s.Link,

@@ -48,7 +48,7 @@ func TestStoreTierWarmStart(t *testing.T) {
 	}
 	m1 := NewMemoCache()
 	m1.AttachStore(st1)
-	r1, err := m1.FusedRS(opts)
+	r1, err := m1.Fused(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestStoreTierWarmStart(t *testing.T) {
 	}
 	m2 := NewMemoCache()
 	m2.AttachStore(st2)
-	r2, err := m2.FusedRS(opts)
+	r2, err := m2.Fused(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestStoreTierWarmStart(t *testing.T) {
 
 	// A replay within the warm process is now an in-memory hit; the disk is
 	// not probed again.
-	if _, err := m2.FusedRS(opts); err != nil {
+	if _, err := m2.Fused(opts); err != nil {
 		t.Fatal(err)
 	}
 	if s := st2.Stats(); s.Hits != 1 {
@@ -109,7 +109,7 @@ func TestStoreTierCorruptionRecovers(t *testing.T) {
 	}
 	m1 := NewMemoCache()
 	m1.AttachStore(st1)
-	r1, err := m1.FusedRS(opts)
+	r1, err := m1.Fused(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestStoreTierCorruptionRecovers(t *testing.T) {
 	}
 	m2 := NewMemoCache()
 	m2.AttachStore(st2)
-	r2, err := m2.FusedRS(opts)
+	r2, err := m2.Fused(opts)
 	if err != nil {
 		t.Fatalf("corrupted entry surfaced an error instead of a miss: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestStoreTierCorruptionRecovers(t *testing.T) {
 	}
 	m3 := NewMemoCache()
 	m3.AttachStore(st3)
-	if _, err := m3.FusedRS(opts); err != nil {
+	if _, err := m3.Fused(opts); err != nil {
 		t.Fatal(err)
 	}
 	if s := st3.Stats(); s.Hits != 1 || s.Corrupt != 0 {

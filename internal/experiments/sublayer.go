@@ -306,8 +306,8 @@ func (e *Evaluator) simulate(c SubCase, sl transformer.SubLayer, fusedOpts t3cor
 	// an identical configuration (or vice versa) reuse them; with metrics
 	// attached the scoped sinks make the options uncacheable automatically.
 	runGEMM := func() { gemmTime, gemmReads, gemmErr = e.isolatedGEMM(sl, false, gemmSink) }
-	runT3 := func() { t3res, t3err = memoFusedRS(s.Memo, fusedOpts) }
-	runMCA := func() { mcaRes, mcaErr = memoFusedRS(s.Memo, mcaOpts) }
+	runT3 := func() { t3res, t3err = memoFused(s.Memo, fusedOpts) }
+	runMCA := func() { mcaRes, mcaErr = memoFused(s.Memo, mcaOpts) }
 	if e.workers() == 1 {
 		runGEMM()
 		runT3()

@@ -273,35 +273,30 @@ func (r *Routes) routeAll() {
 			adj[e.src] = append(adj[e.src], e.dst)
 		}
 	}
-	prev := make([]int, n)
-	queue := make([]int, 0, n)
+	queue := make([]int, n) // each device is enqueued at most once per source
 	for src := 0; src < n; src++ {
-		for i := range prev {
-			prev[i] = -1
+		// hop[v] is the first hop of the BFS-tree path src → v, inherited
+		// from v's parent as v is discovered; -1 marks src and the
+		// undiscovered.
+		hop := r.nexthop[src*n : (src+1)*n]
+		for i := range hop {
+			hop[i] = -1
 		}
-		prev[src] = src
-		queue = append(queue[:0], src)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		queue[0] = src
+		for head, tail := 0, 1; head < tail; head++ {
+			u := queue[head]
 			for _, v := range adj[u] {
-				if prev[v] == -1 {
-					prev[v] = u
-					queue = append(queue, v)
+				if v == src || hop[v] != -1 {
+					continue
 				}
+				if u == src {
+					hop[v] = int32(v)
+				} else {
+					hop[v] = hop[u]
+				}
+				queue[tail] = v
+				tail++
 			}
-		}
-		for dst := 0; dst < n; dst++ {
-			if dst == src {
-				r.nexthop[src*n+dst] = -1
-				continue
-			}
-			// Walk back from dst to the hop adjacent to src.
-			hop := dst
-			for prev[hop] != src {
-				hop = prev[hop]
-			}
-			r.nexthop[src*n+dst] = int32(hop)
 		}
 	}
 }

@@ -229,3 +229,74 @@ func TestClusterTopoRejectsShortLatency(t *testing.T) {
 		t.Fatalf("lookahead = min link latency must build: %v", err)
 	}
 }
+
+// walkBackNextHops is the reference next-hop table: a breadth-first search
+// from every source recording each device's BFS parent, then a walk back
+// from every destination to the hop adjacent to the source.
+func walkBackNextHops(r *Routes) []int32 {
+	n := r.n
+	out := make([]int32, n*n)
+	adj := make([][]int, n)
+	for i, e := range r.edges {
+		if r.first[e.src*n+e.dst] == int32(i) {
+			adj[e.src] = append(adj[e.src], e.dst)
+		}
+	}
+	prev := make([]int, n)
+	for src := 0; src < n; src++ {
+		for i := range prev {
+			prev[i] = -1
+		}
+		prev[src] = src
+		queue := []int{src}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, v := range adj[u] {
+				if prev[v] == -1 {
+					prev[v] = u
+					queue = append(queue, v)
+				}
+			}
+		}
+		for dst := 0; dst < n; dst++ {
+			if dst == src {
+				out[src*n+dst] = -1
+				continue
+			}
+			hop := dst
+			for prev[hop] != src {
+				hop = prev[hop]
+			}
+			out[src*n+dst] = int32(hop)
+		}
+	}
+	return out
+}
+
+// TestRouteAllMatchesWalkBack pins the first-hop BFS against the walk-back
+// reference on every topology kind, ties included (earliest-listed edge).
+func TestRouteAllMatchesWalkBack(t *testing.T) {
+	cfg := DefaultConfig()
+	slow := cfg
+	slow.LinkBandwidth = cfg.LinkBandwidth / 4
+	for _, spec := range []TopoSpec{
+		RingTopo(2, cfg), RingTopo(7, cfg), RingTopo(256, cfg),
+		TorusTopo(3, 5, cfg), TorusTopo(16, 16, cfg),
+		SwitchTopo(9, cfg),
+		HierarchicalTopo(4, 64, cfg, slow), HierarchicalTopo(3, 4, cfg, slow),
+	} {
+		r, err := spec.Routes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := walkBackNextHops(r)
+		for i, h := range r.nexthop {
+			if h != want[i] {
+				t.Errorf("%v %d devices: next hop %d → %d = %d, want %d",
+					spec.Kind, spec.Devices, i/spec.Devices, i%spec.Devices, h, want[i])
+				break
+			}
+		}
+	}
+}

@@ -196,6 +196,10 @@ func RingAllGatherMap(device, devices int) AddressMap {
 // (§7.1): every GEMM stage's output is sliced across the peers and
 // remote-written directly to each owner; the collective needs no memory
 // reads or DMAs of its own. The owned slice is the only locally stored one.
+//
+// The mirror timing model (RunFused) slices differently: it splits every
+// tile 1/n across the devices as it is produced, keeping its own slice
+// locally, rather than sending whole chunks phase by phase.
 func DirectReduceScatterMap(device, devices int) AddressMap {
 	m := AddressMap{Collective: DirectReduceScatter, Device: device, Devices: devices}
 	for p := 0; p < devices; p++ {
@@ -220,6 +224,10 @@ func DirectReduceScatterMap(device, devices int) AddressMap {
 // AllToAllMap builds the fused all-to-all configuration (§7.1): chunk j of
 // the producer's output is remote-written to device j (and the owned chunk
 // stored locally); nothing is reduced and nothing is forwarded.
+//
+// The mirror timing model (RunFused) orders production differently: it
+// produces the owned chunk last, mirroring reduce-scatter's staggering,
+// where this map produces it at phase 0.
 func AllToAllMap(device, devices int) AddressMap {
 	m := AddressMap{Collective: AllToAll, Device: device, Devices: devices}
 	for p := 0; p < devices; p++ {

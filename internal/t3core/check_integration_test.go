@@ -2,7 +2,6 @@ package t3core
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"t3sim/internal/check"
@@ -14,34 +13,60 @@ import (
 // the testDropIncoming hook) and demands the checker catch it; the others pin
 // that attaching or omitting the checker cannot change a single timing bit.
 
-// TestCheckerCatchesDroppedUpdate drops one incoming mirrored update and
-// asserts the end-of-run conservation laws flag the run. The drop starves a
-// tracker entry of its last expected write, so the run stalls with live
-// tracker state — exactly the class of model bug the checker exists for.
+// TestCheckerCatchesDroppedUpdate drops one incoming update — a mirrored
+// arrival in the mirror run, a delivery to device 1 in the explicit run —
+// and asserts the end-of-run conservation laws flag the run. The drop
+// starves a tracker entry of its last expected write, so the run stalls
+// with live tracker state — exactly the class of model bug the checker
+// exists for.
 func TestCheckerCatchesDroppedUpdate(t *testing.T) {
-	o := fusedOpts(t, 4)
-	c := check.New()
-	o.Check = c
-	r, err := newFusedRun(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.testDropIncoming = 1
-	if _, err := r.run(); err == nil {
-		t.Error("run with a dropped update completed without error")
-	}
-	vs := c.Violations()
-	if len(vs) == 0 {
-		t.Fatal("checker recorded no violations for a dropped update")
-	}
-	conservation := false
-	for _, v := range vs {
-		if strings.HasPrefix(v.Rule, check.RuleConservation+"/") {
-			conservation = true
-		}
-	}
-	if !conservation {
-		t.Errorf("no conservation violation among %d recorded: %v", len(vs), vs)
+	for _, tc := range []struct {
+		name string
+		path string // where the tracker laws must fire
+		run  func(o FusedOptions) error
+	}{
+		{"mirror", "t3core.tracker", func(o FusedOptions) error {
+			r, err := newFusedRun(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.testDropIncoming = 1
+			_, err = r.run()
+			return err
+		}},
+		{"explicit", "t3core.dev1.tracker", func(o FusedOptions) error {
+			r, err := newMultiRun(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.devs[1].testDropIncoming = 1
+			_, err = r.run()
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := fusedOpts(t, 4)
+			c := check.New()
+			o.Check = c
+			if err := tc.run(o); err == nil {
+				t.Error("run with a dropped update completed without error")
+			}
+			vs := c.Violations()
+			if len(vs) == 0 {
+				t.Fatal("checker recorded no violations for a dropped update")
+			}
+			rules := map[string]bool{}
+			for _, v := range vs {
+				if v.Path == tc.path {
+					rules[v.Rule] = true
+				}
+			}
+			for _, rule := range []string{check.RuleConservation + "/drain", check.RuleConservation + "/fired"} {
+				if !rules[rule] {
+					t.Errorf("no %s violation on %s among %d recorded: %v", rule, tc.path, len(vs), vs)
+				}
+			}
+		})
 	}
 }
 
@@ -53,16 +78,17 @@ func TestCheckerDoesNotPerturbTimings(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		coll Collective
-		run  func(FusedOptions) (FusedResult, error)
 	}{
-		{"rs", RingReduceScatter, RunFusedGEMMRS},
-		{"ag", RingAllGather, RunFusedGEMMAG},
+		{"rs", RingReduceScatter},
+		{"direct-rs", DirectReduceScatter},
+		{"ag", RingAllGather},
+		{"a2a", AllToAll},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			plain := fusedOpts(t, 4)
 			plain.Collective = tc.coll
-			bare, err := tc.run(plain)
+			bare, err := RunFused(plain)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +96,7 @@ func TestCheckerDoesNotPerturbTimings(t *testing.T) {
 			checked := plain
 			c := check.New()
 			checked.Check = c
-			audited, err := tc.run(checked)
+			audited, err := RunFused(checked)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,7 +24,7 @@ func TestFusedRunEmitsCoherentEvents(t *testing.T) {
 	reg.EnableTimeline()
 	o := fusedOpts(t, 4)
 	o.Metrics = reg
-	res, err := RunFusedGEMMRS(o)
+	res, err := RunFused(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFusedRunEmitsCoherentEvents(t *testing.T) {
 func TestFusedRunWithoutEventLog(t *testing.T) {
 	// No sink attached: runs fine, nothing recorded.
 	o := fusedOpts(t, 4)
-	if _, err := RunFusedGEMMRS(o); err != nil {
+	if _, err := RunFused(o); err != nil {
 		t.Fatal(err)
 	}
 }

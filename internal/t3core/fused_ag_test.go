@@ -22,7 +22,7 @@ func agOpts(t *testing.T, devices int) FusedOptions {
 }
 
 func TestFusedAGCompletes(t *testing.T) {
-	res, err := RunFusedGEMMAG(agOpts(t, 4))
+	res, err := RunFused(agOpts(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestFusedAGCompletes(t *testing.T) {
 func TestFusedAGTrafficAccounting(t *testing.T) {
 	n := 4
 	o := agOpts(t, n)
-	res, err := RunFusedGEMMAG(o)
+	res, err := RunFused(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFusedAGOverlapShape(t *testing.T) {
 	// exposure is bounded by roughly one shard's wire time per residual hop,
 	// far below the full serialized all-gather.
 	o := agOpts(t, 8)
-	res, err := RunFusedGEMMAG(o)
+	res, err := RunFused(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,17 +85,12 @@ func TestFusedAGOverlapShape(t *testing.T) {
 
 func TestFusedAGValidation(t *testing.T) {
 	o := agOpts(t, 4)
-	o.Collective = RingReduceScatter
-	if _, err := RunFusedGEMMAG(o); err == nil {
-		t.Error("wrong collective: expected error")
-	}
-	o = agOpts(t, 4)
 	o.Grid.Tiling.SplitK = 2
-	if _, err := RunFusedGEMMAG(o); err == nil {
+	if _, err := RunFused(o); err == nil {
 		t.Error("split-K all-gather: expected error")
 	}
 	o = agOpts(t, 1)
-	if _, err := RunFusedGEMMAG(o); err == nil {
+	if _, err := RunFused(o); err == nil {
 		t.Error("single device: expected error")
 	}
 }
@@ -108,7 +103,7 @@ func a2aOpts(t *testing.T, devices int) FusedOptions {
 }
 
 func TestFusedAllToAllCompletes(t *testing.T) {
-	res, err := RunFusedGEMMAllToAll(a2aOpts(t, 4))
+	res, err := RunFused(a2aOpts(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +115,7 @@ func TestFusedAllToAllCompletes(t *testing.T) {
 func TestFusedAllToAllTraffic(t *testing.T) {
 	n := 4
 	o := a2aOpts(t, n)
-	res, err := RunFusedGEMMAllToAll(o)
+	res, err := RunFused(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +145,12 @@ func TestFusedAllToAllTraffic(t *testing.T) {
 
 func TestFusedAllToAllValidation(t *testing.T) {
 	o := a2aOpts(t, 4)
-	o.Collective = RingAllGather
-	if _, err := RunFusedGEMMAllToAll(o); err == nil {
-		t.Error("wrong collective: expected error")
+	o.Grid.Tiling.SplitK = 2
+	if _, err := RunFused(o); err == nil {
+		t.Error("split-K all-to-all: expected error")
+	}
+	o = a2aOpts(t, 1)
+	if _, err := RunFused(o); err == nil {
+		t.Error("single device: expected error")
 	}
 }

@@ -6,47 +6,20 @@ import (
 	"t3sim/internal/units"
 )
 
-// This file holds the mirror runners' pooled callback objects; the
-// explicit multi-device runner (fusedmulti.go) shares stageCB and follows
-// the same pattern with its deliverOp. The inner loops of a run —
-// production stores, tracker triggers, DMA forwards and deliveries — used
-// to capture their context in a fresh closure per event, a steady
-// allocation stream second only to the request path itself. Each object
-// carries that context in pooled struct fields instead and implements
-// memory.Completion (or pre-builds its one link-delivery closure at
-// construction), so a steady-state burst allocates nothing. Objects are
-// returned to their freelist at the end of their final callback, and every
-// freelist is touched by one engine's goroutine only, so none needs
-// locking.
+// This file holds the timed runners' pooled callback objects: stageCB,
+// shared by the mirror runner and every explicit-run device, and the
+// mirror's landing, sendOp and dmaOp (the explicit runner's deliverOp lives
+// in fusedmulti.go). The inner loops of a run — production stores, tracker
+// triggers, DMA forwards and deliveries — used to capture their context in
+// a fresh closure per event, a steady allocation stream second only to the
+// request path itself. Each object carries that context in pooled struct
+// fields instead and implements memory.Completion (or pre-builds its
+// link-delivery closures at construction), so a steady-state burst
+// allocates nothing. Objects are returned to their freelist at the end of
+// their final callback, and every freelist is touched by one engine's
+// goroutine only, so none needs locking.
 
-// Complete implements memory.Completion for the runner itself: a full-tile
-// mirrored update has landed in local memory, credit the tracker. Used by
-// incomingUpdate, where the tag's (WG, WF) is exactly the target tile.
-func (r *fusedRun) Complete(tag memory.Tag) {
-	r.observe(TileID{WG: tag.WG, WF: tag.WF})
-}
-
-// fenceCB adapts a fence to memory.Completion: each completed transfer is
-// one Done. One allocation per stage, amortized over the stage's tiles.
-type fenceCB struct{ fence *sim.Fence }
-
-// Complete implements memory.Completion.
-func (c *fenceCB) Complete(memory.Tag) { c.fence.Done() }
-
-// obsCB observes a fixed byte count against the tagged tile. Two long-lived
-// instances per direct-RS run cover the locally-kept slice and an arriving
-// peer slice.
-type obsCB struct {
-	r     *fusedRun
-	bytes units.Bytes
-}
-
-// Complete implements memory.Completion.
-func (o *obsCB) Complete(tag memory.Tag) {
-	o.r.observeBytes(TileID{WG: tag.WG, WF: tag.WF}, o.bytes)
-}
-
-// tileObserver credits one completed tile update to a tracker: the mirror
+// tileObserver credits one completed local production store: the mirror
 // runner and each explicit-run device.
 type tileObserver interface {
 	observe(id TileID)
@@ -96,70 +69,59 @@ func getStageCB(free *[]*stageCB, obs tileObserver, n int, onDone sim.Handler) *
 	return s
 }
 
-// remoteOp carries one remote-mapped production store across its link
-// delivery: the mirrored incoming updates are staged when the send lands.
-type remoteOp struct {
+// landing credits a fixed byte count of the tagged tile once a transfer
+// lands in local memory. Each mirror run holds two for its whole life: one
+// for mirrored arrivals, one for direct RS's locally kept slice.
+type landing struct {
+	r      *fusedRun
+	bytes  units.Bytes
+	credit credit
+}
+
+// Complete implements memory.Completion.
+func (l *landing) Complete(tag memory.Tag) {
+	l.r.land(TileID{WG: tag.WG, WF: tag.WF}, l.bytes, l.credit)
+}
+
+// sendOp carries one remote production send of tile t across its link
+// delivery, where the mirrored arrival is staged.
+type sendOp struct {
 	r         *fusedRun
 	t         int
 	delivered sim.Handler // prebuilt onDelivered closure
 }
 
-func (op *remoteOp) onDelivered() {
+func (op *sendOp) onDelivered() {
 	r := op.r
-	r.chkRing.Sub(r.eng.Now(), int64(r.tileBytes))
-	// Mirror: the neighbor's phase-0 store of the chunk I produce in
-	// phase 1 arrives now, as an NMC update on the comm stream.
-	targets, n := r.mirrorTargets(op.t, 0)
-	for i := 0; i < n; i++ {
-		r.incomingUpdate(targets[i])
+	r.chkRing.Sub(r.eng.Now(), int64(r.sendBytes))
+	if r.mirrorNext {
+		// The neighbor's phase-0 send of the tile I produce next arrives.
+		targets, n := r.mirrorTargets(op.t, 0)
+		for i := 0; i < n; i++ {
+			r.incoming(targets[i])
+		}
+	} else {
+		r.incoming(op.t)
 	}
-	r.remoteOps = append(r.remoteOps, op)
+	r.sendOps = append(r.sendOps, op)
 }
 
-func (r *fusedRun) getRemoteOp(t int) *remoteOp {
-	if ln := len(r.remoteOps); ln > 0 {
-		op := r.remoteOps[ln-1]
-		r.remoteOps[ln-1] = nil
-		r.remoteOps = r.remoteOps[:ln-1]
+func (r *fusedRun) getSendOp(t int) *sendOp {
+	if ln := len(r.sendOps); ln > 0 {
+		op := r.sendOps[ln-1]
+		r.sendOps[ln-1] = nil
+		r.sendOps = r.sendOps[:ln-1]
 		op.t = t
 		return op
 	}
-	op := &remoteOp{r: r, t: t}
-	op.delivered = op.onDelivered
-	return op
-}
-
-// directOp carries one direct-RS slice send across its link delivery.
-type directOp struct {
-	r         *fusedRun
-	t         int
-	delivered sim.Handler
-}
-
-func (op *directOp) onDelivered() {
-	r := op.r
-	r.chkRing.Sub(r.eng.Now(), int64(r.sliceBytes))
-	r.mem.TransferTo(memory.Update, memory.StreamComm, r.sliceBytes,
-		memory.Tag{WG: op.t / 8, WF: op.t % 8}, r.dirSlice)
-	r.directOps = append(r.directOps, op)
-}
-
-func (r *fusedRun) getDirectOp(t int) *directOp {
-	if ln := len(r.directOps); ln > 0 {
-		op := r.directOps[ln-1]
-		r.directOps[ln-1] = nil
-		r.directOps = r.directOps[:ln-1]
-		op.t = t
-		return op
-	}
-	op := &directOp{r: r, t: t}
+	op := &sendOp{r: r, t: t}
 	op.delivered = op.onDelivered
 	return op
 }
 
 // dmaOp carries one triggered DMA — a contiguous block of count tiles
 // starting at first in phase p — through its three stages: local read, ring
-// send, mirrored remote update.
+// send, mirrored arrival.
 type dmaOp struct {
 	r        *fusedRun
 	p        int
@@ -170,7 +132,7 @@ type dmaOp struct {
 	sent     sim.Handler // prebuilt: delivery → mirrored memory update
 }
 
-// onRead: the partially reduced block has been read; push it onto the ring.
+// onRead: the block has been read; push it onto the ring.
 func (op *dmaOp) onRead() {
 	r := op.r
 	r.chkRing.Add(int64(op.total))
@@ -181,8 +143,7 @@ func (op *dmaOp) onRead() {
 func (op *dmaOp) onSent() {
 	r := op.r
 	r.chkRing.Sub(r.eng.Now(), int64(op.total))
-	r.mem.TransferTo(memory.Update, memory.StreamComm, op.total,
-		memory.Tag{WG: op.first / 8, WF: op.first % 8}, op)
+	r.mem.TransferTo(r.kind, memory.StreamComm, op.total, tileTag(op.first), op)
 }
 
 // Complete implements memory.Completion: the mirrored update landed; credit
@@ -192,7 +153,7 @@ func (op *dmaOp) Complete(memory.Tag) {
 	for t := op.first; t < op.first+op.count; t++ {
 		targets, n := r.mirrorTargets(t, op.p)
 		for i := 0; i < n; i++ {
-			r.observe(r.tileIDOf(targets[i]))
+			r.land(tileID(targets[i]), r.tileBytes, r.arriveCredit)
 		}
 	}
 	r.dmaOps = append(r.dmaOps, op)

@@ -3,6 +3,8 @@ package t3core
 import (
 	"testing"
 
+	"t3sim/internal/gemm"
+	"t3sim/internal/interconnect"
 	"t3sim/internal/memory"
 	"t3sim/internal/units"
 )
@@ -11,14 +13,14 @@ func TestFusedDMABlockGranularity(t *testing.T) {
 	// Larger DMA blocks must preserve byte conservation and completion
 	// while reducing trigger count.
 	base := fusedOpts(t, 4)
-	r1, err := RunFusedGEMMRS(base)
+	r1, err := RunFused(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{2, 4, 8} {
 		o := fusedOpts(t, 4)
 		o.DMATilesPerBlock = k
-		rk, err := RunFusedGEMMRS(o)
+		rk, err := RunFused(o)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -46,7 +48,7 @@ func TestFusedDMABlockUnevenChunks(t *testing.T) {
 	// Chunk sizes that are not multiples of the block size still complete.
 	o := fusedOpts(t, 3)
 	o.DMATilesPerBlock = 7
-	res, err := RunFusedGEMMRS(o)
+	res, err := RunFused(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,17 +66,17 @@ var pinnedMCADatapaths = []struct {
 }{
 	{"rs", func(t *testing.T) FusedOptions { return fusedOpts(t, 8) },
 		func(o FusedOptions) (int, units.Time, error) {
-			r, err := RunFusedGEMMRS(o)
+			r, err := RunFused(o)
 			return r.MCAThreshold, r.Done, err
 		}},
 	{"ag", func(t *testing.T) FusedOptions { return agOpts(t, 4) },
 		func(o FusedOptions) (int, units.Time, error) {
-			r, err := RunFusedGEMMAG(o)
+			r, err := RunFused(o)
 			return r.MCAThreshold, r.Done, err
 		}},
 	{"all-to-all", func(t *testing.T) FusedOptions { return a2aOpts(t, 4) },
 		func(o FusedOptions) (int, units.Time, error) {
-			r, err := RunFusedGEMMAllToAll(o)
+			r, err := RunFused(o)
 			return r.MCAThreshold, r.Done, err
 		}},
 	{"multi-device", func(t *testing.T) FusedOptions { return fusedOpts(t, 4) },
@@ -150,7 +152,7 @@ func TestFusedDMABlockTriggerCounts(t *testing.T) {
 	// tracker still fires once per tile.
 	o := fusedOpts(t, 4)
 	o.DMATilesPerBlock = 4
-	res, err := RunFusedGEMMRS(o)
+	res, err := RunFused(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,4 +169,66 @@ func TestFusedDMABlockTriggerCounts(t *testing.T) {
 	if got := res.DRAM.Bytes[memory.Update][memory.StreamComm]; got != want {
 		t.Errorf("incoming updates %v, want %v", got, want)
 	}
+}
+
+// TestFusedValidateMatchesRun pins that validation accepts exactly the
+// options the runners run: for every mirror collective Validate() == nil
+// iff RunFused succeeds, and for the explicit run its rules hold iff
+// RunFusedGEMMRSMultiDevice succeeds.
+func TestFusedValidateMatchesRun(t *testing.T) {
+	zero := interconnect.DefaultConfig()
+	zero.LinkLatency = 0
+	mutations := []struct {
+		name string
+		set  func(o *FusedOptions)
+	}{
+		{"base", func(*FusedOptions) {}},
+		{"split-k-2", func(o *FusedOptions) {
+			til := o.Grid.Tiling
+			til.SplitK = 2
+			g, err := gemm.NewGrid(o.Grid.Shape, til)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.Grid = g
+		}},
+		{"ring-topo", func(o *FusedOptions) { o.Topo = interconnect.RingTopo(4, interconnect.DefaultConfig()) }},
+		{"switch-topo", func(o *FusedOptions) { o.Topo = interconnect.SwitchTopo(4, interconnect.DefaultConfig()) }},
+		{"topo-size", func(o *FusedOptions) { o.Topo = interconnect.RingTopo(8, interconnect.DefaultConfig()) }},
+		{"zero-latency", func(o *FusedOptions) { o.Link = zero }},
+		{"pinned-rr", func(o *FusedOptions) { o.FixedMCAThreshold = 10 }},
+		{"pinned-mca", func(o *FusedOptions) { o.Arbitration, o.FixedMCAThreshold = ArbMCA, 10 }},
+		{"one-device", func(o *FusedOptions) { o.Devices = 1 }},
+		{"too-many-devices", func(o *FusedOptions) { o.Devices = 1 << 20 }},
+		{"unknown-collective", func(o *FusedOptions) { o.Collective = Collective(9) }},
+	}
+	runs := []struct {
+		name     string
+		coll     Collective
+		validate func(FusedOptions) error
+		run      func(FusedOptions) error
+	}{
+		{"rs", RingReduceScatter, FusedOptions.Validate, mirrorErr},
+		{"direct", DirectReduceScatter, FusedOptions.Validate, mirrorErr},
+		{"ag", RingAllGather, FusedOptions.Validate, mirrorErr},
+		{"a2a", AllToAll, FusedOptions.Validate, mirrorErr},
+		{"explicit", RingReduceScatter, func(o FusedOptions) error { return o.validate(true) },
+			func(o FusedOptions) error { _, err := RunFusedGEMMRSMultiDevice(o); return err }},
+	}
+	for _, rn := range runs {
+		for _, m := range mutations {
+			o := parOptions(t, 512, 512, 128, 4)
+			o.Collective = rn.coll
+			m.set(&o)
+			verr, rerr := rn.validate(o), rn.run(o)
+			if (verr == nil) != (rerr == nil) {
+				t.Errorf("%s/%s: validate error %v, run error %v", rn.name, m.name, verr, rerr)
+			}
+		}
+	}
+}
+
+func mirrorErr(o FusedOptions) error {
+	_, err := RunFused(o)
+	return err
 }

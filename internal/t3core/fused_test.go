@@ -29,7 +29,7 @@ func fusedOpts(t *testing.T, devices int) FusedOptions {
 }
 
 func TestFusedRunCompletes(t *testing.T) {
-	res, err := RunFusedGEMMRS(fusedOpts(t, 4))
+	res, err := RunFused(fusedOpts(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestFusedRunCompletes(t *testing.T) {
 func TestFusedTrafficAccounting(t *testing.T) {
 	n := 4
 	o := fusedOpts(t, n)
-	res, err := RunFusedGEMMRS(o)
+	res, err := RunFused(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestFusedVsSequentialDataMovement(t *testing.T) {
 	// writes (Figure 10 / Figure 18).
 	n := 8
 	o := fusedOpts(t, n)
-	res, err := RunFusedGEMMRS(o)
+	res, err := RunFused(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFusedVsSequentialDataMovement(t *testing.T) {
 }
 
 func TestFusedTrackerWithinBudget(t *testing.T) {
-	res, err := RunFusedGEMMRS(fusedOpts(t, 8))
+	res, err := RunFused(fusedOpts(t, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFusedTrackerWithinBudget(t *testing.T) {
 func TestFusedMCACalibrates(t *testing.T) {
 	o := fusedOpts(t, 4)
 	o.Arbitration = ArbMCA
-	res, err := RunFusedGEMMRS(o)
+	res, err := RunFused(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +143,12 @@ func TestFusedMCANotSlowerThanRoundRobin(t *testing.T) {
 	// MCA exists to prevent communication bursts from stalling the GEMM; it
 	// must not lose to round-robin.
 	base := fusedOpts(t, 8)
-	rr, err := RunFusedGEMMRS(base)
+	rr, err := RunFused(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.Arbitration = ArbMCA
-	mca, err := RunFusedGEMMRS(base)
+	mca, err := RunFused(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFusedMCANotSlowerThanRoundRobin(t *testing.T) {
 func TestFusedDirectRS(t *testing.T) {
 	o := fusedOpts(t, 4)
 	o.Collective = DirectReduceScatter
-	res, err := RunFusedGEMMRS(o)
+	res, err := RunFused(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestFusedSplitK(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Grid = g
-	res, err := RunFusedGEMMRS(o)
+	res, err := RunFused(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,13 +214,13 @@ func TestFusedValidation(t *testing.T) {
 		func(o *FusedOptions) { o.Link.PacketSize = 0 },
 		func(o *FusedOptions) { o.Tracker.Sets = 0 },
 		func(o *FusedOptions) { o.Grid.Shape.M = 0 },
-		func(o *FusedOptions) { o.Collective = RingAllGather }, // not in timing model
+		func(o *FusedOptions) { o.Collective = Collective(9) }, // unknown collective
 		func(o *FusedOptions) { o.Devices = 1 << 20 },          // more devices than tiles
 	}
 	for i, mutate := range cases {
 		o := fusedOpts(t, 4)
 		mutate(&o)
-		if _, err := RunFusedGEMMRS(o); err == nil {
+		if _, err := RunFused(o); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -231,7 +231,7 @@ func TestFusedOverlapBeatsSequentialShape(t *testing.T) {
 	// serialized reduce-scatter would add: the communication hides behind
 	// compute except for a per-chunk tail.
 	o := fusedOpts(t, 8)
-	res, err := RunFusedGEMMRS(o)
+	res, err := RunFused(o)
 	if err != nil {
 		t.Fatal(err)
 	}

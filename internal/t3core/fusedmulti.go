@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"t3sim/internal/collective"
-	"t3sim/internal/gpu"
 	"t3sim/internal/interconnect"
 	"t3sim/internal/memory"
 	"t3sim/internal/metrics"
@@ -20,7 +19,8 @@ type MultiDeviceResult struct {
 	// GEMMDone / CollectiveDone per device.
 	GEMMDone       []units.Time
 	CollectiveDone []units.Time
-	// Done is the latest device completion plus communication drain.
+	// Done is the latest device's CollectiveDone. Unlike the mirror run's
+	// FusedResult.Done, it adds no communication-stream drain.
 	Done units.Time
 	// DRAM aggregates all devices' traffic.
 	DRAM memory.Counters
@@ -63,20 +63,15 @@ func (r *MultiDeviceResult) Skew() units.Time {
 // device-local: in cluster mode all of a device's handlers run on its own
 // engine, so no two goroutines ever touch the same multiDevice.
 type multiDevice struct {
-	id   int
-	run  *multiRun
-	eng  *sim.Engine // the engine this device's handlers run on
-	mem  *memory.Controller
-	arb  memory.Arbiter
-	trk  *Tracker
-	dma  *DMATable
+	id  int
+	run *multiRun
+	device
 	amap AddressMap
-	sink metrics.Sink // per-device "dev<i>" scope; nil without a run sink
 
-	phaseOfChunk []int
-	prodPhase    int // production cursor: address-map phase being written
-	prodOff      int // and the next tile's offset within that phase's chunk
-	ownedFence   *sim.Fence
+	prodPhase  int // production cursor: address-map phase being written
+	prodOff    int // and the next tile's offset within that phase's chunk
+	ownedFence *sim.Fence
+	tracked    int // tiles the tracker must fire: every chunk but phase 0's
 
 	// Pooled callbacks (see fused_ops.go): the freelist of local-store
 	// stage completions, and the freelist of tile deliveries this device
@@ -87,6 +82,11 @@ type multiDevice struct {
 	gemmDone       units.Time
 	collectiveDone units.Time
 	err            error // first model error on this device (single-writer)
+
+	// testDropIncoming, when positive, silently discards that many arriving
+	// deliveries — the explicit run's injected conservation bug for the
+	// checker's falsifiability test. Never set outside tests.
+	testDropIncoming int
 }
 
 // multiRun owns the shared state of the explicit N-device simulation. The
@@ -127,33 +127,28 @@ func (r *multiRun) send(src, dst int, n units.Bytes, onDelivered sim.Handler) {
 // calling goroutine). The result is byte-identical at every worker count.
 // The minimum link latency is the cluster's lookahead and must be positive.
 func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
-	if o.Collective != RingReduceScatter {
-		return MultiDeviceResult{}, fmt.Errorf("t3core: multi-device run supports ring reduce-scatter, got %v", o.Collective)
-	}
-	if err := validateFusedCommon(o); err != nil {
+	r, err := newMultiRun(o)
+	if err != nil {
 		return MultiDeviceResult{}, err
 	}
-	if o.Grid.Tiling.SplitK != 1 {
-		return MultiDeviceResult{}, fmt.Errorf("t3core: multi-device run supports SplitK=1 only")
+	return r.run()
+}
+
+// newMultiRun validates the options and builds the cluster, the topology
+// and every device, without starting the simulation. Tests construct runs
+// directly to inject faults before run().
+func newMultiRun(o FusedOptions) (*multiRun, error) {
+	if err := o.validate(true); err != nil {
+		return nil, err
 	}
 	r := &multiRun{o: o}
 	n := o.Devices
-	spec := o.Topo
-	if spec.IsZero() {
-		spec = interconnect.RingTopo(n, o.Link)
-	}
-	// The cluster's lookahead is the graph's minimum link latency, and a
-	// conservative window needs it positive.
-	minLat := spec.MinLinkLatency()
-	if minLat <= 0 {
-		return MultiDeviceResult{}, fmt.Errorf(
-			"t3core: multi-device run needs a positive minimum link latency as the cluster lookahead, got %v", minLat)
-	}
-	r.cl = sim.NewCluster(n, minLat)
+	spec := o.topoSpec()
+	r.cl = sim.NewCluster(n, spec.MinLinkLatency())
 	r.cl.AttachChecker(o.Check)
 	var err error
 	if r.topo, err = spec.BuildCluster(r.cl); err != nil {
-		return MultiDeviceResult{}, err
+		return nil, err
 	}
 	r.topo.AttachChecker(o.Check)
 	r.topo.AttachMetrics(o.Metrics)
@@ -170,31 +165,25 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 	for d := 0; d < n; d++ {
 		md, err := r.newDevice(d)
 		if err != nil {
-			return MultiDeviceResult{}, err
+			return nil, err
 		}
 		r.devs[d] = md
 	}
+	return r, nil
+}
+
+// run launches every device's GEMM, drives the cluster to completion,
+// applies each device's end-of-run laws and assembles the result.
+func (r *multiRun) run() (MultiDeviceResult, error) {
+	o := r.o
 	// Launch every device's GEMM at t=0 (§4.4: staggering is in the WG→tile
 	// mapping, not the launch time).
-	for d := 0; d < n; d++ {
-		md := r.devs[d]
-		kernel := &gpu.GEMMKernel{
-			Eng:               md.eng,
-			Mem:               md.mem,
-			GPU:               o.GPU,
-			Grid:              o.Grid,
-			CUs:               o.GEMMCUs,
-			OutputBypassesLLC: true,
-			Monitor:           o.Arbitration == ArbMCA,
-			WriteStage:        md.writeStage,
-			DoubleBuffered:    o.DoubleBufferedGEMM,
-			Metrics:           md.sink,
-		}
-		if err := kernel.Start(func() { md.gemmDone = md.eng.Now() }); err != nil {
+	for _, md := range r.devs {
+		if err := md.kernel.Start(func() { md.gemmDone = md.eng.Now() }); err != nil {
 			return MultiDeviceResult{}, err
 		}
 	}
-	r.cl.Run(o.ParWorkers)
+	wall := r.cl.Run(o.ParWorkers)
 	st := r.cl.Stats()
 	if o.Metrics != nil {
 		// Coordination-layer summary for the -metrics JSON: how the cluster
@@ -206,6 +195,13 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 		cs.Counter("advance_ps").Add(int64(st.Advance))
 		cs.Counter("stalled_engine_windows").Add(int64(st.StalledEngineWindows))
 		cs.Counter("stall_ps").Add(int64(st.StallTime))
+	}
+	// End-of-run laws are checked before the stall/error returns below: a
+	// stalled device is exactly the kind the violations explain.
+	if c := o.Check; c.Enabled() {
+		for _, md := range r.devs {
+			md.endChecks(c, wall, fmt.Sprintf("t3core.dev%d", md.id), md.tracked, md.gemmDone, md.collectiveDone)
+		}
 	}
 	stalled := 0
 	for _, md := range r.devs {
@@ -220,8 +216,7 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 		return MultiDeviceResult{}, fmt.Errorf("t3core: multi-device run stalled: %d devices incomplete", stalled)
 	}
 	res := &r.result
-	for d := 0; d < n; d++ {
-		md := r.devs[d]
+	for _, md := range r.devs {
 		res.GEMMDone = append(res.GEMMDone, md.gemmDone)
 		res.CollectiveDone = append(res.CollectiveDone, md.collectiveDone)
 		cnt := md.mem.Counters()
@@ -249,8 +244,8 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 
 func (r *multiRun) newDevice(d int) (*multiDevice, error) {
 	o := r.o
-	arb, err := newArbiter(o)
-	if err != nil {
+	md := &multiDevice{id: d, run: r, amap: RingReduceScatterMap(d, o.Devices)}
+	if err := md.amap.Validate(); err != nil {
 		return nil, err
 	}
 	// Each device gets its own "dev<i>" scope so per-channel counter names
@@ -260,63 +255,27 @@ func (r *multiRun) newDevice(d int) (*multiDevice, error) {
 		sink = o.Metrics.Scope(fmt.Sprintf("dev%d", d))
 		o.Memory.Metrics = sink
 	}
-	if o.Check != nil && o.Memory.Check == nil {
-		o.Memory.Check = o.Check
-	}
-	eng := r.cl.Engine(d)
-	mc, err := memory.NewController(eng, o.Memory, arb)
+	chunk := func(pm PhaseMap) (int, int) { return r.chunkStart[pm.Chunk], r.chunkStart[pm.Chunk+1] }
+	var err error
+	md.device, err = newDevice(r.cl.Engine(d), o, deviceSpec{
+		sink:    sink,
+		amap:    md.amap,
+		span:    chunk,
+		updates: md.amap.Phases[o.Devices-1].UpdatesPerElement,
+		onReady: md.onReady,
+		write:   md.writeStage,
+	})
 	if err != nil {
 		return nil, err
 	}
-	md := &multiDevice{id: d, run: r, eng: eng, mem: mc, arb: arb, sink: sink, amap: RingReduceScatterMap(d, o.Devices)}
-	if err := md.amap.Validate(); err != nil {
-		return nil, err
-	}
-	md.phaseOfChunk = make([]int, o.Devices)
-	for _, pm := range md.amap.Phases {
-		md.phaseOfChunk[pm.Chunk] = pm.Phase
-	}
-	trk, err := NewTracker(o.Tracker)
-	if err != nil {
-		return nil, err
-	}
-	md.trk = trk
-	md.dma = NewDMATable(r.chunkStart[o.Devices])
-	// Program DMA commands for dma_mapped phases.
-	next := (d + 1) % o.Devices
-	for _, pm := range md.amap.Phases {
-		if pm.Treatment != TreatDMA {
-			continue
-		}
-		c := pm.Chunk
-		for t := r.chunkStart[c]; t < r.chunkStart[c+1]; t++ {
-			if err := md.dma.Program(tileIDFor(t), DMACommand{
-				DestDevice: next, Op: memory.Update, Bytes: r.tileBytes,
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := trk.SetProgram(Program{
-		WFTileBytes:       r.tileBytes,
-		UpdatesPerElement: 2,
-		OnReady:           md.onReady,
-	}); err != nil {
-		return nil, err
-	}
-	ownedChunk := md.amap.Phases[o.Devices-1].Chunk
-	ownedTiles := r.chunkStart[ownedChunk+1] - r.chunkStart[ownedChunk]
-	md.ownedFence = sim.NewFence(ownedTiles, func() {
+	lo, hi := chunk(md.amap.Phases[0])
+	md.tracked = r.totalTiles - (hi - lo)
+	lo, hi = chunk(md.amap.Phases[o.Devices-1])
+	md.ownedFence = sim.NewFence(hi-lo, func() {
 		md.collectiveDone = md.eng.Now()
 	})
 	return md, nil
 }
-
-// tileIDFor maps an address-space tile index to its tracker identity. Tile
-// identities are addresses, shared by all devices: the §4.2.2 DMA metadata
-// translation (source wg/wf → destination wg/wf) is the identity map here
-// because our model indexes tiles by output position on every device.
-func tileIDFor(t int) TileID { return TileID{WG: t / 8, WF: t % 8} }
 
 // nextProdTile advances the device's production cursor by one index and
 // returns the address-space tile it writes: phase p covers the chunk the
@@ -377,15 +336,19 @@ func (md *multiDevice) writeStage(_, wgs int, _ units.Bytes, onDone sim.Handler)
 			continue
 		}
 		md.mem.TransferTo(memory.Update, memory.StreamCompute, r.tileBytes,
-			memory.Tag{WG: tile / 8, WF: tile % 8}, cb)
+			tileTag(tile), cb)
 	}
 }
 
 // stageIncoming applies an arriving update (peer store or DMA) to local
 // memory; Complete lets the tracker count it.
 func (md *multiDevice) stageIncoming(tile int) {
+	if md.testDropIncoming > 0 {
+		md.testDropIncoming--
+		return
+	}
 	md.mem.TransferTo(memory.Update, memory.StreamComm, md.run.tileBytes,
-		memory.Tag{WG: tile / 8, WF: tile % 8}, md)
+		tileTag(tile), md)
 }
 
 // Complete implements memory.Completion for stageIncoming: the tag names

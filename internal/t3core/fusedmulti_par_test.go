@@ -224,7 +224,7 @@ func TestMultiDeviceResultIndependentOfSink(t *testing.T) {
 		// The mirror methodology cross-check: the explicit run's completion
 		// stays within the mirror tolerance whether or not a sink is attached.
 		mo := parOptions(t, 512, 512, 256, 4)
-		mirror, err := RunFusedGEMMRS(mo)
+		mirror, err := RunFused(mo)
 		if err != nil {
 			t.Fatal(err)
 		}

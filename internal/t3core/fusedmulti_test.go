@@ -49,7 +49,7 @@ func TestMultiDeviceMatchesMirror(t *testing.T) {
 	// single-GPU mirror run must agree closely on completion time.
 	for _, n := range []int{2, 4, 8} {
 		o := fusedOpts(t, n)
-		mirror, err := RunFusedGEMMRS(o)
+		mirror, err := RunFused(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestMultiDeviceTrafficMatchesMirror(t *testing.T) {
 	// Per-device traffic must match the mirror's accounting exactly when
 	// chunks divide evenly.
 	o := fusedOpts(t, 4)
-	mirror, err := RunFusedGEMMRS(o)
+	mirror, err := RunFused(o)
 	if err != nil {
 		t.Fatal(err)
 	}

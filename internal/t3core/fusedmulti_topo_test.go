@@ -112,16 +112,16 @@ func TestMirrorRunsRejectNonRingTopo(t *testing.T) {
 	// must be rejected, not silently ignored.
 	spec := interconnect.SwitchTopo(8, interconnect.DefaultConfig())
 	o := topoFusedOpts(t, spec)
-	if _, err := RunFusedGEMMRS(o); err == nil || !strings.Contains(err.Error(), "mirror") {
-		t.Errorf("RunFusedGEMMRS accepted a switch topology: err=%v", err)
+	if _, err := RunFused(o); err == nil || !strings.Contains(err.Error(), "mirror") {
+		t.Errorf("ring RS mirror accepted a switch topology: err=%v", err)
 	}
 	o.Collective = RingAllGather
-	if _, err := RunFusedGEMMAG(o); err == nil || !strings.Contains(err.Error(), "mirror") {
-		t.Errorf("RunFusedGEMMAG accepted a switch topology: err=%v", err)
+	if _, err := RunFused(o); err == nil || !strings.Contains(err.Error(), "mirror") {
+		t.Errorf("all-gather mirror accepted a switch topology: err=%v", err)
 	}
 	o.Collective = AllToAll
-	if _, err := RunFusedGEMMAllToAll(o); err == nil || !strings.Contains(err.Error(), "mirror") {
-		t.Errorf("RunFusedGEMMAllToAll accepted a switch topology: err=%v", err)
+	if _, err := RunFused(o); err == nil || !strings.Contains(err.Error(), "mirror") {
+		t.Errorf("all-to-all mirror accepted a switch topology: err=%v", err)
 	}
 }
 

@@ -61,19 +61,18 @@ func TestMetamorphicFusedBounds(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		coll Collective
-		run  func(FusedOptions) (FusedResult, error)
 	}{
-		{"rs", RingReduceScatter, RunFusedGEMMRS},
-		{"direct-rs", DirectReduceScatter, RunFusedGEMMRS},
-		{"ag", RingAllGather, RunFusedGEMMAG},
-		{"a2a", AllToAll, RunFusedGEMMAllToAll},
+		{"rs", RingReduceScatter},
+		{"direct-rs", DirectReduceScatter},
+		{"ag", RingAllGather},
+		{"a2a", AllToAll},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			o := base
 			o.Collective = tc.coll
 			o, c := checkedOpts(o)
-			res, err := tc.run(o)
+			res, err := RunFused(o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +118,7 @@ func TestMetamorphicFusedMonotoneInSize(t *testing.T) {
 		o := fusedOpts(t, 4)
 		o.Grid = g
 		o, c := checkedOpts(o)
-		res, err := RunFusedGEMMRS(o)
+		res, err := RunFused(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +152,7 @@ func TestMetamorphicFusedMonotoneInLink(t *testing.T) {
 		o := fusedOpts(t, 4)
 		o.Link.LinkBandwidth = bw
 		o, c := checkedOpts(o)
-		res, err := RunFusedGEMMRS(o)
+		res, err := RunFused(o)
 		if err != nil {
 			t.Fatal(err)
 		}

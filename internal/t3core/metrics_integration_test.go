@@ -17,7 +17,7 @@ func TestFusedRunMetricsCoverage(t *testing.T) {
 	reg.EnableTimeline()
 	o := fusedOpts(t, 4)
 	o.Metrics = reg
-	res, err := RunFusedGEMMRS(o)
+	res, err := RunFused(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFusedRunMetricsCoverage(t *testing.T) {
 // to a run that never heard of metrics (it trivially does — this pins the
 // plumbing never alters timing).
 func TestFusedRunNilSinkUnchanged(t *testing.T) {
-	plain, err := RunFusedGEMMRS(fusedOpts(t, 4))
+	plain, err := RunFused(fusedOpts(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestFusedRunNilSinkUnchanged(t *testing.T) {
 	reg.EnableTimeline()
 	o := fusedOpts(t, 4)
 	o.Metrics = reg
-	instrumented, err := RunFusedGEMMRS(o)
+	instrumented, err := RunFused(o)
 	if err != nil {
 		t.Fatal(err)
 	}

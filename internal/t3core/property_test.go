@@ -41,7 +41,7 @@ func TestPropertyFusedRSInvariants(t *testing.T) {
 			Collective:  RingReduceScatter,
 			Arbitration: ArbRoundRobin,
 		}
-		res, err := RunFusedGEMMRS(o)
+		res, err := RunFused(o)
 		if err != nil {
 			return false
 		}
@@ -100,7 +100,7 @@ func TestPropertyMirrorMatchesMultiDevice(t *testing.T) {
 			Collective:  RingReduceScatter,
 			Arbitration: ArbRoundRobin,
 		}
-		mirror, err := RunFusedGEMMRS(o)
+		mirror, err := RunFused(o)
 		if err != nil {
 			return false
 		}
@@ -134,7 +134,7 @@ func TestFusedPaperTrackerBudgetFailure(t *testing.T) {
 		Collective:  RingReduceScatter,
 		Arbitration: ArbRoundRobin,
 	}
-	if _, err := RunFusedGEMMRS(o); err == nil {
+	if _, err := RunFused(o); err == nil {
 		t.Error("expected tracker-capacity error for Mega-GPT-2 OP with the paper's budget")
 	}
 }

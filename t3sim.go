@@ -13,7 +13,7 @@
 //   - the timing layer: a deterministic discrete-event simulation of the
 //     Table 1 machine — 80-CU GPU with a staged tiled-GEMM model, 1 TB/s
 //     HBM with near-memory compute and dual-stream memory controllers, a
-//     150 GB/s ring — over which RunFusedGEMMRS executes the paper's fused
+//     150 GB/s ring — over which RunFused executes the paper's fused
 //     GEMM→reduce-scatter with the hardware tracker, triggered DMAs, and
 //     the MCA arbitration policy;
 //
@@ -33,7 +33,7 @@
 //	    Collective:  t3sim.RingReduceScatterCollective,
 //	    Arbitration: t3sim.ArbMCA,
 //	}
-//	res, err := t3sim.RunFusedGEMMRS(opts)
+//	res, err := t3sim.RunFused(opts)
 //
 // See examples/ for runnable programs and DESIGN.md for the full system
 // inventory and the per-experiment index.
@@ -279,20 +279,14 @@ func AllToAllMap(device, devices int) AddressMap {
 	return t3core.AllToAllMap(device, devices)
 }
 
-// RunFusedGEMMRS executes a fused GEMM→reduce-scatter on the timing model
-// and returns its completion times and traffic. Arbitration ArbRoundRobin is
-// the paper's T3 configuration; ArbMCA is T3-MCA.
-func RunFusedGEMMRS(o FusedOptions) (FusedResult, error) { return t3core.RunFusedGEMMRS(o) }
-
-// RunFusedGEMMAG executes a fused GEMM→ring-all-gather (§7.1): the
-// producer's shard is distributed to every device with no reductions.
-func RunFusedGEMMAG(o FusedOptions) (FusedResult, error) { return t3core.RunFusedGEMMAG(o) }
-
-// RunFusedGEMMAllToAll executes a fused GEMM→all-to-all (§7.1/§7.2, expert
-// parallelism): chunk j of the output is remote-written to device j.
-func RunFusedGEMMAllToAll(o FusedOptions) (FusedResult, error) {
-	return t3core.RunFusedGEMMAllToAll(o)
-}
+// RunFused executes a fused GEMM→collective on the single-GPU mirror
+// timing model and returns its completion times and traffic. o.Collective
+// picks the datapath: ring reduce-scatter (Arbitration ArbRoundRobin is the
+// paper's T3 configuration, ArbMCA is T3-MCA), direct reduce-scatter, ring
+// all-gather (§7.1: o.Grid is the producer's shard, distributed to every
+// device with no reductions) or all-to-all (§7.1/§7.2 expert parallelism:
+// chunk j of the output is remote-written to device j).
+func RunFused(o FusedOptions) (FusedResult, error) { return t3core.RunFused(o) }
 
 // MultiDeviceResult reports an explicit N-device fused run.
 type MultiDeviceResult = t3core.MultiDeviceResult

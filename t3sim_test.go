@@ -17,7 +17,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := t3sim.RunFusedGEMMRS(t3sim.FusedOptions{
+	res, err := t3sim.RunFused(t3sim.FusedOptions{
 		GPU:         t3sim.DefaultGPUConfig(),
 		Memory:      t3sim.DefaultMemoryConfig(),
 		Link:        t3sim.DefaultLinkConfig(),
@@ -127,13 +127,13 @@ func TestPublicAPIOtherCollectives(t *testing.T) {
 
 	ag := base
 	ag.Collective = t3sim.RingAllGatherCollective
-	if res, err := t3sim.RunFusedGEMMAG(ag); err != nil || res.Done <= 0 {
+	if res, err := t3sim.RunFused(ag); err != nil || res.Done <= 0 {
 		t.Errorf("fused AG: %v %+v", err, res)
 	}
 
 	a2a := base
 	a2a.Collective = t3sim.AllToAllCollective
-	if res, err := t3sim.RunFusedGEMMAllToAll(a2a); err != nil || res.Done <= 0 {
+	if res, err := t3sim.RunFused(a2a); err != nil || res.Done <= 0 {
 		t.Errorf("fused all-to-all: %v %+v", err, res)
 	}
 
@@ -173,7 +173,7 @@ func TestPublicAPIEventLog(t *testing.T) {
 	}
 	reg := t3sim.NewMetricsRegistry()
 	reg.EnableTimeline()
-	_, err = t3sim.RunFusedGEMMRS(t3sim.FusedOptions{
+	_, err = t3sim.RunFused(t3sim.FusedOptions{
 		GPU:         t3sim.DefaultGPUConfig(),
 		Memory:      t3sim.DefaultMemoryConfig(),
 		Link:        t3sim.DefaultLinkConfig(),
