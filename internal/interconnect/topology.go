@@ -350,11 +350,12 @@ type Topology struct {
 	*Routes
 	spec  TopoSpec
 	links []*Link
+	fwd   [][]*forward // freelists of pooled forwards, one per engine (see forward)
 }
 
 // Build instantiates the topology's links on one shared engine.
 func (s TopoSpec) Build(eng *sim.Engine) (*Topology, error) {
-	return s.build(func(e edgeSpec) (*Link, error) { return NewLink(eng, e.cfg) })
+	return s.build(1, func(e edgeSpec) (*Link, error) { return NewLink(eng, e.cfg) })
 }
 
 // BuildCluster instantiates the topology across a cluster's per-device
@@ -368,15 +369,18 @@ func (s TopoSpec) BuildCluster(cl *sim.Cluster) (*Topology, error) {
 	if n := len(cl.Engines()); n != s.Devices {
 		return nil, fmt.Errorf("interconnect: %d-device topology on %d-engine cluster", s.Devices, n)
 	}
-	return s.build(func(e edgeSpec) (*Link, error) { return NewClusterLink(cl, e.src, e.dst, e.cfg) })
+	return s.build(s.Devices, func(e edgeSpec) (*Link, error) { return NewClusterLink(cl, e.src, e.dst, e.cfg) })
 }
 
-func (s TopoSpec) build(mk func(edgeSpec) (*Link, error)) (*Topology, error) {
+// build instantiates every edge with mk. engines is how many engines the
+// devices run on — 1 shared, or one per device on a cluster — and so how
+// many forward freelists the topology keeps.
+func (s TopoSpec) build(engines int, mk func(edgeSpec) (*Link, error)) (*Topology, error) {
 	rt, err := s.Routes()
 	if err != nil {
 		return nil, err
 	}
-	t := &Topology{Routes: rt, spec: s, links: make([]*Link, len(rt.edges))}
+	t := &Topology{Routes: rt, spec: s, links: make([]*Link, len(rt.edges)), fwd: make([][]*forward, engines)}
 	for i, e := range rt.edges {
 		l, err := mk(e)
 		if err != nil {
@@ -417,7 +421,50 @@ func (t *Topology) Send(src, dst int, n units.Bytes, onDelivered sim.Handler) {
 		link.Send(n, onDelivered)
 		return
 	}
-	link.Send(n, func() { t.Send(hop, dst, n, onDelivered) })
+	link.Send(n, t.getForward(src, hop, dst, n, onDelivered).arrived)
+}
+
+// forward carries one message across an intermediate hop: delivered at
+// hop, it sends the message on toward dst.
+//
+// On one shared engine every forward shares one freelist. On a cluster the
+// two ends of a link run on different engines, so the pools are split by
+// device: a forward comes off the freelist of the device that sends it and
+// goes back onto the freelist of the hop that receives it, inside
+// onArrived. Every freelist is touched by its own device's engine only, and
+// the mailbox that carries the delivery orders the handoff.
+type forward struct {
+	t           *Topology
+	hop, dst    int
+	n           units.Bytes
+	onDelivered sim.Handler
+	arrived     sim.Handler // prebound onArrived
+}
+
+// onArrived returns the forward to the hop's freelist, then sends on.
+func (f *forward) onArrived() {
+	t, hop, dst, n, onDelivered := f.t, f.hop, f.dst, f.n, f.onDelivered
+	f.onDelivered = nil
+	p := hop % len(t.fwd)
+	t.fwd[p] = append(t.fwd[p], f)
+	t.Send(hop, dst, n, onDelivered)
+}
+
+// getForward returns a forward of n bytes via hop to dst from src's
+// freelist.
+func (t *Topology) getForward(src, hop, dst int, n units.Bytes, onDelivered sim.Handler) *forward {
+	var f *forward
+	p := src % len(t.fwd)
+	if free := t.fwd[p]; len(free) > 0 {
+		f = free[len(free)-1]
+		free[len(free)-1] = nil
+		t.fwd[p] = free[:len(free)-1]
+	} else {
+		f = &forward{t: t}
+		f.arrived = f.onArrived
+	}
+	f.hop, f.dst, f.n, f.onDelivered = hop, dst, n, onDelivered
+	return f
 }
 
 // AttachMetrics registers every link's instruments on m, named

@@ -21,15 +21,24 @@
 // comparisons across a QPS ladder meaningful (and monotone, see the property
 // tests). The simulation itself runs on one private sim.Engine.
 //
+// Work: a step that admits no prefill is a pure decode step, and the steps
+// after it repeat it exactly until a request completes, a request arrives or
+// the horizon passes. Such a run of identical steps is one calendar event,
+// priced K·DecodeStep(n); the run stops strictly before the boundary where
+// anything could change, so every result is what one event per step gives
+// (TestCollapsedMatchesStepwise). Summaries take their percentiles by
+// selection, not by sorting.
+//
 // Allocation: the arrival/admission hot path is allocation-free in steady
-// state — request records come from a freelist, the waiting queue is a
-// growable ring, the batch is compacted in place, and the arrival/step
-// handlers are prebound closures (guarded by TestSteadyStateAllocFree).
+// state — request records come from a freelist backed by 64-record slabs,
+// the waiting queue is a growable ring, the batch is compacted in place, and
+// the arrival/step handlers are prebound closures (guarded by
+// TestSteadyStateAllocFree).
 package serving
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"t3sim/internal/check"
 	"t3sim/internal/metrics"
@@ -40,7 +49,10 @@ import (
 )
 
 // CostModel prices the two step types of continuous batching. Durations must
-// be positive.
+// be positive, and both methods must be pure functions of their argument:
+// the simulator prices a run of K identical decode steps with one
+// DecodeStep call, so a model whose answer depends on how often or when it
+// is asked would be priced differently.
 type CostModel interface {
 	// Prefill returns the time to process one request's full prompt.
 	Prefill(promptTokens int) units.Time
@@ -213,15 +225,22 @@ type Sim struct {
 	cfg         Config
 	eng         *sim.Engine
 	cumW        []float64 // normalized cumulative tenant weights
+	lens        []tenantLens
 	maxPrefills int
 
 	queue     reqQueue
 	active    []*Request
 	free      []*Request
+	slab      []Request // uncarved records (see alloc)
 	completed []*Request
 
 	stepBusy bool
-	nDecode  int // decode participants of the running step
+	nDecode  int   // decode participants of the running step
+	runK     int64 // identical steps the running step event stands for
+
+	// stepwise, when set, schedules one event per step: the reference the
+	// collapsed runs are tested against. Never set outside tests.
+	stepwise bool
 
 	// Arrival generation: the next request is fully sampled into staged
 	// before its arrival event is scheduled.
@@ -248,6 +267,10 @@ type Sim struct {
 	ckBound *check.Bound
 }
 
+// tenantLens is one tenant's length ranges with their logarithms taken
+// once.
+type tenantLens struct{ prompt, output rng.LogRange }
+
 // New validates cfg and builds a simulation.
 func New(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
@@ -268,6 +291,12 @@ func New(cfg Config) (*Sim, error) {
 		s.cumW[i] = acc
 	}
 	s.cumW[len(s.cumW)-1] = 1 // close the top bucket against rounding
+	if cfg.Trace == nil {
+		s.lens = make([]tenantLens, len(cfg.Tenants))
+		for i, t := range cfg.Tenants {
+			s.lens[i] = tenantLens{rng.NewLogRange(t.PromptMin, t.PromptMax), rng.NewLogRange(t.OutputMin, t.OutputMax)}
+		}
+	}
 	s.active = make([]*Request, 0, cfg.MaxBatch)
 	s.onArrive = s.arrive
 	s.onStepEnd = s.stepEnd
@@ -335,12 +364,12 @@ func (s *Sim) scheduleNextArrival() {
 		return
 	}
 	tenant := s.pickTenant(r.Float64())
-	t := &s.cfg.Tenants[tenant]
+	l := &s.lens[tenant]
 	s.staged = Request{
 		ID:     i,
 		Tenant: tenant,
-		Prompt: r.LogIntRange(t.PromptMin, t.PromptMax),
-		Output: r.LogIntRange(t.OutputMin, t.OutputMax),
+		Prompt: r.LogInt(l.prompt),
+		Output: r.LogInt(l.output),
 		Arrive: at,
 	}
 	s.lastArrive = at
@@ -376,11 +405,13 @@ func (s *Sim) arrive() {
 }
 
 // startStep admits waiting requests FIFO up to the batch and prefill caps and
-// schedules the step's completion. No-op when there is nothing to run or the
-// horizon has passed in non-drain mode.
+// schedules the step's completion — or, when it admits nothing, the
+// completion of the whole run of identical decode steps from here (see
+// decodeRun). No-op when there is nothing to run or the horizon has passed
+// in non-drain mode.
 func (s *Sim) startStep() {
 	now := s.eng.Now()
-	if s.cfg.Trace == nil && s.cfg.NumRequests == 0 && !s.cfg.Drain && now >= s.cfg.Horizon {
+	if s.stopsAtHorizon() && now >= s.cfg.Horizon {
 		return
 	}
 	s.nDecode = len(s.active)
@@ -397,31 +428,83 @@ func (s *Sim) startStep() {
 	if len(s.active) == 0 {
 		return // idle until the next arrival
 	}
+	s.runK = 1
 	if s.nDecode > 0 {
-		cost += s.cfg.Cost.DecodeStep(s.nDecode)
+		step := s.cfg.Cost.DecodeStep(s.nDecode)
+		if admitted == 0 && !s.stepwise {
+			s.runK = s.decodeRun(now, step)
+		}
+		cost += units.Time(s.runK) * step
 	}
 	s.prefills += int64(admitted)
 	s.prefillsC.Add(int64(admitted))
-	s.steps++
-	s.stepsC.Inc()
+	s.steps += s.runK
+	s.stepsC.Add(s.runK)
 	s.ckBound.Observe(now, int64(len(s.active)))
 	s.batchMax.SetMax(int64(len(s.active)))
 	s.stepBusy = true
 	s.eng.After(cost, s.onStepEnd)
 }
 
+// stopsAtHorizon reports whether no step may start at or after Horizon:
+// the truncated open-loop mode without Drain.
+func (s *Sim) stopsAtHorizon() bool {
+	return s.cfg.Trace == nil && s.cfg.NumRequests == 0 && !s.cfg.Drain
+}
+
+// decodeRun returns K, how many identical pure decode steps of cost step,
+// starting now, one event can stand for. Every boundary inside the run is a
+// startStep that would admit nothing and retire nothing, so K is capped by:
+//   - the fewest tokens any member still owes (a completion ends the run);
+//   - a pending arrival at a: every inner boundary now+j·step (0 < j < K)
+//     falls strictly before a, so an arrival inside the run only queues,
+//     as it would at a busy step, and the run's end event, scheduled before
+//     that arrival was, keeps its same-instant order against it;
+//   - in the truncated mode, Horizon: every step of the run starts before it;
+//   - the clock: now + K·step must not overflow.
+//
+// A non-positive step (outside the CostModel contract) is never collapsed.
+func (s *Sim) decodeRun(now, step units.Time) int64 {
+	if step <= 0 {
+		return 1
+	}
+	k := int64(math.MaxInt64)
+	for _, req := range s.active {
+		k = min(k, int64(req.Output-req.tokensOut))
+	}
+	if s.nextIdx > s.arrived {
+		k = min(k, stepsBefore(s.staged.Arrive-now, step))
+	}
+	if s.stopsAtHorizon() {
+		k = min(k, stepsBefore(s.cfg.Horizon-now, step))
+	}
+	return max(1, min(k, int64(math.MaxInt64-now)/int64(step)))
+}
+
+// stepsBefore returns how many steps of cost step start strictly before d
+// from now: ceil(d/step), and 0 when d <= 0.
+func stepsBefore(d, step units.Time) int64 {
+	if d <= 0 {
+		return 0
+	}
+	return int64((d-1)/step) + 1
+}
+
 // stepEnd advances every batch member by one token — prefilled requests emit
-// their first token, decode participants their next — retires finished
-// requests in place, and starts the next step.
+// their first token, decode participants their next, or the run's K of them
+// — retires finished requests in place, and starts the next step.
 func (s *Sim) stepEnd() {
 	now := s.eng.Now()
 	s.stepBusy = false
+	k := s.runK
+	if s.nDecode > 0 {
+		s.decodeTokens += k * int64(s.nDecode)
+		s.decodeTokC.Add(k * int64(s.nDecode))
+	}
 	w := 0
 	for i, req := range s.active {
 		if i < s.nDecode {
-			req.tokensOut++
-			s.decodeTokens++
-			s.decodeTokC.Inc()
+			req.tokensOut += int(k)
 		} else {
 			req.FirstToken = now
 			req.tokensOut = 1
@@ -454,7 +537,11 @@ func (s *Sim) complete(req *Request) {
 	s.completed = append(s.completed, req)
 }
 
-// alloc takes a request record from the freelist (or the heap).
+// reqSlab is how many request records one slab allocation holds.
+const reqSlab = 64
+
+// alloc takes a request record from the freelist, or carves it from the
+// current slab.
 func (s *Sim) alloc() *Request {
 	if n := len(s.free); n > 0 {
 		r := s.free[n-1]
@@ -462,7 +549,12 @@ func (s *Sim) alloc() *Request {
 		s.free = s.free[:n-1]
 		return r
 	}
-	return &Request{}
+	if len(s.slab) == 0 {
+		s.slab = make([]Request, reqSlab)
+	}
+	r := &s.slab[0]
+	s.slab = s.slab[1:]
+	return r
 }
 
 // recycle returns completed records to the freelist and truncates the
@@ -476,8 +568,8 @@ func (s *Sim) recycle() {
 }
 
 // Latency is one population's latency summary. Times are reported with
-// nearest-rank percentiles (see stats.Percentile); TPOT quantiles cover only
-// multi-token requests.
+// nearest-rank percentiles (see stats.NearestRank); TPOT quantiles cover
+// only multi-token requests.
 type Latency struct {
 	N                          int
 	TTFTMean, TTFTp50, TTFTp99 units.Time
@@ -521,50 +613,56 @@ func (s *Sim) buildResult(end units.Time) *Result {
 	if end > 0 {
 		res.Throughput = float64(res.Completed) / end.Seconds()
 	}
-	res.Overall = summarize(s.completed, -1)
+	var sm summary
+	res.Overall = sm.summarize(s.completed, -1)
 	for i := range s.cfg.Tenants {
-		res.PerTenant[i] = summarize(s.completed, i)
+		res.PerTenant[i] = sm.summarize(s.completed, i)
 	}
 	return res
 }
 
+// summary holds the sample buffers of one result's latency summaries,
+// reused across the overall and per-tenant populations.
+type summary struct{ ttft, tpot, e2e []units.Time }
+
 // summarize computes the latency summary of completed requests belonging to
 // tenant (or all of them when tenant < 0).
-func summarize(completed []*Request, tenant int) Latency {
-	var ttft, tpot, e2e []float64
+func (sm *summary) summarize(completed []*Request, tenant int) Latency {
+	ttft, tpot, e2e := sm.ttft[:0], sm.tpot[:0], sm.e2e[:0]
 	var ttftSum units.Time
 	for _, r := range completed {
 		if tenant >= 0 && r.Tenant != tenant {
 			continue
 		}
-		ttft = append(ttft, float64(r.TTFT()))
+		ttft = append(ttft, r.TTFT())
 		ttftSum += r.TTFT()
-		e2e = append(e2e, float64(r.E2E()))
+		e2e = append(e2e, r.E2E())
 		if t, ok := r.TPOT(); ok {
-			tpot = append(tpot, float64(t))
+			tpot = append(tpot, t)
 		}
 	}
+	sm.ttft, sm.tpot, sm.e2e = ttft, tpot, e2e
 	l := Latency{N: len(ttft)}
 	if l.N == 0 {
 		return l
 	}
 	l.TTFTMean = ttftSum / units.Time(l.N)
-	sort.Float64s(ttft)
-	sort.Float64s(e2e)
-	sort.Float64s(tpot)
-	l.TTFTp50, l.TTFTp99 = pctTimes(ttft)
-	l.E2Ep50, l.E2Ep99 = pctTimes(e2e)
+	l.TTFTp50, l.TTFTp99 = p50p99(ttft)
+	l.E2Ep50, l.E2Ep99 = p50p99(e2e)
 	if len(tpot) > 0 {
-		l.TPOTp50, l.TPOTp99 = pctTimes(tpot)
+		l.TPOTp50, l.TPOTp99 = p50p99(tpot)
 	}
 	return l
 }
 
-// pctTimes returns the nearest-rank p50 and p99 of a sorted sample as times.
-func pctTimes(sorted []float64) (p50, p99 units.Time) {
-	a, _ := stats.PercentileSorted(sorted, 50)
-	b, _ := stats.PercentileSorted(sorted, 99)
-	return units.Time(a), units.Time(b)
+// p50p99 returns the nearest-rank p50 and p99 of a non-empty sample,
+// reordering it: p99 is selected first, which leaves every smaller rank in
+// the prefix p50 is then selected from.
+func p50p99(xs []units.Time) (p50, p99 units.Time) {
+	k99 := stats.NearestRank(len(xs), 99) - 1
+	p99 = stats.Select(xs, k99)
+	p50 = stats.Select(xs[:k99+1], stats.NearestRank(len(xs), 50)-1)
+	return p50, p99
 }
 
 func maxInt(a, b int) int {

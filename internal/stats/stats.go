@@ -1,9 +1,10 @@
 // Package stats provides the small set of summary statistics used when
 // reporting experiment results: geometric means (the paper reports geomean
-// speedups), relative errors, and min/max helpers.
+// speedups), relative errors, nearest-rank percentiles, and min/max helpers.
 package stats
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"sort"
@@ -103,6 +104,14 @@ func PercentileSorted(sorted []float64, p float64) (float64, error) {
 	if p < 0 || p > 100 || math.IsNaN(p) {
 		return 0, errors.New("stats: percentile out of [0,100]")
 	}
+	return sorted[NearestRank(n, p)-1], nil
+}
+
+// NearestRank returns the 1-based rank of the p-th percentile (0 <= p <=
+// 100) of n > 0 samples under the nearest-rank rule: ceil(p/100 * n),
+// clamped to [1, n]. It is the one place the percentile rule lives;
+// PercentileSorted and selection-based callers both index by it.
+func NearestRank(n int, p float64) int {
 	rank := int(math.Ceil(p / 100 * float64(n)))
 	if rank < 1 {
 		rank = 1
@@ -110,7 +119,52 @@ func PercentileSorted(sorted []float64, p float64) (float64, error) {
 	if rank > n {
 		rank = n
 	}
-	return sorted[rank-1], nil
+	return rank
+}
+
+// Select returns the k-th smallest element of xs (0-based) by in-place
+// quickselect, and leaves xs partitioned around it: every element before
+// index k is at most the result and every element after it at least. So a
+// smaller rank can then be selected from xs[:k+1] alone. Expected time is
+// linear; runs of equal values partition in one pass. xs must hold no NaN,
+// and k must index xs.
+func Select[T cmp.Ordered](xs []T, k int) T {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		// Median-of-three pivot, then a three-way partition of xs[lo..hi]:
+		// [lo, lt) < p, [lt, gt] == p, (gt, hi] > p.
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
+		if a > b {
+			a, b = b, a
+		}
+		if b > c {
+			b = c
+		}
+		p := max(a, b)
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch x := xs[i]; {
+			case x < p:
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case x > p:
+				xs[i], xs[gt] = xs[gt], x
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return p
+		}
+	}
+	return xs[k]
 }
 
 // RelError returns |got-want| / |want|. It is used to validate the

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -147,5 +149,71 @@ func TestSpeedup(t *testing.T) {
 	}
 	if s := Speedup(1, 0); !math.IsInf(s, 1) {
 		t.Errorf("Speedup(1,0) = %v, want +Inf", s)
+	}
+}
+
+// TestSelectNearestRankMatchesSort is the property the serving summaries
+// rely on: selecting p99 by NearestRank, then p50 from the prefix p99's
+// selection leaves, gives exactly PercentileSorted's p50 and p99 — on
+// samples of every size 1..300, with runs of duplicates.
+func TestSelectNearestRankMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 11))
+	for n := 1; n <= 300; n++ {
+		for trial := 0; trial < 8; trial++ {
+			distinct := 1 + r.IntN(n) // few distinct values force duplicates
+			xs := make([]int64, n)
+			fs := make([]float64, n)
+			for i := range xs {
+				xs[i] = r.Int64N(int64(distinct)) * 1000
+				fs[i] = float64(xs[i])
+			}
+			sort.Float64s(fs)
+			want50, _ := PercentileSorted(fs, 50)
+			want99, _ := PercentileSorted(fs, 99)
+			k99 := NearestRank(n, 99) - 1
+			got99 := Select(xs, k99)
+			got50 := Select(xs[:k99+1], NearestRank(n, 50)-1)
+			if float64(got50) != want50 || float64(got99) != want99 {
+				t.Fatalf("n=%d trial %d: p50/p99 = %d/%d by selection, %v/%v by sort",
+					n, trial, got50, got99, want50, want99)
+			}
+		}
+	}
+}
+
+// TestSelectEveryRank checks Select against a sorted copy at every rank and
+// the partition it leaves behind.
+func TestSelectEveryRank(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 5))
+	for _, n := range []int{1, 2, 3, 7, 64, 257} {
+		base := make([]float64, n)
+		for i := range base {
+			base[i] = float64(r.IntN(n/2 + 1))
+		}
+		sorted := append([]float64(nil), base...)
+		sort.Float64s(sorted)
+		for k := 0; k < n; k++ {
+			xs := append([]float64(nil), base...)
+			if got := Select(xs, k); got != sorted[k] {
+				t.Fatalf("n=%d: Select(k=%d) = %v, want %v", n, k, got, sorted[k])
+			}
+			for i, x := range xs {
+				if (i < k && x > sorted[k]) || (i > k && x < sorted[k]) {
+					t.Fatalf("n=%d k=%d: xs[%d] = %v on the wrong side of %v", n, k, i, x, sorted[k])
+				}
+			}
+		}
+	}
+}
+
+func TestNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		p    float64
+		want int
+	}{{1, 50, 1}, {1, 99, 1}, {2, 50, 1}, {2, 99, 2}, {100, 99, 99}, {101, 99, 100}, {200, 50, 100}, {10, 0, 1}, {10, 100, 10}} {
+		if got := NearestRank(tc.n, tc.p); got != tc.want {
+			t.Errorf("NearestRank(%d, %v) = %d, want %d", tc.n, tc.p, got, tc.want)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"t3sim/internal/check"
 	"t3sim/internal/gemm"
 )
 
@@ -38,17 +39,13 @@ func pinLine(res FusedResult, err error) string {
 	return b.String()
 }
 
-// TestFusedResultPins pins the exact result of the mirror runner for every
-// collective it runs — ring and direct reduce-scatter, all-gather and
-// all-to-all — across device counts, arbitration policies, DMA block sizes
-// and split-K. The catalogue's goldens only reach ring reduce-scatter, so
-// this table is what holds the other three datapaths byte-for-byte. The grid
-// (9×11 workgroups) leaves uneven phases at 8 devices and under split-K.
-func TestFusedResultPins(t *testing.T) {
-	if n := reflect.TypeOf(FusedResult{}).NumField(); n != 9 {
-		t.Fatalf("FusedResult has %d fields; render the new ones in pinLine", n)
-	}
-	var b strings.Builder
+// pinConfigs calls fn with the label and options of every configuration
+// TestFusedResultPins pins: every collective the mirror runner runs — ring
+// and direct reduce-scatter, all-gather and all-to-all — across device
+// counts, arbitration policies, DMA block sizes and split-K. The grid (9×11
+// workgroups) leaves uneven phases at 8 devices and under split-K.
+func pinConfigs(t *testing.T, fn func(label string, o FusedOptions)) {
+	t.Helper()
 	for _, coll := range []Collective{RingReduceScatter, DirectReduceScatter, RingAllGather, AllToAll} {
 		splitKs := []int{1}
 		if coll == RingReduceScatter || coll == DirectReduceScatter {
@@ -74,14 +71,27 @@ func TestFusedResultPins(t *testing.T) {
 						o.Arbitration = arb.arb
 						o.FixedMCAThreshold = arb.th
 						o.DMATilesPerBlock = dma
-						res, err := RunFused(o)
-						fmt.Fprintf(&b, "%s n=%d %s dma=%d splitk=%d: %s\n",
-							coll, n, arb.name, dma, sk, pinLine(res, err))
+						fn(fmt.Sprintf("%s n=%d %s dma=%d splitk=%d", coll, n, arb.name, dma, sk), o)
 					}
 				}
 			}
 		}
 	}
+}
+
+// TestFusedResultPins pins the exact result of the mirror runner for every
+// configuration of pinConfigs. The catalogue's goldens only reach ring
+// reduce-scatter at SplitK=1, so this table is what holds the other
+// datapaths byte-for-byte.
+func TestFusedResultPins(t *testing.T) {
+	if n := reflect.TypeOf(FusedResult{}).NumField(); n != 9 {
+		t.Fatalf("FusedResult has %d fields; render the new ones in pinLine", n)
+	}
+	var b strings.Builder
+	pinConfigs(t, func(label string, o FusedOptions) {
+		res, err := RunFused(o)
+		fmt.Fprintf(&b, "%s: %s\n", label, pinLine(res, err))
+	})
 	path := filepath.Join("testdata", "fused_pins.txt")
 	if *updateFusedPins {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -106,4 +116,35 @@ func TestFusedResultPins(t *testing.T) {
 			t.Errorf("line %d:\n got %s\nwant %s", i+1, got[i], wantLines[i])
 		}
 	}
+}
+
+// TestFusedPinConfigsCheckClean runs every pinned configuration under the
+// invariant checker and requires no violation: the tracker drains to zero
+// live entries, fires once per tracked tile and stays in budget, and the
+// spans nest — split-K included, where each phase's tiles must be
+// programmed with the updates they actually receive.
+func TestFusedPinConfigsCheckClean(t *testing.T) {
+	clean := func(label string, o FusedOptions) {
+		ck := check.New()
+		o.Check = ck
+		if _, err := RunFused(o); err != nil {
+			t.Errorf("%s: %v", label, err)
+			return
+		}
+		for _, v := range ck.Violations() {
+			t.Errorf("%s: %v", label, v)
+		}
+	}
+	pinConfigs(t, clean)
+	// Deeper split-K than the pins reach, with a 64-way tracker.
+	til := gemm.DefaultTiling()
+	til.SplitK = 4
+	g, err := gemm.NewGrid(gemm.Shape{M: 1152, N: 1408, K: 512, ElemBytes: 2}, til)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := fusedOpts(t, 4)
+	o.Grid = g
+	o.Tracker.Ways = 64
+	clean("ring-reduce-scatter n=4 rr ways=64 splitk=4", o)
 }

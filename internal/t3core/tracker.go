@@ -60,6 +60,10 @@ type Program struct {
 	// it for ragged boundary tiles, whose sizes it already computes when
 	// filling the DMA command table (§4.2.2).
 	TileBytes func(t TileID) units.Bytes
+	// Updates, if non-nil, overrides UpdatesPerElement per tile, for a
+	// launch whose phases see different update counts (split-K ring
+	// reduce-scatter, §7.7). It must return a positive count.
+	Updates func(t TileID) int
 	// OnReady fires exactly once per tile, when its expected bytes have all
 	// been observed at the memory controller.
 	OnReady func(t TileID)
@@ -82,7 +86,11 @@ func (p Program) threshold(id TileID) units.Bytes {
 	if p.TileBytes != nil {
 		size = p.TileBytes(id)
 	}
-	return size * units.Bytes(p.UpdatesPerElement)
+	updates := p.UpdatesPerElement
+	if p.Updates != nil {
+		updates = p.Updates(id)
+	}
+	return size * units.Bytes(updates)
 }
 
 // entry is one live tracker row.
