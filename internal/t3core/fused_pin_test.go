@@ -3,7 +3,6 @@ package t3core
 import (
 	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -14,7 +13,7 @@ import (
 )
 
 var updateFusedPins = flag.Bool("update-fused-pins", false,
-	"rewrite testdata/fused_pins.txt from the current mirror runner")
+	"rewrite testdata/fused_pins.txt and testdata/multi_pins.txt from the current runners")
 
 // pinLine renders every field of a mirror result (or its error) as one line
 // of exact integers.
@@ -26,12 +25,7 @@ func pinLine(res FusedResult, err error) string {
 	fmt.Fprintf(&b, "gemm=%d coll=%d done=%d link=%d live=%d dma=%d mca=%d dram=",
 		int64(res.GEMMDone), int64(res.CollectiveDone), int64(res.Done),
 		int64(res.LinkBytes), res.TrackerMaxLive, res.DMATriggered, res.MCAThreshold)
-	for k := 0; k < 3; k++ {
-		for s := 0; s < 2; s++ {
-			fmt.Fprintf(&b, "%d/%d/%d;", int64(res.DRAM.Bytes[k][s]),
-				res.DRAM.Requests[k][s], int64(res.DRAM.WaitTime[k][s]))
-		}
-	}
+	dramPins(&b, res.DRAM)
 	b.WriteString(" reads=")
 	for _, r := range res.StageReads {
 		fmt.Fprintf(&b, "%d,", int64(r))
@@ -92,30 +86,7 @@ func TestFusedResultPins(t *testing.T) {
 		res, err := RunFused(o)
 		fmt.Fprintf(&b, "%s: %s\n", label, pinLine(res, err))
 	})
-	path := filepath.Join("testdata", "fused_pins.txt")
-	if *updateFusedPins {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := strings.Split(b.String(), "\n")
-	wantLines := strings.Split(string(want), "\n")
-	if len(got) != len(wantLines) {
-		t.Fatalf("%d pinned lines, want %d", len(got), len(wantLines))
-	}
-	for i := range got {
-		if got[i] != wantLines[i] {
-			t.Errorf("line %d:\n got %s\nwant %s", i+1, got[i], wantLines[i])
-		}
-	}
+	comparePins(t, filepath.Join("testdata", "fused_pins.txt"), b.String())
 }
 
 // TestFusedPinConfigsCheckClean runs every pinned configuration under the
