@@ -266,7 +266,7 @@ func (r *graphRun) send(rd int, op sendOp, block units.Bytes) {
 	}
 	mem := r.o.Devices[op.src].Mem
 	for i := 0; i < op.srcReads; i++ {
-		mem.TransferTo(memory.Read, r.o.Stream, block, memory.Tag{}, b)
+		mem.Transfer(memory.Read, r.o.Stream, block, memory.Tag{}, b)
 	}
 }
 
@@ -303,7 +303,7 @@ func (b *sendBlock) onDelivered() {
 	if b.op.reduce && r.o.NMC {
 		kind = memory.Update
 	}
-	r.o.Devices[b.op.dst].Mem.TransferTo(kind, r.o.Stream, b.block, memory.Tag{}, b)
+	r.o.Devices[b.op.dst].Mem.Transfer(kind, r.o.Stream, b.block, memory.Tag{}, b)
 }
 
 // onStaged runs when the block has landed in the destination's memory. The
@@ -352,8 +352,8 @@ func (r *graphRun) fold(d, rd int, block units.Bytes) {
 	}
 	f.d, f.rd, f.block, f.left = d, rd, block, 2
 	mem := r.o.Devices[d].Mem
-	mem.TransferTo(memory.Read, r.o.Stream, block, memory.Tag{}, f)
-	mem.TransferTo(memory.Read, r.o.Stream, block, memory.Tag{}, f)
+	mem.Transfer(memory.Read, r.o.Stream, block, memory.Tag{}, f)
+	mem.Transfer(memory.Read, r.o.Stream, block, memory.Tag{}, f)
 }
 
 // Complete implements memory.Completion: one of the two reads, or the write.
@@ -371,7 +371,7 @@ func (f *foldBlock) Complete(memory.Tag) {
 }
 
 func (f *foldBlock) onWrite() {
-	f.r.o.Devices[f.d].Mem.TransferTo(memory.Write, f.r.o.Stream, f.block, memory.Tag{}, f)
+	f.r.o.Devices[f.d].Mem.Transfer(memory.Write, f.r.o.Stream, f.block, memory.Tag{}, f)
 }
 
 // credit marks one round-rd block landed at device d. A block the schedule

@@ -184,7 +184,7 @@ func (l *layerSim) elementwise(bytes units.Bytes) func() (units.Time, error) {
 			return 0, err
 		}
 		var done units.Time
-		mc.Transfer(memory.Read, memory.StreamCompute, bytes, memory.Tag{}, func() { done = eng.Now() })
+		mc.Transfer(memory.Read, memory.StreamCompute, bytes, memory.Tag{}, memory.CompletionFunc(func(memory.Tag) { done = eng.Now() }))
 		eng.Run()
 		return done, nil
 	}

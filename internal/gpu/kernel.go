@@ -262,7 +262,7 @@ func (k *GEMMKernel) issueReads(s int, onDone sim.Handler) {
 	floor := cuRate.TransferTime(bytes)
 	fence := sim.NewFence(2, onDone)
 	k.Eng.After(floor, fence.Done)
-	k.Mem.Transfer(memory.Read, memory.StreamCompute, bytes, memory.Tag{}, fence.Done)
+	k.Mem.Transfer(memory.Read, memory.StreamCompute, bytes, memory.Tag{}, memory.CompletionFunc(func(memory.Tag) { fence.Done() }))
 }
 
 func (k *GEMMKernel) writeStage(s, wgs int) {
@@ -271,7 +271,8 @@ func (k *GEMMKernel) writeStage(s, wgs int) {
 		k.WriteStage(s, wgs, bytes, k.doneFence.Done)
 		return
 	}
-	k.Mem.Transfer(memory.Write, memory.StreamCompute, bytes, memory.Tag{}, k.doneFence.Done)
+	done := k.doneFence
+	k.Mem.Transfer(memory.Write, memory.StreamCompute, bytes, memory.Tag{}, memory.CompletionFunc(func(memory.Tag) { done.Done() }))
 }
 
 // proportionalShare splits total across weighted parts with the remainder

@@ -66,7 +66,7 @@ func TestBankedStreamingNearPeak(t *testing.T) {
 	}
 	total := 4 * units.MiB
 	var done units.Time
-	c.Transfer(Read, StreamCompute, total, Tag{}, func() { done = eng.Now() })
+	c.Transfer(Read, StreamCompute, total, Tag{}, CompletionFunc(func(Tag) { done = eng.Now() }))
 	eng.Run()
 	ideal := DefaultBankConfig().PeakBandwidth().TransferTime(total)
 	ratio := float64(done) / float64(ideal)
@@ -87,7 +87,7 @@ func TestBankedUpdatesCheaperThanFlat2x(t *testing.T) {
 			t.Fatal(err)
 		}
 		var done units.Time
-		c.Transfer(kind, StreamCompute, 4*units.MiB, Tag{}, func() { done = eng.Now() })
+		c.Transfer(kind, StreamCompute, 4*units.MiB, Tag{}, CompletionFunc(func(Tag) { done = eng.Now() }))
 		eng.Run()
 		return done
 	}
@@ -114,7 +114,7 @@ func TestBankedRowMissesCostSomething(t *testing.T) {
 			t.Fatal(err)
 		}
 		var done units.Time
-		c.Transfer(Read, StreamCompute, 256*units.KiB, Tag{}, func() { done = eng.Now() })
+		c.Transfer(Read, StreamCompute, 256*units.KiB, Tag{}, CompletionFunc(func(Tag) { done = eng.Now() }))
 		eng.Run()
 		return done
 	}
@@ -137,7 +137,7 @@ func TestBankedFlatAgreeOnStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doneF units.Time
-	cF.Transfer(Read, StreamCompute, 4*units.MiB, Tag{}, func() { doneF = engF.Now() })
+	cF.Transfer(Read, StreamCompute, 4*units.MiB, Tag{}, CompletionFunc(func(Tag) { doneF = engF.Now() }))
 	engF.Run()
 
 	engB := sim.NewEngine()
@@ -146,7 +146,7 @@ func TestBankedFlatAgreeOnStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doneB units.Time
-	cB.Transfer(Read, StreamCompute, 4*units.MiB, Tag{}, func() { doneB = engB.Now() })
+	cB.Transfer(Read, StreamCompute, 4*units.MiB, Tag{}, CompletionFunc(func(Tag) { doneB = engB.Now() }))
 	engB.Run()
 
 	ratio := float64(doneB) / float64(doneF)

@@ -62,10 +62,10 @@ func TestTransferSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestTransferToSteadyStateAllocFree pins the same property for the
-// Completion-receiver path the fused runners use, including the deferred
-// read-latency completion.
-func TestTransferToSteadyStateAllocFree(t *testing.T) {
+// TestTransferCompletionSteadyStateAllocFree pins the same property for a
+// pooled Completion receiver, the path the fused runner uses, including the
+// deferred read-latency completion.
+func TestTransferCompletionSteadyStateAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.Channels = 2
@@ -79,12 +79,12 @@ func TestTransferToSteadyStateAllocFree(t *testing.T) {
 	}
 	done := &countCompletion{}
 	burst := func() {
-		c.TransferTo(Read, StreamComm, 8*units.KiB, Tag{WG: 7, WF: 3}, done)
+		c.Transfer(Read, StreamComm, 8*units.KiB, Tag{WG: 7, WF: 3}, done)
 		eng.Run()
 	}
 	burst()
 	if avg := testing.AllocsPerRun(50, burst); avg != 0 {
-		t.Fatalf("steady-state TransferTo burst allocates %.1f objects, want 0", avg)
+		t.Fatalf("steady-state completion burst allocates %.1f objects, want 0", avg)
 	}
 	if done.n != 52 {
 		t.Fatalf("completions = %d, want 52", done.n)

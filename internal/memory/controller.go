@@ -188,42 +188,22 @@ func (c *Controller) Counters() *Counters { return &c.counters }
 func (c *Controller) Arbiter() Arbiter { return c.arbiter }
 
 // Transfer splits a transfer of total bytes into granularity-sized requests
-// striped across channels and runs onDone when every request has completed.
-// The tag is attached to each request. onDone may be nil.
-func (c *Controller) Transfer(kind AccessKind, stream Stream, total units.Bytes, tag Tag, onDone func()) {
-	if total <= 0 {
-		if onDone != nil {
-			onDone()
-		}
-		return
-	}
-	c.transfer(kind, stream, total, tag, nil, onDone)
-}
-
-// TransferTo is Transfer with a Completion receiver instead of a func()
-// callback: cb.Complete(tag) runs when the whole transfer has finished.
-// Callers on the hot path use it with a pooled or long-lived receiver so
-// that issuing a transfer allocates nothing. cb may be nil.
-func (c *Controller) TransferTo(kind AccessKind, stream Stream, total units.Bytes, tag Tag, cb Completion) {
+// striped across channels and runs cb.Complete(tag) when every request has
+// completed. The tag is attached to each request. Callers on the hot path
+// pass a pooled or long-lived receiver, so issuing a transfer allocates
+// nothing; a closure goes through CompletionFunc. cb may be nil.
+func (c *Controller) Transfer(kind AccessKind, stream Stream, total units.Bytes, tag Tag, cb Completion) {
 	if total <= 0 {
 		if cb != nil {
 			cb.Complete(tag)
 		}
 		return
 	}
-	c.transfer(kind, stream, total, tag, cb, nil)
-}
-
-// transfer stripes the granularity-sized requests of one transfer across
-// the channels, enqueueing and arbitrating each in turn. total must be
-// positive; exactly one of cb/fn is the completion (both may be nil for
-// fire-and-forget traffic).
-func (c *Controller) transfer(kind AccessKind, stream Stream, total units.Bytes, tag Tag, cb Completion, fn func()) {
 	g := c.cfg.RequestGranularity
 	n := int(units.CeilDiv(int64(total), int64(g)))
 	x := c.getXfer(n)
 	x.kind, x.stream, x.tag, x.start = kind, stream, tag, c.eng.Now()
-	x.cb, x.fn = cb, fn
+	x.cb = cb
 	remaining := total
 	for i := 0; i < n; i++ {
 		sz := min(g, remaining)

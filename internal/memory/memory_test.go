@@ -62,7 +62,7 @@ func TestTransferBandwidthAsymptote(t *testing.T) {
 	eng, c := newTestController(t, testConfig(), ComputeFirst{})
 	total := 4 * units.MiB
 	var done units.Time
-	c.Transfer(Read, StreamCompute, total, Tag{}, func() { done = eng.Now() })
+	c.Transfer(Read, StreamCompute, total, Tag{}, CompletionFunc(func(Tag) { done = eng.Now() }))
 	eng.Run()
 	want := (4 * units.GBps).TransferTime(total)
 	if done < want || done > want+want/100 {
@@ -77,12 +77,12 @@ func TestUpdateFactorSlowsService(t *testing.T) {
 	cfg := testConfig()
 	engW, cW := newTestController(t, cfg, ComputeFirst{})
 	var doneW units.Time
-	cW.Transfer(Write, StreamCompute, 1*units.MiB, Tag{}, func() { doneW = engW.Now() })
+	cW.Transfer(Write, StreamCompute, 1*units.MiB, Tag{}, CompletionFunc(func(Tag) { doneW = engW.Now() }))
 	engW.Run()
 
 	engU, cU := newTestController(t, cfg, ComputeFirst{})
 	var doneU units.Time
-	cU.Transfer(Update, StreamCompute, 1*units.MiB, Tag{}, func() { doneU = engU.Now() })
+	cU.Transfer(Update, StreamCompute, 1*units.MiB, Tag{}, CompletionFunc(func(Tag) { doneU = engU.Now() }))
 	engU.Run()
 
 	ratio := float64(doneU) / float64(doneW)
@@ -96,7 +96,7 @@ func TestReadLatencyAddsToCompletion(t *testing.T) {
 	cfg.ReadLatency = 100 * units.Nanosecond
 	eng, c := newTestController(t, cfg, ComputeFirst{})
 	var done units.Time
-	c.Transfer(Read, StreamCompute, 1024, Tag{}, func() { done = eng.Now() })
+	c.Transfer(Read, StreamCompute, 1024, Tag{}, CompletionFunc(func(Tag) { done = eng.Now() }))
 	eng.Run()
 	// 1024 B at 1 B/ns service = 1024 ns + 100 ns latency (+1 for ceil).
 	want := units.Time(1024+100) * units.Nanosecond
@@ -116,14 +116,14 @@ func TestComputeFirstPriority(t *testing.T) {
 
 	var order []string
 	for i := 0; i < 8; i++ {
-		c.Transfer(Read, StreamComm, 1024, Tag{}, func() { order = append(order, "comm") })
+		c.Transfer(Read, StreamComm, 1024, Tag{}, CompletionFunc(func(Tag) { order = append(order, "comm") }))
 	}
 	var computeDone int
 	eng.After(1, func() {
-		c.Transfer(Read, StreamCompute, 1024, Tag{}, func() {
+		c.Transfer(Read, StreamCompute, 1024, Tag{}, CompletionFunc(func(Tag) {
 			order = append(order, "compute")
 			computeDone = len(order)
-		})
+		}))
 	})
 	eng.Run()
 	// QueueDepth 2 comm requests were already issued before compute arrived;
@@ -140,7 +140,7 @@ func TestRoundRobinAlternates(t *testing.T) {
 	eng, c := newTestController(t, cfg, &RoundRobin{})
 	var order []Stream
 	submit := func(s Stream) {
-		c.Transfer(Read, s, 1024, Tag{}, func() { order = append(order, s) })
+		c.Transfer(Read, s, 1024, Tag{}, CompletionFunc(func(Tag) { order = append(order, s) }))
 	}
 	for i := 0; i < 3; i++ {
 		submit(StreamCompute)
@@ -242,9 +242,9 @@ func TestMCAStarvationBound(t *testing.T) {
 	mca.SetIntensity(0.9)
 	eng, c := newTestController(t, cfg, mca)
 	// Feed compute continuously: each completion enqueues another.
-	var feed func()
+	var feed CompletionFunc
 	remaining := 200
-	feed = func() {
+	feed = func(Tag) {
 		if remaining == 0 {
 			return
 		}
@@ -252,7 +252,7 @@ func TestMCAStarvationBound(t *testing.T) {
 		c.Transfer(Read, StreamCompute, 1024, Tag{}, feed)
 	}
 	for i := 0; i < 8; i++ {
-		feed()
+		feed(Tag{})
 	}
 	c.Transfer(Write, StreamComm, 1024, Tag{}, nil)
 	eng.Run()
@@ -364,7 +364,7 @@ func TestCounters(t *testing.T) {
 func TestTransferZeroBytesCompletesImmediately(t *testing.T) {
 	_, c := newTestController(t, testConfig(), ComputeFirst{})
 	ran := false
-	c.Transfer(Read, StreamCompute, 0, Tag{}, func() { ran = true })
+	c.Transfer(Read, StreamCompute, 0, Tag{}, CompletionFunc(func(Tag) { ran = true }))
 	if !ran {
 		t.Error("zero-byte transfer should complete synchronously")
 	}

@@ -3,15 +3,20 @@ package memory
 import "t3sim/internal/units"
 
 // Completion receives a transfer's completion together with the transfer's
-// tag. It is the allocation-free alternative to Transfer's func() callback:
-// a caller that serves many transfers implements Complete once on a pooled
-// or long-lived receiver and recovers per-transfer context from the tag,
-// instead of capturing it in a fresh closure per call. The fused runners —
-// the mirror runners and the explicit multi-device runner alike — issue
-// their per-tile traffic this way.
+// tag. A caller that serves many transfers implements Complete once on a
+// pooled or long-lived receiver and recovers per-transfer context from the
+// tag, instead of capturing it in a fresh closure per call; the fused
+// runner issues its per-tile traffic this way.
 type Completion interface {
 	Complete(tag Tag)
 }
+
+// CompletionFunc adapts an ordinary function to a Completion, for callers
+// off the hot path that complete a transfer with a closure.
+type CompletionFunc func(tag Tag)
+
+// Complete calls f(tag).
+func (f CompletionFunc) Complete(tag Tag) { f(tag) }
 
 // xfer is the pooled per-Transfer state. It holds everything the requests of
 // one transfer share — kind, stream, tag and the time they were enqueued —
@@ -28,7 +33,6 @@ type xfer struct {
 	tag    Tag
 	start  units.Time // enqueue time: wait statistics and the metrics span
 	cb     Completion
-	fn     func()
 }
 
 // finish runs when the transfer's last request completes. It records the
@@ -40,12 +44,10 @@ func (x *xfer) finish() {
 	if c.mtrack != nil {
 		c.mtrack.Span(transferSpanName[x.kind][x.stream], x.start, c.eng.Now())
 	}
-	cb, fn, tag := x.cb, x.fn, x.tag
-	x.cb, x.fn = nil, nil
+	cb, tag := x.cb, x.tag
+	x.cb = nil
 	if cb != nil {
 		cb.Complete(tag)
-	} else if fn != nil {
-		fn()
 	}
 	c.xfFree = append(c.xfFree, x)
 }

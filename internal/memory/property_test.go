@@ -33,7 +33,7 @@ func TestPropertyByteConservation(t *testing.T) {
 			stream := Stream(rng.Intn(2))
 			size := units.Bytes(rng.Intn(64*1024) + 1)
 			want += size
-			c.Transfer(kind, stream, size, Tag{}, func() { completions++ })
+			c.Transfer(kind, stream, size, Tag{}, CompletionFunc(func(Tag) { completions++ }))
 		}
 		eng.Run()
 		return completions == nOps && c.Counters().TotalBytes() == want
@@ -89,10 +89,10 @@ func TestPropertyMCANeverStallsForever(t *testing.T) {
 		}
 		done := 0
 		for i := 0; i < 50; i++ {
-			c.Transfer(Write, StreamComm, 2048, Tag{}, func() { done++ })
+			c.Transfer(Write, StreamComm, 2048, Tag{}, CompletionFunc(func(Tag) { done++ }))
 		}
 		for i := 0; i < 50; i++ {
-			c.Transfer(Read, StreamCompute, 2048, Tag{}, func() { done++ })
+			c.Transfer(Read, StreamCompute, 2048, Tag{}, CompletionFunc(func(Tag) { done++ }))
 		}
 		eng.Run()
 		if done != 100 {
@@ -116,7 +116,7 @@ func TestPropertyServiceOrderWithinStream(t *testing.T) {
 		var order []int
 		for i := 0; i < 20; i++ {
 			i := i
-			c.Transfer(Write, StreamCompute, 512, Tag{}, func() { order = append(order, i) })
+			c.Transfer(Write, StreamCompute, 512, Tag{}, CompletionFunc(func(Tag) { order = append(order, i) }))
 		}
 		eng.Run()
 		for i := 1; i < len(order); i++ {
@@ -206,16 +206,16 @@ func runCompletions(t *testing.T, cfg Config, arb Arbiter, specs []xferSpec, who
 		tag := Tag{WG: i}
 		eng.At(sp.issue, func() {
 			if whole {
-				c.Transfer(sp.kind, sp.stream, sp.bytes, tag, done)
+				c.Transfer(sp.kind, sp.stream, sp.bytes, tag, CompletionFunc(func(Tag) { done() }))
 				return
 			}
 			left := c.RequestsFor(sp.bytes)
 			for rem := sp.bytes; rem > 0; rem -= cfg.RequestGranularity {
-				c.Transfer(sp.kind, sp.stream, min(rem, cfg.RequestGranularity), tag, func() {
+				c.Transfer(sp.kind, sp.stream, min(rem, cfg.RequestGranularity), tag, CompletionFunc(func(Tag) {
 					if left--; left == 0 {
 						done()
 					}
-				})
+				}))
 			}
 		})
 	}
@@ -306,7 +306,7 @@ func TestTransferEventCount(t *testing.T) {
 					t.Fatal(err)
 				}
 				fired := 0
-				c.Transfer(kind, StreamCompute, tc.total, Tag{}, func() { fired++ })
+				c.Transfer(kind, StreamCompute, tc.total, Tag{}, CompletionFunc(func(Tag) { fired++ }))
 				eng.Run()
 				want := tc.runs + tc.tails
 				if kind == Read && lat > 0 {

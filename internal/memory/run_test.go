@@ -111,10 +111,10 @@ func (d *runReplay) act(r *rand.Rand) {
 		default:
 			size = units.Bytes(1 + r.Intn(int(g)-1))
 		}
-		c.Transfer(AccessKind(r.Intn(3)), Stream(r.Intn(2)), size, Tag{WG: id}, func() {
+		c.Transfer(AccessKind(r.Intn(3)), Stream(r.Intn(2)), size, Tag{WG: id}, CompletionFunc(func(Tag) {
 			d.log = append(d.log, runEntry{d.eng.Now(), 'c', ci, id})
 			d.children(id)
-		})
+		}))
 	case op < 16:
 		d.eng.At(d.eng.Now()+units.Time(r.Intn(5))*d.grid, func() {
 			d.log = append(d.log, runEntry{d.eng.Now(), 'f', ci, id})
