@@ -467,6 +467,9 @@ func (t *Topology) getForward(src, hop, dst int, n units.Bytes, onDelivered sim.
 	return f
 }
 
+// Links returns every live link in canonical edge order.
+func (t *Topology) Links() []*Link { return t.links }
+
 // AttachMetrics registers every link's instruments on m, named
 // "e<i>.<src>-<dst>" in canonical edge order. A nil sink detaches without
 // naming a single edge.

@@ -26,22 +26,20 @@ func TestCheckerCatchesDroppedUpdate(t *testing.T) {
 		run  func(o FusedOptions) error
 	}{
 		{"mirror", "t3core.tracker", func(o FusedOptions) error {
-			r, err := newFusedRun(o)
+			r, err := newFusedRun(o, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.testDropIncoming = 1
-			_, err = r.run()
-			return err
+			r.devs[0].testDropIncoming = 1
+			return r.run()
 		}},
 		{"explicit", "t3core.dev1.tracker", func(o FusedOptions) error {
-			r, err := newMultiRun(o)
+			r, err := newFusedRun(o, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			r.devs[1].testDropIncoming = 1
-			_, err = r.run()
-			return err
+			return r.run()
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

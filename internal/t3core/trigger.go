@@ -20,9 +20,19 @@ type DMACommand struct {
 
 // dmaWFStride is the number of wavefront slots per workgroup in a tile
 // identity: every TileID producer in this package maps a linear tile index g
-// to {WG: g/8, WF: g%8}, so (WG, WF) flattens densely as WG*8+WF. The
-// tracker enforces the matching bound (TrackerConfig.MaxWFsPerWG <= 8).
+// to {WG: g/8, WF: g%8} (tileID), so (WG, WF) flattens densely as WG*8+WF
+// (tileIndex). The tracker enforces the matching bound
+// (TrackerConfig.MaxWFsPerWG <= 8).
 const dmaWFStride = 8
+
+// tileID maps a linear tile index to its tracker identity.
+func tileID(t int) TileID { return TileID{WG: t / dmaWFStride, WF: t % dmaWFStride} }
+
+// tileIndex is tileID's inverse.
+func tileIndex(id TileID) int { return id.WG*dmaWFStride + id.WF }
+
+// tileTag is tileID as the memory metadata a tile's transfers carry.
+func tileTag(t int) memory.Tag { return memory.Tag{WG: t / dmaWFStride, WF: t % dmaWFStride} }
 
 // DMATable is the pre-programmed command table the driver fills during the
 // §4.4 setup. Commands are keyed by the producing tile, the same identity
@@ -53,7 +63,7 @@ func (t *DMATable) slot(id TileID) int {
 	if id.WG < 0 || id.WF < 0 || id.WF >= dmaWFStride {
 		return -1
 	}
-	return id.WG*dmaWFStride + id.WF
+	return tileIndex(id)
 }
 
 // Program installs the command for a tile. Reprogramming a live entry is an
