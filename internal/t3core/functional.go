@@ -209,13 +209,12 @@ func (fd *funcDevice) tilesInPhase(p int, bounds [][2]int, tileElems int) int {
 // tileID maps a (phase, tile) to the device's production-order tracker
 // identity: consecutive tiles fill the 8 wavefront slots of successive WGs.
 func (fd *funcDevice) tileID(p, i int) TileID {
-	g := fd.tileBase[p] + i
-	return TileID{WG: g / 8, WF: g % 8}
+	return tileID(fd.tileBase[p] + i)
 }
 
 // tileLoc inverts tileID.
 func (fd *funcDevice) tileLoc(id TileID) (phase, tile int) {
-	g := id.WG*8 + id.WF
+	g := tileIndex(id)
 	p := 0
 	for fd.tileBase[p+1] <= g {
 		p++

@@ -66,9 +66,8 @@ func RunFunctionalFusedAllGather(shards [][]float32, tileElems int, seed int64) 
 	var deliver func(d, shard, tile, hop int)
 
 	// Tile identity: hops of each shard's tiles are distinct tracker rows.
-	tileID := func(shard, tile, hop int) TileID {
-		g := (hop*n+shard)*tilesPerShard + tile
-		return TileID{WG: g / 8, WF: g % 8}
+	tileOf := func(shard, tile, hop int) TileID {
+		return tileID((hop*n+shard)*tilesPerShard + tile)
 	}
 	tileRangeOf := func(shard, tile int) (lo, hi int) {
 		lo = shard*shardLen + tile*tileElems
@@ -92,7 +91,7 @@ func RunFunctionalFusedAllGather(shards [][]float32, tileElems int, seed int64) 
 			shard := mod(d-hop, n) // the shard arriving at d after `hop` hops
 			for tile := 0; tile < tilesPerShard; tile++ {
 				lo, hi := tileRangeOf(shard, tile)
-				if err := dev.dma.Program(tileID(shard, tile, hop), DMACommand{
+				if err := dev.dma.Program(tileOf(shard, tile, hop), DMACommand{
 					DestDevice: (d + 1) % n,
 					Op:         memory.Write,
 					Bytes:      units.Bytes(hi-lo) * 4,
@@ -106,7 +105,7 @@ func RunFunctionalFusedAllGather(shards [][]float32, tileElems int, seed int64) 
 			WFTileBytes:       units.Bytes(tileElems) * 4,
 			UpdatesPerElement: 1, // plain writes: a single update completes a tile
 			TileBytes: func(id TileID) units.Bytes {
-				g := id.WG*8 + id.WF
+				g := tileIndex(id)
 				shard := (g / tilesPerShard) % n
 				tile := g % tilesPerShard
 				lo, hi := tileRangeOf(shard, tile)
@@ -117,7 +116,7 @@ func RunFunctionalFusedAllGather(shards [][]float32, tileElems int, seed int64) 
 				if !ok {
 					return // final hop: nothing to forward
 				}
-				g := id.WG*8 + id.WF
+				g := tileIndex(id)
 				hop := g / (n * tilesPerShard)
 				shard := (g / tilesPerShard) % n
 				tile := g % tilesPerShard
@@ -131,7 +130,7 @@ func RunFunctionalFusedAllGather(shards [][]float32, tileElems int, seed int64) 
 	deliver = func(d, shard, tile, hop int) {
 		lo, hi := tileRangeOf(shard, tile)
 		copy(devs[d].buffer[lo:hi], shards[shard][lo-shard*shardLen:hi-shard*shardLen])
-		fail(devs[d].tracker.Observe(tileID(shard, tile, hop), units.Bytes(hi-lo)*4))
+		fail(devs[d].tracker.Observe(tileOf(shard, tile, hop), units.Bytes(hi-lo)*4))
 	}
 
 	// Production: every device stores its shard locally and remote-writes it

@@ -96,7 +96,7 @@ func FuzzTrackerNeverMiscounts(f *testing.F) {
 			for remaining[pick] == 0 {
 				pick = (pick + 1) % tiles
 			}
-			id := TileID{WG: pick / 8, WF: pick % 8}
+			id := tileID(pick)
 			if err := tr.Observe(id, tileBytes/units.Bytes(divisor)); err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func FuzzTrackerNeverMiscounts(f *testing.F) {
 			left--
 		}
 		for i := 0; i < tiles; i++ {
-			id := TileID{WG: i / 8, WF: i % 8}
+			id := tileID(i)
 			if fired[id] != 1 {
 				t.Fatalf("tile %d fired %d times", i, fired[id])
 			}

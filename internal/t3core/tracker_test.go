@@ -285,7 +285,7 @@ func TestDMATableSizedOnce(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		tbl = NewDMATable(tiles)
 		for g := 0; g < tiles; g++ {
-			if err := tbl.Program(TileID{WG: g / 8, WF: g % 8}, cmd); err != nil {
+			if err := tbl.Program(tileID(g), cmd); err != nil {
 				t.Fatal(err)
 			}
 		}
