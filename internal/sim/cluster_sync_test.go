@@ -120,13 +120,12 @@ func starTraffic(t *testing.T, workers int, seed int64) (string, ClusterStats) {
 	return log.merged(), cl.Stats()
 }
 
-// TestClusterAppointmentMatchesWindowed runs the torus and star probes —
-// links with per-edge latencies — under the cluster's one sync
-// protocol (per-round bounds plus the posted-only drain) at workers 1/2/4.
-// Once a cross-protocol oracle, it now pins that the merged log and every
-// ClusterStats field on these multi-link graphs are pure functions of the
-// model, whatever the worker count.
-func TestClusterAppointmentMatchesWindowed(t *testing.T) {
+// TestClusterLogAndStatsIndependentOfWorkers runs the torus and star probes
+// — links with per-edge latencies — under the cluster's one sync protocol
+// (per-round bounds plus the posted-only drain) at workers 1/2/4, and pins
+// that the merged log and every ClusterStats field on these multi-link
+// graphs are pure functions of the model, whatever the worker count.
+func TestClusterLogAndStatsIndependentOfWorkers(t *testing.T) {
 	probes := []struct {
 		name string
 		run  func(t *testing.T, workers int, seed int64) (string, ClusterStats)
@@ -223,12 +222,13 @@ func TestClusterEdgeStalls(t *testing.T) {
 	}
 }
 
-// TestClusterAppointmentStress hammers the posted-only drain under maximal
-// worker counts: a torus where activity migrates between sparse device
-// subsets, so the set of posted-to mailboxes changes every round and most
-// boxes are skipped. Under -race this is the stress test for the per-source
-// posted lists; determinism against workers 1 rides along.
-func TestClusterAppointmentStress(t *testing.T) {
+// TestClusterLogAndStatsIndependentOfWorkersUnderStress hammers the
+// posted-only drain under maximal worker counts: a torus where activity
+// migrates between sparse device subsets, so the set of posted-to mailboxes
+// changes every round and most boxes are skipped. The log and ClusterStats
+// at workers 8 and 16 must match workers 1. Under -race this is the stress
+// test for the per-source posted lists.
+func TestClusterLogAndStatsIndependentOfWorkersUnderStress(t *testing.T) {
 	wantLog, wantStats := torusTraffic(t, 1, 99)
 	for _, workers := range []int{8, 16} {
 		gotLog, gotStats := torusTraffic(t, workers, 99)
