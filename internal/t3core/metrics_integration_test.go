@@ -2,6 +2,7 @@ package t3core
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -97,5 +98,30 @@ func TestFusedRunNilSinkUnchanged(t *testing.T) {
 	if plain.Done != instrumented.Done || plain.GEMMDone != instrumented.GEMMDone ||
 		plain.CollectiveDone != instrumented.CollectiveDone {
 		t.Errorf("instrumentation changed timing: %+v vs %+v", plain, instrumented)
+	}
+}
+
+// TestMultiDeviceRunMetricsPerDevice checks the explicit run's per-device
+// t3core instruments: each device's trigger counter agrees with its DMA
+// gauge, and across devices they count every tile once per forwarding
+// phase — each chunk is forwarded by n-2 devices.
+func TestMultiDeviceRunMetricsPerDevice(t *testing.T) {
+	const n = 4
+	reg := metrics.NewRegistry()
+	o := parOptions(t, 512, 512, 256, n)
+	o.Metrics = reg
+	if _, err := RunFusedGEMMRSMultiDevice(o); err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for d := 0; d < n; d++ {
+		trig := reg.CounterValue(fmt.Sprintf("dev%d/t3core.tracker.triggers", d))
+		if g := reg.GaugeValue(fmt.Sprintf("dev%d/t3core.dma.triggered", d)); g != trig {
+			t.Errorf("device %d: dma.triggered gauge %d, triggers counter %d", d, g, trig)
+		}
+		total += trig
+	}
+	if want := int64((n - 2) * o.Grid.NumWFs()); total != want {
+		t.Errorf("%d DMA triggers across devices, want %d", total, want)
 	}
 }
